@@ -20,7 +20,6 @@ from .bias_correction import (
     EstimateResult,
     PipelineConfig,
     bias_estimate,
-    bias_estimate_streamed,
     default_lambda,
     estimate,
 )
@@ -47,11 +46,9 @@ from .estimator import TnValue, chatterjee_t
 from .nn_graph import NnGraph, build_nn, nn_brute_force
 from .ridge_series import (
     BasisSpec,
-    GhatMatrix,
     RidgeModel,
     basis_index_set,
     design_matrix,
-    ghat_matrix,
     ridge_fit_all,
 )
 from .rng import derive_rng, derive_seed
@@ -80,7 +77,6 @@ __all__ = [
     "DimensionMismatchError",
     "EstimateResult",
     "FactorizationError",
-    "GhatMatrix",
     "InputError",
     "InsufficientRowsError",
     "MissingFileError",
@@ -100,7 +96,6 @@ __all__ = [
     "VarianceEstimate",
     "basis_index_set",
     "bias_estimate",
-    "bias_estimate_streamed",
     "build_nn",
     "chatterjee_t",
     "compute_ranks",
@@ -113,7 +108,6 @@ __all__ = [
     "estimate",
     "format_report",
     "gen_gaussian_copula",
-    "ghat_matrix",
     "load_csv",
     "minmax_scale",
     "mn_bootstrap",

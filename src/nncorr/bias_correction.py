@@ -6,6 +6,10 @@ disagree. That quantity is estimated by an average of survival-probability
 products over all ordered pairs, with the survival curves themselves fitted
 by :mod:`nncorr.ridge_series`. Subtracting six times the estimate gives the
 corrected statistic.
+
+The fitted survival matrix g = P @ betas has rank K (the basis size), so the
+pair average is computed from the n x K and K x n factors in O(n K^2) time
+and O(n K) memory; the n x n matrix is never formed.
 """
 
 from __future__ import annotations
@@ -19,13 +23,7 @@ from .dataset import Sample, compute_ranks, minmax_scale
 from .errors import DimensionMismatchError, InputError
 from .estimator import chatterjee_t
 from .nn_graph import NnGraph, build_nn
-from .ridge_series import (
-    GhatMatrix,
-    basis_index_set,
-    design_matrix,
-    ghat_matrix,
-    ridge_fit_all,
-)
+from .ridge_series import basis_index_set, design_matrix, ridge_fit_all
 
 DEFAULT_DEGREE = 2
 # Exponent c in the penalty lambda = n**-c. Small c over-shrinks the fitted
@@ -35,9 +33,6 @@ DEFAULT_DEGREE = 2
 # interval calibration. c = 1.2 balances the two; both failure modes are
 # exercised by the acceptance suite.
 DEFAULT_LAMBDA_EXPONENT = 1.2
-DEFAULT_GHAT_DENSE_CAP = 20_000
-
-_BLOCK = 256  # fixed kernel block size, part of the deterministic-output contract
 
 
 def default_lambda(n: int, exponent: float = DEFAULT_LAMBDA_EXPONENT) -> float:
@@ -56,18 +51,13 @@ class PipelineConfig:
     The ridge penalty is always derived from the fitted sample size as
     n**-lambda_exponent, so refits on subsamples shrink their penalty
     accordingly. ``scale_covariates`` applies min-max rescaling before both
-    the neighbor search and the polynomial basis. ``clamp_ghat`` truncates
-    fitted survival probabilities into [0, 1] — off by default, since the
-    raw linear estimator is the analyzed one. Above ``ghat_dense_cap`` rows
-    the bias term streams over threshold blocks instead of materializing
-    the n x n survival matrix.
+    the neighbor search and the polynomial basis. Fitted survival values are
+    never clamped into [0, 1]: the raw linear estimator is the analyzed one.
     """
 
     degree: int = DEFAULT_DEGREE
     lambda_exponent: float = DEFAULT_LAMBDA_EXPONENT
     scale_covariates: bool = True
-    clamp_ghat: bool = False
-    ghat_dense_cap: int = DEFAULT_GHAT_DENSE_CAP
 
     def __post_init__(self):
         if self.degree < 0:
@@ -76,16 +66,14 @@ class PipelineConfig:
             raise InputError(
                 f"lambda_exponent must be positive, got {self.lambda_exponent}"
             )
-        if self.ghat_dense_cap < 2:
-            raise InputError(f"ghat_dense_cap must be at least 2, got {self.ghat_dense_cap}")
 
 
 @dataclass(frozen=True)
 class EstimateResult:
     """Point estimates from one run of the pipeline.
 
-    ``variance`` and ``ci`` stay None unless a caller attaches bootstrap
-    output; the pipeline itself is deterministic and bootstrap-free.
+    The pipeline is deterministic and bootstrap-free; intervals come from
+    :mod:`nncorr.bootstrap`.
     """
 
     t_hat: float
@@ -94,8 +82,6 @@ class EstimateResult:
     n: int
     d: int
     config: PipelineConfig
-    variance: object = None
-    ci: tuple | None = None
 
     def __post_init__(self):
         for label, v in (("t_hat", self.t_hat), ("l_hat", self.l_hat), ("t_bc", self.t_bc)):
@@ -103,70 +89,41 @@ class EstimateResult:
                 raise InputError(f"{label} is not finite: {v}")
 
 
-def _check_pair(n_rows: int, nn: NnGraph) -> None:
-    if nn.nn.shape[0] != n_rows:
+def bias_estimate(p: np.ndarray, betas: np.ndarray, nn: NnGraph) -> float:
+    """Average pair discrepancy of the fitted survival curves g = p @ betas.
+
+    Computes ``sum_{i != j} g[i,j] * (g[nn[i],j] - g[i,j]) / (n*(n-1))``
+    without forming the n x n matrix g. Since g has rank K, row i of the sum
+    is ``p_i M d_i' - g[i,i] * (d_i @ betas[:, i])`` with ``M = betas @
+    betas.T`` and ``d_i = p[nn[i]] - p_i``; the second part removes the
+    j = i term exactly. The neighbor differences d are formed before any
+    product, so rows whose fitted curves agree contribute exactly zero
+    rather than a cancellation residue. The n row terms are combined with
+    ``math.fsum``, making the result depend on nothing but the inputs.
+    O(n K^2) time and O(n K) memory.
+    """
+    pm = np.asarray(p, dtype=np.float64)
+    bm = np.asarray(betas, dtype=np.float64)
+    if pm.ndim != 2 or bm.ndim != 2 or bm.shape != pm.shape[::-1]:
         raise DimensionMismatchError(
-            f"neighbor map covers {nn.nn.shape[0]} points but matrix has {n_rows} rows"
+            f"factors must be n x K and K x n, got {pm.shape} and {bm.shape}"
         )
-    if n_rows < 2:
+    n = pm.shape[0]
+    if nn.nn.shape[0] != n:
+        raise DimensionMismatchError(
+            f"neighbor map covers {nn.nn.shape[0]} points but the factors have {n} rows"
+        )
+    if n < 2:
         raise InputError("need at least two rows to average over pairs")
 
-
-def bias_estimate(g: GhatMatrix, nn: NnGraph, block: int = _BLOCK) -> float:
-    """Average pair discrepancy of the fitted survival curves.
-
-    Computes ``sum_{i != j} (g[i,j] * g[nn[i],j] - g[i,j]**2) / (n*(n-1))``
-    over the dense survival matrix. The i = j diagonal is zeroed before
-    summing, never computed-and-subtracted, so there is no cancellation.
-    Rows are processed in fixed-size blocks and the block totals combined
-    with ``math.fsum``, making the result independent of anything but the
-    inputs.
-    """
-    gm = g.g
-    n = gm.shape[0]
-    if gm.ndim != 2 or gm.shape != (n, n):
-        raise DimensionMismatchError(f"survival matrix must be square, got {gm.shape}")
-    _check_pair(n, nn)
-    if block < 1:
-        raise InputError(f"block size must be positive, got {block}")
-
-    idx = nn.nn
-    partials = []
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        rows = gm[lo:hi]
-        term = rows * gm[idx[lo:hi]] - rows * rows
-        # Zero the i == j entries that fall inside this row block.
-        term[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        partials.append(float(term.sum()))
-    return math.fsum(partials) / (n * (n - 1))
-
-
-def bias_estimate_streamed(model, nn: NnGraph, clamp: bool = False,
-                           block: int = _BLOCK) -> float:
-    """Same statistic as :func:`bias_estimate` without the n x n matrix.
-
-    Survival values are produced one threshold block at a time directly
-    from the fitted coefficients, holding O(n * block) floats at once.
-    Agrees with the dense path to floating-point noise; it is selected by
-    the pipeline when n exceeds ``PipelineConfig.ghat_dense_cap``.
-    """
-    n = model.p.shape[0]
-    _check_pair(n, nn)
-    if block < 1:
-        raise InputError(f"block size must be positive, got {block}")
-
-    idx = nn.nn
-    partials = []
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        cols = model.p @ model.betas[:, lo:hi]
-        if clamp:
-            np.clip(cols, 0.0, 1.0, out=cols)
-        term = cols * cols[idx] - cols * cols
-        term[np.arange(lo, hi), np.arange(hi - lo)] = 0.0
-        partials.append(float(term.sum()))
-    return math.fsum(partials) / (n * (n - 1))
+    d = pm[nn.nn] - pm
+    # einsum sums every entry of M in the same order, so equal rows of betas
+    # give bit-equal entries and curves that agree cancel exactly; BLAS
+    # (syrk or gemm) rounds edge and diagonal blocks differently.
+    m = np.einsum("kj,lj->kl", bm, bm)
+    pairs = np.einsum("ik,ik->i", pm, d @ m)
+    diag = np.einsum("ik,ki->i", pm, bm) * np.einsum("ik,ki->i", d, bm)
+    return math.fsum((pairs - diag).tolist()) / (n * (n - 1))
 
 
 def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateResult:
@@ -192,13 +149,7 @@ def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateRe
     lam = default_lambda(n, config.lambda_exponent)
     model = ridge_fit_all(p, sample.y, lam, basis=basis)
 
-    if n <= config.ghat_dense_cap:
-        g = ghat_matrix(model).g
-        if config.clamp_ghat:
-            g = np.clip(g, 0.0, 1.0)
-        l_hat = bias_estimate(GhatMatrix(g=g), nn)
-    else:
-        l_hat = bias_estimate_streamed(model, nn, clamp=config.clamp_ghat)
+    l_hat = bias_estimate(model.p, model.betas, nn)
     t_bc = t_hat - 6.0 * l_hat
 
     return EstimateResult(

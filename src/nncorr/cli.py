@@ -120,7 +120,6 @@ def _cmd_estimate(args) -> int:
             "degree": config.degree,
             "lambda_exponent": config.lambda_exponent,
             "scale_covariates": config.scale_covariates,
-            "clamp_ghat": config.clamp_ghat,
             "m": m_eff,
             "bootstrap_reps": args.bootstrap_reps,
             "alpha": args.alpha,

@@ -3,11 +3,14 @@
 For every threshold t in the observed responses, the indicator 1(Y >= t) is
 projected onto a total-degree power basis with an L2 penalty. The shifted
 Gram matrix does not depend on t, so one Cholesky factorization serves all
-n right-hand sides: O(K^3) once plus O(n K^2) for the solves.
+n right-hand sides: O(K^3) once plus O(n K^2) for the solves. The fitted
+survival matrix g = P @ betas is left in factored form; the bias term in
+:mod:`nncorr.bias_correction` reads the factors directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +29,8 @@ class BasisSpec:
 
     ``exponents`` is a (K, d) integer array in graded-lexicographic order:
     sorted by total degree, then lexicographically, with the constant term
-    first. K = C(d + degree, degree).
+    first. K = C(d + degree, degree). ``exponents`` is read-only, because
+    :func:`basis_index_set` hands the same instance to every caller.
     """
 
     d: int
@@ -44,7 +48,9 @@ class RidgeModel:
 
     ``factor`` is the Cholesky factorization of P'P + n*lam*I (positive
     definite for any lam > 0). Column j of ``betas`` solves the system for
-    threshold t = y_j.
+    threshold t = y_j, so entry (i, j) of ``p @ betas`` estimates
+    P(Y >= y_j | X = x_i). This is a linear probability model: entries may
+    fall outside [0, 1], and nothing clamps them.
     """
 
     basis: BasisSpec | None
@@ -53,18 +59,6 @@ class RidgeModel:
     lam: float
     factor: tuple
     betas: np.ndarray
-
-
-@dataclass(frozen=True)
-class GhatMatrix:
-    """Estimated conditional survival probabilities on the sample grid.
-
-    ``g[i, j]`` estimates P(Y >= y_j | X = x_i). This is a linear
-    probability model, so entries may fall outside [0, 1]; nothing is
-    clamped here.
-    """
-
-    g: np.ndarray
 
 
 def _compositions(total: int, parts: int):
@@ -78,8 +72,14 @@ def _compositions(total: int, parts: int):
             yield (head, *tail)
 
 
+@functools.lru_cache(maxsize=None)
 def basis_index_set(d: int, degree: int, cap: int = DEFAULT_BASIS_CAP) -> BasisSpec:
-    """Multi-indices of all monomials with total degree up to ``degree``."""
+    """Multi-indices of all monomials with total degree up to ``degree``.
+
+    Cached per ``(d, degree, cap)``: every bootstrap refit asks for the same
+    basis. Invalid arguments raise on every call, since exceptions are not
+    cached.
+    """
     if d < 1:
         raise InputError(f"need d >= 1, got {d}")
     if degree < 0:
@@ -94,6 +94,7 @@ def basis_index_set(d: int, degree: int, cap: int = DEFAULT_BASIS_CAP) -> BasisS
         exps.extend(_compositions(total, d))
     exponents = np.asarray(exps, dtype=np.int64)
     assert exponents.shape == (k, d)
+    exponents.setflags(write=False)
     return BasisSpec(d=d, degree=degree, exponents=exponents)
 
 
@@ -152,7 +153,3 @@ def ridge_fit_all(p, y, lam: float, basis: BasisSpec | None = None) -> RidgeMode
     betas = scipy.linalg.cho_solve(factor, rhs)
     return RidgeModel(basis=basis, p=pmat, y=yvec, lam=float(lam), factor=factor, betas=betas)
 
-
-def ghat_matrix(model: RidgeModel) -> GhatMatrix:
-    """Dense n x n evaluation g = P @ betas of the fitted survival model."""
-    return GhatMatrix(g=model.p @ model.betas)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bias_correction import bias_estimate, default_lambda
 from .nn_graph import NnGraph, build_nn
-from .ridge_series import GhatMatrix, basis_index_set, design_matrix, ridge_fit_all
+from .ridge_series import basis_index_set, design_matrix, ridge_fit_all
 from .rng import derive_rng
 from .simulation import true_t
 
@@ -92,22 +92,33 @@ def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
 
 
 def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
-    """bias_estimate against the literal double loop, to 1e-12."""
+    """bias_estimate on random factors against the double loop over g, to 1e-12.
+
+    Cases cycle through rank one (K = 1), low rank (1 < K < n), K >= n, and
+    p = I with betas an arbitrary explicit g. The factors are scaled so that
+    g has standard normal entries whatever K is.
+    """
     cases = 20 if quick else 50
     rng = derive_rng(seed)
     worst = 0.0
     for case in range(cases):
         n = int(rng.integers(3, 40 if quick else 80))
-        g = rng.standard_normal((n, n))
+        kind = case % 4
+        if kind == 3:
+            p, betas = np.eye(n), rng.standard_normal((n, n))
+        else:
+            k = (1, int(rng.integers(2, n)), int(rng.integers(n, n + 8)))[kind]
+            p = rng.standard_normal((n, k))
+            betas = rng.standard_normal((k, n)) / math.sqrt(k)
         nn_idx = rng.integers(0, n - 1, size=n)
         nn_idx[nn_idx >= np.arange(n)] += 1  # any j != i is a valid neighbor map
         graph = NnGraph(nn=nn_idx.astype(np.int64), dist=np.zeros(n))
-        got = bias_estimate(GhatMatrix(g=g), graph)
-        want = _ref_bias(g, nn_idx)
+        got = bias_estimate(p, betas, graph)
+        want = _ref_bias(p @ betas, nn_idx)
         err = abs(got - want)
         worst = max(worst, err)
         if err > 1e-12:
-            return False, f"case {case}: n={n} |diff|={err:.3e}"
+            return False, f"case {case}: n={n} K={p.shape[1]} |diff|={err:.3e}"
     return True, f"{cases} instances, worst |diff| {worst:.2e}"
 
 

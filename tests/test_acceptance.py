@@ -28,7 +28,7 @@ from nncorr.bootstrap import mn_bootstrap
 from nncorr.dataset import Sample, compute_ranks
 from nncorr.estimator import chatterjee_t
 from nncorr.nn_graph import build_nn
-from nncorr.ridge_series import basis_index_set, design_matrix, ghat_matrix, ridge_fit_all
+from nncorr.ridge_series import basis_index_set, design_matrix, ridge_fit_all
 from nncorr.rng import derive_seed
 from nncorr.selftest import run_selftest
 from nncorr.simulation import CopulaConfig, gen_gaussian_copula, run_study, true_t
@@ -197,11 +197,11 @@ def test_criterion_6_property_suite():
     x = rng.uniform(size=(n, 2))
     y = rng.standard_normal(n)
     basis = basis_index_set(2, 2)
-    g = ghat_matrix(ridge_fit_all(design_matrix(x, basis), y, 0.05, basis)).g
+    m = ridge_fit_all(design_matrix(x, basis), y, 0.05, basis)
+    g = m.p @ m.betas
     perm = rng.permutation(n)
-    gp = ghat_matrix(
-        ridge_fit_all(design_matrix(x[perm], basis), y[perm], 0.05, basis)
-    ).g
+    mp = ridge_fit_all(design_matrix(x[perm], basis), y[perm], 0.05, basis)
+    gp = mp.p @ mp.betas
     checks["permutation"] = bool(np.allclose(gp, g[np.ix_(perm, perm)], atol=1e-9))
 
     ok = all(checks.values())

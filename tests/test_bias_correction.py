@@ -1,6 +1,7 @@
 """Tests for the pairwise bias term and the end-to-end estimation pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ from nncorr.dataset import Sample, compute_ranks, minmax_scale
 from nncorr.errors import DimensionMismatchError, InputError
 from nncorr.nn_graph import NnGraph, build_nn
 from nncorr.estimator import chatterjee_t
-from nncorr.ridge_series import GhatMatrix, basis_index_set, design_matrix, ridge_fit_all, ghat_matrix
+from nncorr.ridge_series import basis_index_set, design_matrix, ridge_fit_all
 from nncorr.bias_correction import (
     PipelineConfig,
     bias_estimate,
-    bias_estimate_streamed,
     default_lambda,
     estimate,
 )
@@ -46,21 +46,26 @@ def _random_nn(rng, n):
 # bias_estimate
 
 
+def _explicit(g):
+    # p = I and betas = g: the factored form of an arbitrary explicit matrix.
+    return np.eye(g.shape[0]), g
+
+
 def test_hand_example_two_points():
     # Ordered pairs (0,1) and (1,0):
     #   (0,1): g01*g11 - g01^2 = 0.5*0.75 - 0.25   = 0.125
     #   (1,0): g10*g00 - g10^2 = 0.25*1 - 0.0625   = 0.1875
     # mean over n(n-1)=2 pairs = 0.15625.
-    g = GhatMatrix(g=np.array([[1.0, 0.5], [0.25, 0.75]]))
-    assert bias_estimate(g, _graph([1, 0])) == 0.15625
+    g = np.array([[1.0, 0.5], [0.25, 0.75]])
+    assert bias_estimate(*_explicit(g), _graph([1, 0])) == 0.15625
 
 
 def test_identical_rows_give_exactly_zero():
     # If g does not depend on its first index, every pair term cancels.
     rng = np.random.default_rng(51)
     row = rng.uniform(size=30)
-    g = GhatMatrix(g=np.tile(row, (30, 1)))
-    assert bias_estimate(g, _graph(_random_nn(rng, 30))) == 0.0
+    g = np.tile(row, (30, 1))
+    assert bias_estimate(*_explicit(g), _graph(_random_nn(rng, 30))) == 0.0
 
 
 def test_matches_double_loop_reference():
@@ -69,50 +74,35 @@ def test_matches_double_loop_reference():
         n = int(rng.integers(10, 60))
         g = rng.uniform(size=(n, n))
         nn = _random_nn(rng, n)
-        got = bias_estimate(GhatMatrix(g=g), _graph(nn))
+        got = bias_estimate(*_explicit(g), _graph(nn))
         assert abs(got - _ref_bias(g, nn)) <= 1e-12
+    # Rank one, low rank and K > n factors.
+    for n, k in ((12, 1), (40, 6), (30, 45)):
+        p = rng.uniform(size=(n, k))
+        betas = rng.uniform(size=(k, n)) / k
+        nn = _random_nn(rng, n)
+        got = bias_estimate(p, betas, _graph(nn))
+        assert abs(got - _ref_bias(p @ betas, nn)) <= 1e-12
 
 
 def test_matches_reference_across_block_boundary():
-    # The row-blocked accumulation must be seamless at its block size.
+    # Powers of two are common blocking sizes in the matrix products.
     rng = np.random.default_rng(53)
     for n in (255, 256, 257):
         g = rng.uniform(size=(n, n))
         nn = _random_nn(rng, n)
-        got = bias_estimate(GhatMatrix(g=g), _graph(nn))
+        got = bias_estimate(*_explicit(g), _graph(nn))
         assert abs(got - _ref_bias(g, nn)) <= 1e-12
 
 
-def test_block_size_does_not_change_value():
-    rng = np.random.default_rng(54)
-    g = rng.uniform(size=(90, 90))
-    nn = _random_nn(rng, 90)
-    full = bias_estimate(GhatMatrix(g=g), _graph(nn), block=4096)
-    tiny = bias_estimate(GhatMatrix(g=g), _graph(nn), block=7)
-    assert abs(full - tiny) <= 1e-14
-
-
-def test_streamed_agrees_with_dense():
-    rng = np.random.default_rng(55)
-    n = 120
-    x = rng.uniform(size=(n, 2))
-    y = rng.standard_normal(n)
-    basis = basis_index_set(2, 2)
-    model = ridge_fit_all(design_matrix(x, basis), y, default_lambda(n), basis)
-    nn = build_nn(x)
-    dense = bias_estimate(ghat_matrix(model), nn)
-    streamed = bias_estimate_streamed(model, nn)
-    assert abs(dense - streamed) <= 1e-10
-    # And with clamping on both paths.
-    clipped = bias_estimate(GhatMatrix(g=np.clip(ghat_matrix(model).g, 0.0, 1.0)), nn)
-    streamed_c = bias_estimate_streamed(model, nn, clamp=True)
-    assert abs(clipped - streamed_c) <= 1e-10
-
-
 def test_bias_validation():
-    g = GhatMatrix(g=np.zeros((3, 3)))
+    p, betas = _explicit(np.zeros((3, 3)))
     with pytest.raises(DimensionMismatchError):
-        bias_estimate(g, _graph([1, 0]))
+        bias_estimate(p, betas, _graph([1, 0]))
+    with pytest.raises(DimensionMismatchError):
+        bias_estimate(np.zeros((3, 2)), np.zeros((3, 2)), _graph([1, 2, 0]))
+    with pytest.raises(InputError):
+        bias_estimate(np.zeros((1, 2)), np.zeros((2, 1)), _graph([0]))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +120,6 @@ def test_estimate_reports_consistent_fields():
     s = _sample()
     res = estimate(s)
     assert res.n == s.n and res.d == s.d
-    assert res.variance is None and res.ci is None
     assert res.t_bc == res.t_hat - 6.0 * res.l_hat
     assert res.config == PipelineConfig()
 
@@ -168,28 +157,28 @@ def test_t_hat_invariant_under_increasing_y_transform():
     assert res_exp.t_hat == res.t_hat
 
 
-def test_dense_and_streamed_paths_agree():
-    s = _sample(seed=57, n=140)
-    dense = estimate(s)  # n=140 is far below the default dense cap
-    streamed = estimate(s, PipelineConfig(ghat_dense_cap=2))
-    assert abs(dense.l_hat - streamed.l_hat) <= 1e-10
-    assert abs(dense.t_bc - streamed.t_bc) <= 1e-10
-    assert dense.t_hat == streamed.t_hat
+@pytest.mark.parametrize("n", [2, 3, 17, 140])
+def test_pipeline_l_hat_matches_double_loop(n):
+    s = _sample(seed=57, n=n, d=6)
+    res = estimate(s)
+    xs = minmax_scale(s.x).xs
+    basis = basis_index_set(s.d, 2)
+    model = ridge_fit_all(design_matrix(xs, basis), s.y, default_lambda(n), basis)
+    want = _ref_bias(model.p @ model.betas, build_nn(xs).nn)
+    assert abs(res.l_hat - want) <= 1e-12 * abs(want)
 
 
-def test_dense_cap_boundary_is_seamless():
-    s = _sample(seed=58, n=100)
-    at_cap = estimate(s, PipelineConfig(ghat_dense_cap=100))
-    below_cap = estimate(s, PipelineConfig(ghat_dense_cap=99))
-    assert abs(at_cap.l_hat - below_cap.l_hat) <= 1e-10
-
-
-def test_clamped_correction_differs_but_stays_close():
-    s = _sample(seed=59, n=200)
-    raw = estimate(s)
-    clamped = estimate(s, PipelineConfig(clamp_ghat=True))
-    assert clamped.t_hat == raw.t_hat
-    assert abs(clamped.l_hat - raw.l_hat) < 0.05
+def test_estimate_memory_stays_linear_in_n():
+    # The n x n survival matrix at n = 20 000 would take 3.2 GB; the
+    # factored bias term needs O(n K) floats.
+    s = _sample(seed=61, n=20_000, d=6)
+    tracemalloc.start()
+    try:
+        estimate(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_correction_reduces_bias_under_strong_dependence():
@@ -208,8 +197,6 @@ def test_config_validation():
         PipelineConfig(degree=-1)
     with pytest.raises(InputError):
         PipelineConfig(lambda_exponent=0.0)
-    with pytest.raises(InputError):
-        PipelineConfig(ghat_dense_cap=1)
     with pytest.raises(InputError):
         default_lambda(0)
     with pytest.raises(InputError):

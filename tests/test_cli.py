@@ -65,8 +65,8 @@ def test_estimate_stdout_payload(capsys, csv_file):
     assert len(payload["ci_t"]) == 2 and payload["ci_t"][0] <= payload["ci_t"][1]
     cfg = payload["config"]
     assert list(cfg.keys()) == [
-        "degree", "lambda_exponent", "scale_covariates", "clamp_ghat",
-        "m", "bootstrap_reps", "alpha", "seed",
+        "degree", "lambda_exponent", "scale_covariates", "m",
+        "bootstrap_reps", "alpha", "seed",
     ]
     assert cfg["degree"] == 2 and cfg["m"] == 10
     assert cfg["bootstrap_reps"] == 50 and cfg["seed"] == 3

@@ -10,7 +10,6 @@ from nncorr.errors import BasisSizeError, DimensionMismatchError, InputError
 from nncorr.ridge_series import (
     basis_index_set,
     design_matrix,
-    ghat_matrix,
     ridge_fit_all,
 )
 
@@ -62,6 +61,17 @@ def test_basis_cap_enforced():
         basis_index_set(2, -1)
 
 
+def test_basis_is_cached_and_read_only():
+    basis = basis_index_set(6, 2)
+    assert basis_index_set(6, 2) is basis
+    with pytest.raises(ValueError):
+        basis.exponents[0, 0] = 1
+    # Errors are not cached: a bad request raises every time.
+    for _ in range(2):
+        with pytest.raises(BasisSizeError):
+            basis_index_set(140, 2)
+
+
 def test_design_matrix_hand_row():
     basis = basis_index_set(2, 2)
     row = design_matrix(np.array([[0.5, 1.0]]), basis)[0]
@@ -105,7 +115,7 @@ def test_constant_basis_closed_form():
     assert model.betas.shape == (1, 4)
     np.testing.assert_allclose(model.betas[0], np.array([1.0, 0.75, 0.5, 0.25]) / 1.25)
     # The fitted matrix column at the smallest threshold is 1/(1+lam).
-    g = ghat_matrix(model).g
+    g = model.p @ model.betas
     np.testing.assert_allclose(g[:, 0], 0.8)
 
 
@@ -172,11 +182,11 @@ def test_ghat_matrix_permutation_equivariance():
     x = rng.uniform(size=(n, 2))
     y = rng.standard_normal(n)
     basis = basis_index_set(2, 2)
-    g = ghat_matrix(ridge_fit_all(design_matrix(x, basis), y, 0.05, basis)).g
+    m = ridge_fit_all(design_matrix(x, basis), y, 0.05, basis)
+    g = m.p @ m.betas
     perm = rng.permutation(n)
-    gp = ghat_matrix(
-        ridge_fit_all(design_matrix(x[perm], basis), y[perm], 0.05, basis)
-    ).g
+    mp = ridge_fit_all(design_matrix(x[perm], basis), y[perm], 0.05, basis)
+    gp = mp.p @ mp.betas
     np.testing.assert_allclose(gp, g[np.ix_(perm, perm)], atol=1e-9)
 
 
