@@ -115,15 +115,23 @@ def bias_estimate(p: np.ndarray, betas: np.ndarray, nn: NnGraph) -> float:
         )
     if n < 2:
         raise InputError("need at least two rows to average over pairs")
+    return math.fsum(_bias_rows(pm, bm, nn.nn).tolist()) / (n * (n - 1))
 
-    d = pm[nn.nn] - pm
+
+def _bias_rows(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """Row terms of :func:`bias_estimate`, shape (..., n).
+
+    Takes factors (n, K) and (K, n) with neighbor indices (n,), or stacks
+    of them with the same leading axes.
+    """
+    d = np.take_along_axis(p, nn[..., None], axis=-2) - p
     # einsum sums every entry of M in the same order, so equal rows of betas
     # give bit-equal entries and curves that agree cancel exactly; BLAS
     # (syrk or gemm) rounds edge and diagonal blocks differently.
-    m = np.einsum("kj,lj->kl", bm, bm)
-    pairs = np.einsum("ik,ik->i", pm, d @ m)
-    diag = np.einsum("ik,ki->i", pm, bm) * np.einsum("ik,ki->i", d, bm)
-    return math.fsum((pairs - diag).tolist()) / (n * (n - 1))
+    m = np.einsum("...kj,...lj->...kl", betas, betas)
+    pairs = np.einsum("...ik,...ik->...i", p, d @ m)
+    diag = np.einsum("...ik,...ki->...i", p, betas) * np.einsum("...ik,...ki->...i", d, betas)
+    return pairs - diag
 
 
 def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateResult:
@@ -147,7 +155,7 @@ def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateRe
     basis = basis_index_set(d, config.degree)
     p = design_matrix(xs, basis)
     lam = default_lambda(n, config.lambda_exponent)
-    model = ridge_fit_all(p, sample.y, lam, basis=basis)
+    model = ridge_fit_all(p, sample.y, lam)
 
     l_hat = bias_estimate(model.p, model.betas, nn)
     t_bc = t_hat - 6.0 * l_hat

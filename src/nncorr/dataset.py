@@ -22,9 +22,10 @@ from .errors import (
 )
 
 
-def _as_matrix(x, name: str = "x") -> np.ndarray:
+def _as_matrix(x, name: str = "x", stacked: bool = False) -> np.ndarray:
+    # ``stacked`` also admits a stack of matrices, shape (..., n, d).
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
+    if arr.ndim != 2 and not (stacked and arr.ndim > 2):
         raise DimensionMismatchError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
         raise NonFiniteInputError(f"{name} contains NaN or infinite entries")
@@ -190,11 +191,12 @@ def minmax_scale(x) -> ScaledMatrix:
     """Map each column of ``x`` affinely onto [0, 1].
 
     Constant columns map to all zeros with scale 1. The recorded offsets and
-    scales let new points be transformed consistently later.
+    scales let new points be transformed consistently later. A stack of
+    matrices, shape (..., n, d), scales each matrix on its own.
     """
-    arr = _as_matrix(x)
-    offsets = arr.min(axis=0)
-    span = arr.max(axis=0) - offsets
+    arr = _as_matrix(x, stacked=True)
+    offsets = arr.min(axis=-2)
+    span = arr.max(axis=-2) - offsets
     scales = np.where(span > 0.0, span, 1.0)
-    xs = (arr - offsets) / scales
+    xs = (arr - offsets[..., None, :]) / scales[..., None, :]
     return ScaledMatrix(xs=xs, offsets=offsets, scales=scales)

@@ -37,11 +37,22 @@ def chatterjee_t(ranks: RankVector, nn: NnGraph) -> TnValue:
             f"ranks have length {r.shape[0]} but nn graph has length {idx.shape[0]}"
         )
     n = int(r.shape[0])
-    s = int(np.minimum(r, r[idx]).sum(dtype=np.int64))
-    value = (6 * s) / (n * n - 1) - (2 * n + 1) / (n - 1)
-    if not np.isfinite(value) or value > 1.5 or value < -3.0:
+    s = np.minimum(r, r[idx]).sum(dtype=np.int64)
+    return TnValue(value=float(_rank_coefficient(s, n)), n=n)
+
+
+def _rank_coefficient(s, n: int):
+    """``6 s / (n^2-1) - (2n+1)/(n-1)`` for integer rank-minimum sums ``s``.
+
+    ``s`` may be a scalar or an array of sums over samples of size n each;
+    every value goes through the same sane-range check, and the first one
+    outside it raises.
+    """
+    value = (6 * np.asarray(s, dtype=np.int64)) / (n * n - 1) - (2 * n + 1) / (n - 1)
+    bad = ~np.isfinite(value) | (value > 1.5) | (value < -3.0)
+    if bad.any():
         raise RuntimeError(
-            f"coefficient {value} outside sane range; ranks and nn graph "
-            "are inconsistent or the response is pathologically tied"
+            f"coefficient {float(value[bad].flat[0])} outside sane range; ranks and nn "
+            "graph are inconsistent or the response is pathologically tied"
         )
-    return TnValue(value=float(value), n=n)
+    return value

@@ -46,18 +46,14 @@ class BasisSpec:
 class RidgeModel:
     """Fitted ridge system shared across all response thresholds.
 
-    ``factor`` is the Cholesky factorization of P'P + n*lam*I (positive
-    definite for any lam > 0). Column j of ``betas`` solves the system for
+    Column j of ``betas`` solves (P'P + n*lam*I) beta = P' 1(y >= y_j) for
     threshold t = y_j, so entry (i, j) of ``p @ betas`` estimates
     P(Y >= y_j | X = x_i). This is a linear probability model: entries may
     fall outside [0, 1], and nothing clamps them.
     """
 
-    basis: BasisSpec | None
     p: np.ndarray
-    y: np.ndarray
     lam: float
-    factor: tuple
     betas: np.ndarray
 
 
@@ -102,25 +98,44 @@ def design_matrix(xs: ScaledMatrix | np.ndarray, basis: BasisSpec) -> np.ndarray
     """Evaluate every basis monomial at every row: entry (i, k) = xs_i^alpha_k.
 
     The 0^0 = 1 convention applies, so the constant column is all ones even
-    at the origin.
+    at the origin. A stack of matrices, shape (..., n, d), gives a stack of
+    design matrices, shape (..., n, K).
     """
-    arr = _as_matrix(xs.xs if isinstance(xs, ScaledMatrix) else xs)
-    if arr.shape[1] != basis.d:
+    arr = _as_matrix(xs.xs if isinstance(xs, ScaledMatrix) else xs, stacked=True)
+    if arr.shape[-1] != basis.d:
         raise DimensionMismatchError(
-            f"matrix has {arr.shape[1]} columns but basis expects {basis.d}"
+            f"matrix has {arr.shape[-1]} columns but basis expects {basis.d}"
         )
-    n = arr.shape[0]
-    k = basis.size
     # One power table per covariate, then gather-and-multiply per monomial;
     # much cheaper than broadcasting x ** E over an (n, K, d) block.
-    p = np.ones((n, k), dtype=np.float64)
+    p = np.ones(arr.shape[:-1] + (basis.size,), dtype=np.float64)
     for m in range(basis.d):
-        col_powers = arr[:, m, None] ** np.arange(basis.degree + 1)
-        p *= col_powers[:, basis.exponents[:, m]]
+        col_powers = arr[..., m, None] ** np.arange(basis.degree + 1)
+        p *= col_powers[..., basis.exponents[:, m]]
     return p
 
 
-def ridge_fit_all(p, y, lam: float, basis: BasisSpec | None = None) -> RidgeModel:
+def _ridge_solve(p: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (P'P + n*lam*I) B = rhs, one Cholesky factor for all columns.
+
+    Takes (n, K) and (K, J), or stacks (..., n, K) and (..., K, J); ``rhs``
+    may be overwritten. SciPy runs the LAPACK calls of ``cho_factor`` and
+    ``cho_solve`` on every matrix in compiled code, so each solution has
+    their bits (a lone 1 x 1 system is divided instead). A single system is
+    solved in place and keeps the column-major layout of ``rhs``, on which
+    the summation order of the bias term's einsums depends.
+    """
+    n, k = p.shape[-2:]
+    gram = np.swapaxes(p, -1, -2) @ p
+    diag = np.arange(k)
+    gram[..., diag, diag] += n * lam
+    try:
+        return scipy.linalg.solve(gram, rhs, assume_a="pos", overwrite_b=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
+
+
+def ridge_fit_all(p, y, lam: float) -> RidgeModel:
     """Solve the penalized projection for every threshold t = y_j at once.
 
     Builds P'P + n*lam*I, factorizes it once, and solves against the
@@ -130,18 +145,11 @@ def ridge_fit_all(p, y, lam: float, basis: BasisSpec | None = None) -> RidgeMode
     """
     pmat = _as_matrix(p, name="design matrix")
     yvec = _as_vector(y)
-    n, k = pmat.shape
+    n = pmat.shape[0]
     if yvec.shape[0] != n:
         raise DimensionMismatchError(f"design has {n} rows but y has {yvec.shape[0]}")
     if not lam > 0.0:
         raise InputError(f"ridge parameter must be positive, got {lam}")
-
-    gram = pmat.T @ pmat
-    gram[np.diag_indices_from(gram)] += n * lam
-    try:
-        factor = scipy.linalg.cho_factor(gram, lower=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded by validation
-        raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
 
     order = np.argsort(yvec, kind="stable")
     p_sorted = pmat[order]
@@ -149,7 +157,5 @@ def ridge_fit_all(p, y, lam: float, basis: BasisSpec | None = None) -> RidgeMode
     # suffix[q] = sum of p_sorted rows q..n-1 = P' 1(y >= y_sorted[q]).
     suffix = np.cumsum(p_sorted[::-1], axis=0)[::-1]
     pos = np.searchsorted(y_sorted, yvec, side="left")
-    rhs = suffix[pos].T
-    betas = scipy.linalg.cho_solve(factor, rhs)
-    return RidgeModel(basis=basis, p=pmat, y=yvec, lam=float(lam), factor=factor, betas=betas)
-
+    betas = _ridge_solve(pmat, suffix[pos].T, lam)
+    return RidgeModel(p=pmat, lam=float(lam), betas=betas)

@@ -141,7 +141,7 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
         basis = basis_index_set(d, 2)
         p = design_matrix(x, basis)
         for lam in (1e-4, 1e-2, 1.0, default_lambda(n)):
-            model = ridge_fit_all(p, y, lam, basis=basis)
+            model = ridge_fit_all(p, y, lam)
             a = p.T @ p + n * lam * np.eye(basis.size)
             ind = (y[:, None] >= y[None, :]).astype(np.float64)
             rhs = p.T @ ind

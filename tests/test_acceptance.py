@@ -184,7 +184,7 @@ def test_criterion_6_property_suite():
     basis = basis_index_set(3, 2)
     p = design_matrix(x, basis)
     norms = [
-        np.linalg.norm(ridge_fit_all(p, y, lam, basis).betas, axis=0)
+        np.linalg.norm(ridge_fit_all(p, y, lam).betas, axis=0)
         for lam in (1e-4, 1e-2, 1.0, 100.0)
     ]
     checks["shrinkage"] = all(
@@ -197,10 +197,10 @@ def test_criterion_6_property_suite():
     x = rng.uniform(size=(n, 2))
     y = rng.standard_normal(n)
     basis = basis_index_set(2, 2)
-    m = ridge_fit_all(design_matrix(x, basis), y, 0.05, basis)
+    m = ridge_fit_all(design_matrix(x, basis), y, 0.05)
     g = m.p @ m.betas
     perm = rng.permutation(n)
-    mp = ridge_fit_all(design_matrix(x[perm], basis), y[perm], 0.05, basis)
+    mp = ridge_fit_all(design_matrix(x[perm], basis), y[perm], 0.05)
     gp = mp.p @ mp.betas
     checks["permutation"] = bool(np.allclose(gp, g[np.ix_(perm, perm)], atol=1e-9))
 

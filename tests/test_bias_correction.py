@@ -163,7 +163,7 @@ def test_pipeline_l_hat_matches_double_loop(n):
     res = estimate(s)
     xs = minmax_scale(s.x).xs
     basis = basis_index_set(s.d, 2)
-    model = ridge_fit_all(design_matrix(xs, basis), s.y, default_lambda(n), basis)
+    model = ridge_fit_all(design_matrix(xs, basis), s.y, default_lambda(n))
     want = _ref_bias(model.p @ model.betas, build_nn(xs).nn)
     assert abs(res.l_hat - want) <= 1e-12 * abs(want)
 

@@ -1,18 +1,24 @@
 """Tests for m-out-of-n bootstrap variance estimation and intervals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from nncorr import bootstrap
 from nncorr.bias_correction import PipelineConfig, estimate
 from nncorr.bootstrap import (
     VarianceEstimate,
+    _draws,
+    _replicates,
     confidence_interval,
     default_m,
     mn_bootstrap,
     mn_bootstrap_pair,
 )
 from nncorr.dataset import Sample
-from nncorr.errors import InputError
+from nncorr.errors import FactorizationError, InputError, NonFiniteInputError
 
 Z975 = 1.9599639845400543  # standard normal quantile at 0.975
 
@@ -161,3 +167,142 @@ def test_bootstrap_tracks_dependence_strength():
     assert v.sigma2_hat > 0.0
     lo, hi = confidence_interval(point.t_hat, v, 0.05)
     assert lo < point.t_hat < hi
+
+
+# ---------------------------------------------------------------------------
+# The batched replicate engine against estimate() run once per subsample
+# ---------------------------------------------------------------------------
+
+
+def _estimate_stat(field):
+    return lambda x, y, cfg: getattr(estimate(Sample(x=x, y=y), cfg), field)
+
+
+@pytest.mark.parametrize(
+    "n, m, d, degree, scale, kind",
+    [
+        (300, 2, 6, 2, True, "plain"),
+        (300, 3, 6, 2, True, "plain"),
+        (300, 17, 6, 2, True, "plain"),
+        (300, 64, 6, 2, True, "plain"),
+        # m >= 65 with d <= 15 is where estimate switches to the kd-tree.
+        (300, 65, 6, 2, True, "plain"),
+        (300, 66, 6, 2, True, "plain"),
+        (300, 17, 1, 1, True, "plain"),
+        # d = 16 keeps estimate on brute force at every m.
+        (300, 66, 16, 1, True, "plain"),
+        (300, 17, 6, 0, True, "plain"),
+        (300, 17, 6, 3, True, "plain"),
+        (300, 17, 6, 2, False, "plain"),
+        # Duplicate-heavy draws: 17 out of 20 rows.
+        (20, 17, 6, 2, True, "plain"),
+        (300, 17, 6, 2, True, "tied_y"),
+        # Integer-grid covariates: distinct rows at equal distances, so the
+        # smallest-index tie rule decides the neighbours.
+        (300, 17, 2, 2, True, "grid_x"),
+        (300, 66, 2, 2, True, "grid_x"),
+    ],
+)
+def test_engine_matches_estimate_per_replicate(n, m, d, degree, scale, kind):
+    rng = np.random.default_rng(n + 7 * m + d)
+    x = rng.uniform(-2.0, 3.0, size=(n, d))
+    if kind == "grid_x":
+        x = np.floor(x)
+    y = x[:, 0] + 0.5 * rng.standard_normal(n)
+    if kind == "tied_y":
+        y = np.round(y, 1)
+    s = Sample(x=x, y=y)
+    cfg = PipelineConfig(degree=degree, scale_covariates=scale)
+    b_reps = 8 if m == 2 else 20  # m = 2 draws the same row twice at rate 1/n
+
+    t_hat, t_bc = _replicates(s, cfg, _draws(n, m, b_reps, 3), corrected=True)
+    for r, idx in enumerate(_draws(n, m, b_reps, 3)):
+        want = estimate(Sample(x=x[idx], y=y[idx]), cfg)
+        assert t_hat[r] == want.t_hat
+        # Relative to the size of the terms t_bc is the difference of: plain
+        # relative error is unbounded where t_bc crosses zero.
+        scale_tbc = abs(want.t_hat) + abs(want.t_hat - want.t_bc)
+        assert abs(t_bc[r] - want.t_bc) <= 1e-12 * scale_tbc
+
+    # The statistic= hook sees the same draws, so the raw variance is equal.
+    assert mn_bootstrap(s, cfg, "t_hat", b_reps=b_reps, m=m, seed=3) == mn_bootstrap(
+        s, cfg, "t_hat", b_reps=b_reps, m=m, seed=3, statistic=_estimate_stat("t_hat")
+    )
+
+
+def test_binary_response_raises_like_a_replicate_loop():
+    rng = np.random.default_rng(66)
+    x = rng.uniform(size=(300, 3))
+    y = (rng.uniform(size=300) < 0.5).astype(np.float64)
+    s = Sample(x=x, y=y)
+    with pytest.raises(RuntimeError) as want:
+        mn_bootstrap(s, PipelineConfig(), "t_bc", b_reps=50, seed=1,
+                     statistic=_estimate_stat("t_bc"))
+    with pytest.raises(RuntimeError) as got:
+        mn_bootstrap_pair(s, PipelineConfig(), b_reps=50, seed=1)
+    assert str(got.value) == str(want.value)
+    assert "outside sane range" in str(got.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_first_failing_replicate_decides_the_error():
+    # Unscaled x = 1e200 overflows the design matrix of every subsample that
+    # draws row 0 (an InputError in the fit), and the half-tied response
+    # puts some subsamples outside the sane range (a RuntimeError, raised
+    # before the fit). In this draw the first failing replicate is of the
+    # first kind and a later one of the second, all in one chunk.
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(40, 2))
+    x[0, 0] = 1e200
+    y = np.where(rng.uniform(size=40) < 0.5, 0.0, rng.uniform(size=40))
+    s = Sample(x=x, y=y)
+    cfg = PipelineConfig(scale_covariates=False)
+    kw = dict(b_reps=30, m=6, seed=5)
+    with pytest.raises(RuntimeError):
+        mn_bootstrap(s, cfg, "t_hat", **kw)
+    with pytest.raises(NonFiniteInputError) as want:
+        mn_bootstrap(s, cfg, "t_bc", statistic=_estimate_stat("t_bc"), **kw)
+    with pytest.raises(NonFiniteInputError) as got:
+        mn_bootstrap_pair(s, cfg, **kw)
+    assert str(got.value) == str(want.value)
+
+
+def test_cholesky_failure_raises_factorization_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "solve", fail)
+    with pytest.raises(FactorizationError):
+        mn_bootstrap_pair(_sample(), PipelineConfig(), b_reps=10, seed=1)
+
+
+def test_results_do_not_depend_on_chunk_size(monkeypatch):
+    for n, d in ((300, 6), (120, 2), (200, 16)):
+        rng = np.random.default_rng(n + d)
+        x = rng.uniform(size=(n, d))
+        s = Sample(x=x, y=x[:, 0] + rng.standard_normal(n))
+        results = []
+        for budget in (0, 1 << 40):  # one replicate per chunk, then all of them
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", budget)
+            results.append((
+                mn_bootstrap_pair(s, PipelineConfig(), b_reps=60, seed=2),
+                mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=60, seed=2),
+            ))
+        assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("n, degree, b_reps", [(3000, 2, 200), (30000, 2, 200), (300, 5, 50)])
+def test_bootstrap_memory_stays_small(n, degree, b_reps):
+    # One chunk's difference block (m = 54 and 173) or Gram block (K = 462
+    # at degree 5) is capped at _CHUNK_BYTES, so the peak stays far below
+    # the perfbench peak-RSS budget.
+    rng = np.random.default_rng(67)
+    x = rng.uniform(size=(n, 6))
+    s = Sample(x=x, y=x[:, 0] + rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        mn_bootstrap_pair(s, PipelineConfig(degree=degree), b_reps=b_reps, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

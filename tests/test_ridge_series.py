@@ -17,7 +17,7 @@ from nncorr.ridge_series import (
 def _fit(x, y, lam, degree=2):
     basis = basis_index_set(x.shape[1], degree)
     p = design_matrix(minmax_scale(x), basis)
-    return p, ridge_fit_all(p, y, lam, basis)
+    return p, ridge_fit_all(p, y, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_constant_basis_closed_form():
     x = np.array([[0.1], [0.2], [0.3], [0.4]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
     p = design_matrix(x, basis)
-    model = ridge_fit_all(p, y, 0.25, basis)
+    model = ridge_fit_all(p, y, 0.25)
     assert model.betas.shape == (1, 4)
     np.testing.assert_allclose(model.betas[0], np.array([1.0, 0.75, 0.5, 0.25]) / 1.25)
     # The fitted matrix column at the smallest threshold is 1/(1+lam).
@@ -182,10 +182,10 @@ def test_ghat_matrix_permutation_equivariance():
     x = rng.uniform(size=(n, 2))
     y = rng.standard_normal(n)
     basis = basis_index_set(2, 2)
-    m = ridge_fit_all(design_matrix(x, basis), y, 0.05, basis)
+    m = ridge_fit_all(design_matrix(x, basis), y, 0.05)
     g = m.p @ m.betas
     perm = rng.permutation(n)
-    mp = ridge_fit_all(design_matrix(x[perm], basis), y[perm], 0.05, basis)
+    mp = ridge_fit_all(design_matrix(x[perm], basis), y[perm], 0.05)
     gp = mp.p @ mp.betas
     np.testing.assert_allclose(gp, g[np.ix_(perm, perm)], atol=1e-9)
 
