@@ -17,7 +17,7 @@ import numpy as np
 from nncorr import CopulaConfig, estimate, gen_gaussian_copula, true_t
 
 rho, d, n = 0.9, 6, 300
-truth = true_t(rho).value
+truth = true_t(rho)
 reps = 30
 
 print(f"Copula cell: rho={rho}, d={d}, n={n}; population value T = {truth:.4f}")

@@ -20,7 +20,7 @@ from nncorr import (
 )
 
 rho, d, n = 0.5, 6, 300
-truth = true_t(rho).value
+truth = true_t(rho)
 config = PipelineConfig()
 
 sample = gen_gaussian_copula(CopulaConfig(n=n, d=d, rho=rho, seed=42))

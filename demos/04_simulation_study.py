@@ -26,7 +26,7 @@ print(format_report(report))
 
 print("Closed-form truths for the three cells:")
 for rho, _, _ in grid:
-    print(f"  T(rho={rho}) = {true_t(rho).value:.4f}")
+    print(f"  T(rho={rho}) = {true_t(rho):.4f}")
 
 print(f"\nRaw per-replication rows captured: {len(records)} "
       f"(first two of {len(raw_csv_lines(records)) - 1}):")

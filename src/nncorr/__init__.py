@@ -30,7 +30,7 @@ from .bootstrap import (
     mn_bootstrap,
     mn_bootstrap_pair,
 )
-from .dataset import RankVector, Sample, ScaledMatrix, compute_ranks, load_csv, minmax_scale
+from .dataset import Sample, compute_ranks, load_csv, minmax_scale
 from .errors import (
     BasisSizeError,
     DimensionMismatchError,
@@ -42,8 +42,8 @@ from .errors import (
     NonFiniteInputError,
     NonNumericCellError,
 )
-from .estimator import TnValue, chatterjee_t
-from .nn_graph import NnGraph, build_nn, nn_brute_force
+from .estimator import chatterjee_t
+from .nn_graph import build_nn
 from .ridge_series import (
     BasisSpec,
     RidgeModel,
@@ -58,7 +58,6 @@ from .simulation import (
     CopulaConfig,
     RawRecord,
     SimReport,
-    TrueT,
     format_report,
     gen_gaussian_copula,
     raw_csv_lines,
@@ -80,19 +79,14 @@ __all__ = [
     "InputError",
     "InsufficientRowsError",
     "MissingFileError",
-    "NnGraph",
     "NoCovariateColumnsError",
     "NonFiniteInputError",
     "NonNumericCellError",
     "PipelineConfig",
-    "RankVector",
     "RawRecord",
     "RidgeModel",
     "Sample",
-    "ScaledMatrix",
     "SimReport",
-    "TnValue",
-    "TrueT",
     "VarianceEstimate",
     "basis_index_set",
     "bias_estimate",
@@ -112,7 +106,6 @@ __all__ = [
     "minmax_scale",
     "mn_bootstrap",
     "mn_bootstrap_pair",
-    "nn_brute_force",
     "raw_csv_lines",
     "ridge_fit_all",
     "run_study",

@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import Sample, compute_ranks, minmax_scale
 from .errors import DimensionMismatchError, InputError
 from .estimator import chatterjee_t
-from .nn_graph import NnGraph, build_nn
+from .nn_graph import build_nn
 from .ridge_series import basis_index_set, design_matrix, ridge_fit_all
 
 DEFAULT_DEGREE = 2
@@ -81,7 +81,6 @@ class EstimateResult:
     t_bc: float
     n: int
     d: int
-    config: PipelineConfig
 
     def __post_init__(self):
         for label, v in (("t_hat", self.t_hat), ("l_hat", self.l_hat), ("t_bc", self.t_bc)):
@@ -89,7 +88,7 @@ class EstimateResult:
                 raise InputError(f"{label} is not finite: {v}")
 
 
-def bias_estimate(p: np.ndarray, betas: np.ndarray, nn: NnGraph) -> float:
+def bias_estimate(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> float:
     """Average pair discrepancy of the fitted survival curves g = p @ betas.
 
     Computes ``sum_{i != j} g[i,j] * (g[nn[i],j] - g[i,j]) / (n*(n-1))``
@@ -108,14 +107,15 @@ def bias_estimate(p: np.ndarray, betas: np.ndarray, nn: NnGraph) -> float:
         raise DimensionMismatchError(
             f"factors must be n x K and K x n, got {pm.shape} and {bm.shape}"
         )
+    idx = np.asarray(nn)
     n = pm.shape[0]
-    if nn.nn.shape[0] != n:
+    if idx.shape != (n,):
         raise DimensionMismatchError(
-            f"neighbor map covers {nn.nn.shape[0]} points but the factors have {n} rows"
+            f"neighbor map has shape {idx.shape} but the factors have {n} rows"
         )
     if n < 2:
         raise InputError("need at least two rows to average over pairs")
-    return math.fsum(_bias_rows(pm, bm, nn.nn).tolist()) / (n * (n - 1))
+    return math.fsum(_bias_rows(pm, bm, idx).tolist()) / (n * (n - 1))
 
 
 def _bias_rows(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
@@ -148,9 +148,9 @@ def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateRe
     n, d = sample.n, sample.d
 
     ranks = compute_ranks(sample.y)
-    xs = minmax_scale(sample.x).xs if config.scale_covariates else sample.x
+    xs = minmax_scale(sample.x) if config.scale_covariates else sample.x
     nn = build_nn(xs)
-    t_hat = chatterjee_t(ranks, nn).value
+    t_hat = chatterjee_t(ranks, nn)
 
     basis = basis_index_set(d, config.degree)
     p = design_matrix(xs, basis)
@@ -160,11 +160,4 @@ def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateRe
     l_hat = bias_estimate(model.p, model.betas, nn)
     t_bc = t_hat - 6.0 * l_hat
 
-    return EstimateResult(
-        t_hat=t_hat,
-        l_hat=l_hat,
-        t_bc=t_bc,
-        n=n,
-        d=d,
-        config=config,
-    )
+    return EstimateResult(t_hat=t_hat, l_hat=l_hat, t_bc=t_bc, n=n, d=d)

@@ -29,6 +29,7 @@ from .bias_correction import PipelineConfig, _bias_rows, default_lambda
 from .dataset import Sample, _as_matrix, minmax_scale
 from .errors import InputError
 from .estimator import _rank_coefficient
+from .nn_graph import _stacked_nn
 from .ridge_series import _ridge_solve, basis_index_set, design_matrix
 from .rng import derive_rng
 
@@ -98,21 +99,13 @@ def _chunk_stats(
     those of :func:`nncorr.bias_correction.estimate`; ``t_hat`` comes out
     bit-identical to it.
     """
-    c, m, d = x.shape
+    _, m, d = x.shape
     # le[b, i, j] = 1(y_bj <= y_bi): row sums are the ranks, and P' le holds
     # the ridge right-hand sides P' 1(y >= y_j) of every threshold.
     le = y[:, None, :] <= y[:, :, None]
     ranks = le.sum(axis=-1)
-    xs = minmax_scale(x).xs if config.scale_covariates else x
-
-    # The same squared distances as nn_graph's row scan, self excluded by
-    # inf; argmin keeps the first minimizer, the smallest-index tie rule.
-    diff = xs[:, None, :, :] - xs[:, :, None, :]
-    diff *= diff
-    d2 = diff.sum(axis=-1)
-    del diff
-    d2.reshape(c, m * m)[:, :: m + 1] = np.inf
-    nn = d2.argmin(axis=-1)
+    xs = minmax_scale(x) if config.scale_covariates else x
+    nn = _stacked_nn(xs)
     s = np.minimum(ranks, np.take_along_axis(ranks, nn, axis=-1)).sum(axis=-1)
     t_hat = _rank_coefficient(s, m)
     if not corrected:

@@ -1,7 +1,8 @@
 """Data ingestion, validation, rank computation, and covariate scaling.
 
-Everything downstream consumes a :class:`Sample`; the helpers here are pure
-functions on immutable inputs and are safe to share across threads.
+Everything downstream consumes a :class:`Sample`. The helpers here are pure
+functions that return plain arrays (int64 ranks, a scaled float64 matrix)
+and are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -75,37 +76,23 @@ class Sample:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
-class RankVector:
-    """Ranks r_i = #{j : y_j <= y_i}; tied values share their maximal rank."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class ScaledMatrix:
-    """Per-column affine image of a matrix in [0, 1], with the maps recorded.
-
-    ``xs[i, k] = (x[i, k] - offsets[k]) / scales[k]``; a constant column maps
-    to all zeros with its scale forced to 1.
-    """
-
-    xs: np.ndarray
-    offsets: np.ndarray
-    scales: np.ndarray
+def _parses(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
 
 
 def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     """Read a comma-separated file into a Sample.
 
-    The file may start with a single header line, detected by the first row
-    containing any non-numeric token. Decimal separator is '.', quoting is
-    not supported. ``y_column`` selects the response column by 0-based index
-    or the literal ``"last"``; the remaining columns become the covariates
-    in file order.
+    The first line is a header when none of its cells parses as a number;
+    otherwise it is data, and a cell that is not a finite number raises
+    :class:`NonNumericCellError` naming it, in the first row as in any
+    other. Decimal separator is '.', quoting is not supported. ``y_column``
+    selects the response column by 0-based index or the literal ``"last"``;
+    the remaining columns become the covariates in file order.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,18 +106,9 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
 
     rows = [ln.split(",") for ln in lines]
 
-    def parse_row(tokens):
-        vals = []
-        for tok in tokens:
-            vals.append(float(tok.strip()))
-        return vals
-
-    # Header iff any token of the first row fails to parse as a number.
-    start = 0
-    try:
-        parse_row(rows[0])
-    except ValueError:
-        start = 1
+    # Header iff no cell of the first row parses as a number. A first row
+    # that mixes numbers and text is data, so its bad cell is reported below.
+    start = 0 if any(_parses(tok) for tok in rows[0]) else 1
 
     arity = len(rows[start]) if start < len(rows) else 0
     data = []
@@ -172,7 +150,7 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     return Sample(x=x, y=y)
 
 
-def compute_ranks(y) -> RankVector:
+def compute_ranks(y) -> np.ndarray:
     """Rank of each entry among the whole vector, counting ties upward.
 
     ``r_i`` is the number of entries (including y_i itself) less than or
@@ -183,20 +161,17 @@ def compute_ranks(y) -> RankVector:
     if arr.shape[0] < 2:
         raise InsufficientRowsError(f"need at least 2 entries, got {arr.shape[0]}")
     sorted_y = np.sort(arr, kind="stable")
-    r = np.searchsorted(sorted_y, arr, side="right").astype(np.int64)
-    return RankVector(r=r)
+    return np.searchsorted(sorted_y, arr, side="right").astype(np.int64)
 
 
-def minmax_scale(x) -> ScaledMatrix:
+def minmax_scale(x) -> np.ndarray:
     """Map each column of ``x`` affinely onto [0, 1].
 
-    Constant columns map to all zeros with scale 1. The recorded offsets and
-    scales let new points be transformed consistently later. A stack of
-    matrices, shape (..., n, d), scales each matrix on its own.
+    Constant columns map to all zeros. A stack of matrices, shape
+    (..., n, d), scales each matrix on its own.
     """
     arr = _as_matrix(x, stacked=True)
     offsets = arr.min(axis=-2)
     span = arr.max(axis=-2) - offsets
     scales = np.where(span > 0.0, span, 1.0)
-    xs = (arr - offsets[..., None, :]) / scales[..., None, :]
-    return ScaledMatrix(xs=xs, offsets=offsets, scales=scales)
+    return (arr - offsets[..., None, :]) / scales[..., None, :]

@@ -1,44 +1,34 @@
-"""The uncorrected nearest-neighbor rank correlation coefficient."""
+"""The uncorrected nearest-neighbor rank correlation coefficient.
+
+It takes the int64 ranks of :func:`nncorr.dataset.compute_ranks` and the
+neighbor indices of :func:`nncorr.nn_graph.build_nn` and returns a float.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dataset import RankVector
 from .errors import DimensionMismatchError
-from .nn_graph import NnGraph
 
 
-@dataclass(frozen=True)
-class TnValue:
-    """Value of the coefficient on a sample of size n.
-
-    Finite-sample values below 0 are legitimate (n = 2 always yields -1 on
-    distinct responses), so nothing is clamped.
-    """
-
-    value: float
-    n: int
-
-
-def chatterjee_t(ranks: RankVector, nn: NnGraph) -> TnValue:
+def chatterjee_t(ranks: np.ndarray, nn: np.ndarray) -> float:
     """Coefficient 6/(n^2-1) * sum_i min(r_i, r_nn(i)) - (2n+1)/(n-1).
 
     ``ranks`` and ``nn`` must come from the same sample. The sum of rank
     minima is accumulated in exact integer arithmetic and divided once, so
     the result carries a single rounding step per term of the formula.
+    Finite-sample values below 0 are legitimate (n = 2 always yields -1 on
+    distinct responses), so nothing is clamped.
     """
-    r = ranks.r
-    idx = nn.nn
+    r = np.asarray(ranks, dtype=np.int64)
+    idx = np.asarray(nn)
     if r.shape[0] != idx.shape[0]:
         raise DimensionMismatchError(
-            f"ranks have length {r.shape[0]} but nn graph has length {idx.shape[0]}"
+            f"ranks have length {r.shape[0]} but the neighbor map has length {idx.shape[0]}"
         )
     n = int(r.shape[0])
     s = np.minimum(r, r[idx]).sum(dtype=np.int64)
-    return TnValue(value=float(_rank_coefficient(s, n)), n=n)
+    return float(_rank_coefficient(s, n))
 
 
 def _rank_coefficient(s, n: int):

@@ -1,125 +1,95 @@
-"""Exact nearest-neighbor index computation under the Euclidean metric.
+"""Exact nearest-neighbor indices under the Euclidean metric.
 
-Two interchangeable constructions are provided: :func:`build_nn` (kd-tree
-backed for low dimension) and :func:`nn_brute_force` (the literal argmin
-double loop, kept as a testing oracle). Both resolve distance ties to the
-smallest index and return identical output on every input; the choice
-between them is purely a performance knob.
+:func:`build_nn` searches one (n, d) matrix with a kd-tree and
+:func:`_stacked_nn` searches every matrix of a (c, m, d) stack through its
+full distance matrix. Both return, for each row, the index of its nearest
+other row, resolve distance ties to the smallest index and give identical
+output on every input. Both refuse a matrix whose squared distances could
+overflow before any distance is formed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _threads
 from .dataset import _as_matrix
-from .errors import InsufficientRowsError
+from .errors import InsufficientRowsError, NonFiniteInputError
 
-# kd-trees stop paying off in high dimension; brute force is always correct.
-_TREE_MAX_DIM = 15
-# Below this size the vectorized scan beats tree construction overhead.
-_TREE_MIN_N = 65
 # Relative slack when collecting tie candidates from the tree. Far larger
 # than any float rounding discrepancy, far smaller than any genuine gap.
 _TIE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class NnGraph:
-    """For each row i, the index nn[i] != i of its nearest other row.
+def _check_range(x: np.ndarray) -> None:
+    """Raise unless every squared distance within each matrix is finite.
 
-    ``dist[i]`` is the Euclidean distance to that neighbor; ties are broken
-    toward the smallest index. Duplicate rows legitimately yield zero
-    distances.
+    The sum of squared column ranges bounds every squared distance of a
+    (..., n, d) matrix or stack, so a finite bound rules out overflow.
     """
-
-    nn: np.ndarray
-    dist: np.ndarray
-
-
-def _validate(x) -> np.ndarray:
-    arr = _as_matrix(x)
-    if arr.shape[0] < 2:
-        raise InsufficientRowsError(f"need at least 2 points, got {arr.shape[0]}")
-    return np.ascontiguousarray(arr)
+    with np.errstate(over="ignore"):
+        span = x.max(axis=-2) - x.min(axis=-2)
+        bound = (span * span).sum(axis=-1)
+    if not np.isfinite(bound).all():
+        raise NonFiniteInputError(
+            "covariate ranges are too large: squared distances overflow; rescale x"
+        )
 
 
-def _scan_row(x: np.ndarray, i: int) -> tuple[int, float]:
-    # Exact squared distances from row i to every row; self excluded via inf.
-    d2 = ((x - x[i]) ** 2).sum(axis=1)
-    d2[i] = np.inf
-    j = int(np.argmin(d2))
-    return j, float(np.sqrt(d2[j]))
+def build_nn(x) -> np.ndarray:
+    """Index nn[i] != i of the nearest other row of every row of ``x``.
 
-
-def nn_brute_force(x) -> NnGraph:
-    """Literal O(n^2 d) evaluation of the nearest-neighbor definition.
-
-    np.argmin returns the first minimizer, which is exactly the
-    smallest-index tie rule.
+    A kd-tree collects, for each row, every row within its nearest distance
+    (plus a relative slack); rows with more than one candidate are re-scored
+    with exact squared distances, the smallest index winning ties. Duplicate
+    rows are each other's neighbors.
     """
-    arr = _validate(x)
+    arr = np.ascontiguousarray(_as_matrix(x))
     n = arr.shape[0]
-    nn = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        nn[i], dist[i] = _scan_row(arr, i)
-    return NnGraph(nn=nn, dist=dist)
-
-
-def build_nn(x, workers: int | None = None) -> NnGraph:
-    """Exact nearest neighbors of every row among the other rows.
-
-    Uses a kd-tree for d <= 15 (and n large enough for it to pay off),
-    brute force otherwise. Candidate sets returned by the tree are re-scored
-    with the same exact arithmetic as the brute-force path, so tie handling
-    and output are identical between the two.
-    """
-    arr = _validate(x)
-    n, d = arr.shape
-    if d > _TREE_MAX_DIM or n < _TREE_MIN_N:
-        return nn_brute_force(arr)
-    if workers is None:
-        workers = _threads.get_workers()
+    if n < 2:
+        raise InsufficientRowsError(f"need at least 2 points, got {n}")
+    _check_range(arr)
+    workers = _threads.get_workers()
 
     tree = cKDTree(arr)
     dk, _ = tree.query(arr, k=2, workers=workers)
     # Second-smallest distance including self equals the nearest-other
     # distance whether or not duplicates are present.
-    dmin = dk[:, 1]
-    radius = dmin * (1.0 + _TIE_SLACK)
+    radius = dk[:, 1] * (1.0 + _TIE_SLACK)
     balls = tree.query_ball_point(arr, radius, workers=workers, return_sorted=True)
 
     nn = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
     idx = np.arange(n)
     lens = np.fromiter((len(b) for b in balls), dtype=np.intp, count=n)
 
-    # Generic case: the ball holds exactly {i, neighbor}; fully vectorized.
+    # Generic case: the ball holds exactly {i, neighbor}.
     pair = lens == 2
     if pair.any():
-        pmat = np.asarray([balls[i] for i in idx[pair]], dtype=np.int64)
-        other = np.where(pmat[:, 0] == idx[pair], pmat[:, 1], pmat[:, 0])
         rows = idx[pair]
-        d2 = ((arr[rows] - arr[other]) ** 2).sum(axis=1)
-        nn[rows] = other
-        dist[rows] = np.sqrt(d2)
+        pmat = np.asarray([balls[i] for i in rows], dtype=np.int64)
+        nn[rows] = np.where(pmat[:, 0] == rows, pmat[:, 1], pmat[:, 0])
 
-    # Tied or degenerate rows: re-score candidates exactly, smallest index wins.
+    # Tied or duplicate rows: the first minimizer over sorted candidates.
     for i in idx[~pair]:
-        cand = [j for j in balls[i] if j != i]
-        if not cand:
-            # The ball always contains the true neighbor by construction;
-            # rescan defensively rather than fail if that ever breaks.
-            nn[i], dist[i] = _scan_row(arr, int(i))
-            continue
-        c = np.asarray(cand, dtype=np.int64)
+        c = np.asarray([j for j in balls[i] if j != i], dtype=np.int64)
         d2 = ((arr[c] - arr[i]) ** 2).sum(axis=1)
-        k = int(np.argmin(d2))
-        nn[i] = c[k]
-        dist[i] = float(np.sqrt(d2[k]))
+        nn[i] = c[np.argmin(d2)]
+    return nn
 
-    return NnGraph(nn=nn, dist=dist)
+
+def _stacked_nn(xs: np.ndarray) -> np.ndarray:
+    """:func:`build_nn` of every matrix in a (c, m, d) stack, shape (c, m).
+
+    The (c, m, m) squared distances are the ones :func:`build_nn` re-scores
+    ties with; the diagonal is set to inf, and argmin keeps the first
+    minimizer, the smallest-index tie rule.
+    """
+    _check_range(xs)
+    c, m, _ = xs.shape
+    diff = xs[:, None, :, :] - xs[:, :, None, :]
+    diff *= diff
+    d2 = diff.sum(axis=-1)
+    del diff
+    d2.reshape(c, m * m)[:, :: m + 1] = np.inf
+    return d2.argmin(axis=-1)

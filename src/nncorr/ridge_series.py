@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dataset import ScaledMatrix, _as_matrix, _as_vector
+from .dataset import _as_matrix, _as_vector
 from .errors import BasisSizeError, DimensionMismatchError, FactorizationError, InputError
 
 DEFAULT_BASIS_CAP = 10_000
@@ -94,14 +94,14 @@ def basis_index_set(d: int, degree: int, cap: int = DEFAULT_BASIS_CAP) -> BasisS
     return BasisSpec(d=d, degree=degree, exponents=exponents)
 
 
-def design_matrix(xs: ScaledMatrix | np.ndarray, basis: BasisSpec) -> np.ndarray:
+def design_matrix(xs: np.ndarray, basis: BasisSpec) -> np.ndarray:
     """Evaluate every basis monomial at every row: entry (i, k) = xs_i^alpha_k.
 
     The 0^0 = 1 convention applies, so the constant column is all ones even
     at the origin. A stack of matrices, shape (..., n, d), gives a stack of
     design matrices, shape (..., n, K).
     """
-    arr = _as_matrix(xs.xs if isinstance(xs, ScaledMatrix) else xs, stacked=True)
+    arr = _as_matrix(xs, stacked=True)
     if arr.shape[-1] != basis.d:
         raise DimensionMismatchError(
             f"matrix has {arr.shape[-1]} columns but basis expects {basis.d}"

@@ -49,13 +49,6 @@ class CopulaConfig:
 
 
 @dataclass(frozen=True)
-class TrueT:
-    """Population dependence value for the copula family, in [0, 1]."""
-
-    value: float
-
-
-@dataclass(frozen=True)
 class CellSummary:
     """Aggregates for one (rho, d, n) grid cell."""
 
@@ -138,19 +131,20 @@ def gen_gaussian_copula(cfg: CopulaConfig) -> Sample:
     return Sample(x=ndtr(xt), y=ndtr(yt))
 
 
-def true_t(rho: float) -> TrueT:
+def true_t(rho: float) -> float:
     """Closed-form population value (3/pi) * arcsin((1 + rho^2)/2) - 1/2.
 
-    The endpoints are handled exactly: independence gives 0, a perfectly
-    dependent pair gives 1.
+    The value lies in [0, 1] and increases strictly with rho. The endpoints
+    are handled exactly: independence gives 0, a perfectly dependent pair
+    gives 1.
     """
     if not 0.0 <= rho <= 1.0:
         raise InputError(f"need rho in [0, 1], got {rho}")
     if rho == 0.0:
-        return TrueT(value=0.0)
+        return 0.0
     if rho == 1.0:
-        return TrueT(value=1.0)
-    return TrueT(value=(3.0 / math.pi) * math.asin((1.0 + rho * rho) / 2.0) - 0.5)
+        return 1.0
+    return (3.0 / math.pi) * math.asin((1.0 + rho * rho) / 2.0) - 0.5
 
 
 def run_study(
@@ -190,7 +184,7 @@ def run_study(
     start = time.perf_counter()
     cells = []
     for ci, (rho, d, n) in enumerate(grid):
-        truth = true_t(rho).value
+        truth = true_t(rho)
         est_t = np.empty(reps, dtype=np.float64)
         est_bc = np.empty(reps, dtype=np.float64)
         cover_t = np.empty(reps, dtype=np.float64)

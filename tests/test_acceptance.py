@@ -97,7 +97,7 @@ def test_criterion_3_bias_domination_cell():
     # raw estimator's bias dominates its spread; correction must cut RMSE
     # at least in half and shrink the absolute bias.
     c = _cell(0.9, 8, 600)
-    truth = true_t(0.9).value
+    truth = true_t(0.9)
     bias_t = abs(c.mean_t - truth)
     bias_bc = abs(c.mean_tbc - truth)
     ok = (c.rmse_tbc < 0.5 * c.rmse_t) and (bias_bc < bias_t)
@@ -113,13 +113,13 @@ def test_criterion_4_closed_form_truth():
     # Endpoints must be exact; the interior value is checked against an
     # independently computed high-precision constant.
     ref_half = 0.144703124224824
-    exact = true_t(0.0).value == 0.0 and true_t(1.0).value == 1.0
-    interior = abs(true_t(0.5).value - ref_half) <= 1e-10
+    exact = true_t(0.0) == 0.0 and true_t(1.0) == 1.0
+    interior = abs(true_t(0.5) - ref_half) <= 1e-10
     ok = exact and interior
     _verdict(
         4, ok,
-        f"true_t(0)={true_t(0.0).value}, true_t(1)={true_t(1.0).value}, "
-        f"|true_t(0.5)-{ref_half}|={abs(true_t(0.5).value - ref_half):.2e} (<=1e-10)",
+        f"true_t(0)={true_t(0.0)}, true_t(1)={true_t(1.0)}, "
+        f"|true_t(0.5)-{ref_half}|={abs(true_t(0.5) - ref_half):.2e} (<=1e-10)",
     )
     assert ok
 
@@ -149,9 +149,9 @@ def test_criterion_6_property_suite():
         x = rng.standard_normal((120, 3))
         y = rng.standard_normal(120)
         g = build_nn(x)
-        base = chatterjee_t(compute_ranks(y), g).value
+        base = chatterjee_t(compute_ranks(y), g)
         for f in (np.exp, lambda v: v**3, lambda v: 2.0 * v - 5.0):
-            ok_mono &= chatterjee_t(compute_ranks(f(y)), g).value == base
+            ok_mono &= chatterjee_t(compute_ranks(f(y)), g) == base
     checks["monotone-y"] = ok_mono
 
     # (b) Exact invariance under orthogonal transforms of the covariates
@@ -162,8 +162,8 @@ def test_criterion_6_property_suite():
         x = rng.standard_normal((150, 3))
         y = rng.standard_normal(150)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        t_raw = chatterjee_t(compute_ranks(y), build_nn(x)).value
-        t_rot = chatterjee_t(compute_ranks(y), build_nn(x @ q)).value
+        t_raw = chatterjee_t(compute_ranks(y), build_nn(x))
+        t_rot = chatterjee_t(compute_ranks(y), build_nn(x @ q))
         ok_orth &= t_rot == t_raw
     checks["orthogonal-x"] = ok_orth
 
@@ -228,7 +228,7 @@ def test_criterion_7_root_n_behavior():
 
     # (b) Standardized errors (t_bc - T)/se against N(0, 1): at least 8 of
     # 10 seeded 200-rep batches must clear a KS test at the 0.01 level.
-    truth = true_t(0.5).value
+    truth = true_t(0.5)
     passes = 0
     for batch in range(10):
         z = np.empty(200)

@@ -1,0 +1,28 @@
+"""The public API: exactly these names, each importable from the package."""
+
+import nncorr
+
+PUBLIC = {
+    # pipeline and bootstrap
+    "EstimateResult", "PipelineConfig", "bias_estimate", "default_lambda", "estimate",
+    "VarianceEstimate", "confidence_interval", "default_m", "mn_bootstrap",
+    "mn_bootstrap_pair",
+    # stages
+    "Sample", "compute_ranks", "load_csv", "minmax_scale", "chatterjee_t", "build_nn",
+    "BasisSpec", "RidgeModel", "basis_index_set", "design_matrix", "ridge_fit_all",
+    "derive_rng", "derive_seed",
+    # study
+    "RAW_CSV_HEADER", "CellSummary", "CopulaConfig", "RawRecord", "SimReport",
+    "format_report", "gen_gaussian_copula", "raw_csv_lines", "run_study", "true_t",
+    # errors
+    "BasisSizeError", "DimensionMismatchError", "FactorizationError", "InputError",
+    "InsufficientRowsError", "MissingFileError", "NoCovariateColumnsError",
+    "NonFiniteInputError", "NonNumericCellError",
+}
+
+
+def test_all_lists_exactly_the_public_names():
+    assert len(PUBLIC) == 42
+    assert sorted(nncorr.__all__) == sorted(PUBLIC)
+    for name in nncorr.__all__:
+        assert hasattr(nncorr, name), name

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nncorr.dataset import Sample, compute_ranks, minmax_scale
-from nncorr.errors import DimensionMismatchError, InputError
-from nncorr.nn_graph import NnGraph, build_nn
+from nncorr.errors import DimensionMismatchError, InputError, NonFiniteInputError
+from nncorr.nn_graph import build_nn
 from nncorr.estimator import chatterjee_t
 from nncorr.ridge_series import basis_index_set, design_matrix, ridge_fit_all
 from nncorr.bias_correction import (
@@ -29,11 +29,6 @@ def _ref_bias(g, nn):
                 continue
             terms.append(g[i, j] * g[nn[i], j] - g[i, j] ** 2)
     return math.fsum(terms) / (n * (n - 1))
-
-
-def _graph(nn):
-    nn = np.asarray(nn)
-    return NnGraph(nn=nn, dist=np.zeros(len(nn)))
 
 
 def _random_nn(rng, n):
@@ -57,7 +52,7 @@ def test_hand_example_two_points():
     #   (1,0): g10*g00 - g10^2 = 0.25*1 - 0.0625   = 0.1875
     # mean over n(n-1)=2 pairs = 0.15625.
     g = np.array([[1.0, 0.5], [0.25, 0.75]])
-    assert bias_estimate(*_explicit(g), _graph([1, 0])) == 0.15625
+    assert bias_estimate(*_explicit(g), np.array([1, 0])) == 0.15625
 
 
 def test_identical_rows_give_exactly_zero():
@@ -65,7 +60,7 @@ def test_identical_rows_give_exactly_zero():
     rng = np.random.default_rng(51)
     row = rng.uniform(size=30)
     g = np.tile(row, (30, 1))
-    assert bias_estimate(*_explicit(g), _graph(_random_nn(rng, 30))) == 0.0
+    assert bias_estimate(*_explicit(g), _random_nn(rng, 30)) == 0.0
 
 
 def test_matches_double_loop_reference():
@@ -74,14 +69,14 @@ def test_matches_double_loop_reference():
         n = int(rng.integers(10, 60))
         g = rng.uniform(size=(n, n))
         nn = _random_nn(rng, n)
-        got = bias_estimate(*_explicit(g), _graph(nn))
+        got = bias_estimate(*_explicit(g), nn)
         assert abs(got - _ref_bias(g, nn)) <= 1e-12
     # Rank one, low rank and K > n factors.
     for n, k in ((12, 1), (40, 6), (30, 45)):
         p = rng.uniform(size=(n, k))
         betas = rng.uniform(size=(k, n)) / k
         nn = _random_nn(rng, n)
-        got = bias_estimate(p, betas, _graph(nn))
+        got = bias_estimate(p, betas, nn)
         assert abs(got - _ref_bias(p @ betas, nn)) <= 1e-12
 
 
@@ -91,18 +86,18 @@ def test_matches_reference_across_block_boundary():
     for n in (255, 256, 257):
         g = rng.uniform(size=(n, n))
         nn = _random_nn(rng, n)
-        got = bias_estimate(*_explicit(g), _graph(nn))
+        got = bias_estimate(*_explicit(g), nn)
         assert abs(got - _ref_bias(g, nn)) <= 1e-12
 
 
 def test_bias_validation():
     p, betas = _explicit(np.zeros((3, 3)))
     with pytest.raises(DimensionMismatchError):
-        bias_estimate(p, betas, _graph([1, 0]))
+        bias_estimate(p, betas, np.array([1, 0]))
     with pytest.raises(DimensionMismatchError):
-        bias_estimate(np.zeros((3, 2)), np.zeros((3, 2)), _graph([1, 2, 0]))
+        bias_estimate(np.zeros((3, 2)), np.zeros((3, 2)), np.array([1, 2, 0]))
     with pytest.raises(InputError):
-        bias_estimate(np.zeros((1, 2)), np.zeros((2, 1)), _graph([0]))
+        bias_estimate(np.zeros((1, 2)), np.zeros((2, 1)), np.array([0]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +116,6 @@ def test_estimate_reports_consistent_fields():
     res = estimate(s)
     assert res.n == s.n and res.d == s.d
     assert res.t_bc == res.t_hat - 6.0 * res.l_hat
-    assert res.config == PipelineConfig()
 
 
 def test_estimate_is_deterministic():
@@ -133,13 +127,22 @@ def test_estimate_is_deterministic():
 
 def test_estimate_t_hat_matches_direct_computation():
     s = _sample()
-    g = build_nn(minmax_scale(s.x).xs)
-    t = chatterjee_t(compute_ranks(s.y), g).value
+    g = build_nn(minmax_scale(s.x))
+    t = chatterjee_t(compute_ranks(s.y), g)
     assert estimate(s).t_hat == t
     # Without scaling the neighbor graph is built on the raw covariates.
     g_raw = build_nn(s.x)
-    t_raw = chatterjee_t(compute_ranks(s.y), g_raw).value
+    t_raw = chatterjee_t(compute_ranks(s.y), g_raw)
     assert estimate(s, PipelineConfig(scale_covariates=False)).t_hat == t_raw
+
+
+def test_overflowing_distances_raise():
+    # Unscaled rows 1e200 apart: without the range check each row is its
+    # own nearest neighbour and t_hat comes out as -1.5.
+    s = Sample(x=np.arange(5.0)[:, None] * 1e200, y=np.arange(5.0))
+    with pytest.raises(NonFiniteInputError, match="overflow"):
+        estimate(s, PipelineConfig(degree=0, scale_covariates=False))
+    assert estimate(s, PipelineConfig(degree=0)).t_hat == 0.0
 
 
 def test_degree_zero_correction_vanishes():
@@ -161,10 +164,10 @@ def test_t_hat_invariant_under_increasing_y_transform():
 def test_pipeline_l_hat_matches_double_loop(n):
     s = _sample(seed=57, n=n, d=6)
     res = estimate(s)
-    xs = minmax_scale(s.x).xs
+    xs = minmax_scale(s.x)
     basis = basis_index_set(s.d, 2)
     model = ridge_fit_all(design_matrix(xs, basis), s.y, default_lambda(n))
-    want = _ref_bias(model.p @ model.betas, build_nn(xs).nn)
+    want = _ref_bias(model.p @ model.betas, build_nn(xs))
     assert abs(res.l_hat - want) <= 1e-12 * abs(want)
 
 

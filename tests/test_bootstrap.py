@@ -185,11 +185,11 @@ def _estimate_stat(field):
         (300, 3, 6, 2, True, "plain"),
         (300, 17, 6, 2, True, "plain"),
         (300, 64, 6, 2, True, "plain"),
-        # m >= 65 with d <= 15 is where estimate switches to the kd-tree.
+        # estimate searches neighbours with the kd-tree and the engine with
+        # the stacked distance matrix, at every m and d.
         (300, 65, 6, 2, True, "plain"),
         (300, 66, 6, 2, True, "plain"),
         (300, 17, 1, 1, True, "plain"),
-        # d = 16 keeps estimate on brute force at every m.
         (300, 66, 16, 1, True, "plain"),
         (300, 17, 6, 0, True, "plain"),
         (300, 17, 6, 3, True, "plain"),
@@ -244,13 +244,13 @@ def test_binary_response_raises_like_a_replicate_loop():
     assert "outside sane range" in str(got.value)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_first_failing_replicate_decides_the_error():
-    # Unscaled x = 1e200 overflows the design matrix of every subsample that
-    # draws row 0 (an InputError in the fit), and the half-tied response
-    # puts some subsamples outside the sane range (a RuntimeError, raised
-    # before the fit). In this draw the first failing replicate is of the
-    # first kind and a later one of the second, all in one chunk.
+    # Unscaled x = 1e200 makes the squared distances of every subsample
+    # that draws row 0 overflow (an InputError in the neighbour search),
+    # and the half-tied response puts some subsamples outside the sane
+    # range (a RuntimeError, raised after the search). In this draw the
+    # first failing replicate is of the first kind and a later one of the
+    # second, all in one chunk.
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(40, 2))
     x[0, 0] = 1e200
@@ -258,13 +258,29 @@ def test_first_failing_replicate_decides_the_error():
     s = Sample(x=x, y=y)
     cfg = PipelineConfig(scale_covariates=False)
     kw = dict(b_reps=30, m=6, seed=5)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(NonFiniteInputError) as want:
+        mn_bootstrap(s, cfg, "t_hat", statistic=_estimate_stat("t_hat"), **kw)
+    with pytest.raises(NonFiniteInputError) as got:
         mn_bootstrap(s, cfg, "t_hat", **kw)
+    assert str(got.value) == str(want.value)
     with pytest.raises(NonFiniteInputError) as want:
         mn_bootstrap(s, cfg, "t_bc", statistic=_estimate_stat("t_bc"), **kw)
     with pytest.raises(NonFiniteInputError) as got:
         mn_bootstrap_pair(s, cfg, **kw)
     assert str(got.value) == str(want.value)
+
+
+def test_overflowing_distances_raise_in_every_replicate_engine():
+    # Unscaled rows 1e200 apart: squared distances overflow, and without the
+    # range check each row would be its own nearest neighbour.
+    x = np.arange(5.0)[:, None] * 1e200
+    s = Sample(x=x, y=np.arange(5.0))
+    cfg = PipelineConfig(degree=0, scale_covariates=False)
+    for which in ("t_hat", "t_bc"):
+        with pytest.raises(NonFiniteInputError, match="overflow"):
+            mn_bootstrap(s, cfg, which, b_reps=10, m=3, seed=0)
+    with pytest.raises(NonFiniteInputError, match="overflow"):
+        mn_bootstrap_pair(s, cfg, b_reps=10, m=3, seed=0)
 
 
 def test_cholesky_failure_raises_factorization_error(monkeypatch):

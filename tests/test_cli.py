@@ -16,7 +16,6 @@ import pytest
 
 from nncorr import _threads
 from nncorr.cli import main
-from nncorr.nn_graph import NnGraph
 from nncorr.simulation import RAW_CSV_HEADER
 
 
@@ -155,6 +154,25 @@ def test_estimate_missing_file(capsys, tmp_path):
     assert "nope.csv" in err
 
 
+def test_estimate_rejects_a_first_row_with_a_typo(capsys, tmp_path):
+    # A mixed first row is data with a bad cell, not a header to drop.
+    path = tmp_path / "typo.csv"
+    path.write_text("1,2x,3\n4,5,6\n7,8,9\n10,11,12\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("nncorr: error: non-numeric cell at (0,1): '2x'")
+
+
+def test_estimate_rejects_overflowing_distances(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    rows = [f"{i}e200,{i}" for i in range(5)]
+    path.write_text("x1,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["estimate", "--input", str(path), "--degree", "0",
+                                   "--no-scale"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "overflow" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -226,10 +244,9 @@ def test_selftest_detects_a_broken_neighbor_search(capsys, monkeypatch):
     real = st.build_nn
 
     def crooked(x):
-        g = real(x)
-        nn = g.nn.copy()
+        nn = real(x)
         nn[0], nn[1] = nn[1], nn[0]
-        return NnGraph(nn=nn, dist=g.dist)
+        return nn
 
     monkeypatch.setattr(st, "build_nn", crooked)
     code, out, _ = _run(capsys, ["selftest", "--quick"])

@@ -30,6 +30,8 @@ def test_load_csv_with_header(tmp_path):
     assert s.n == 2 and s.d == 2
     np.testing.assert_array_equal(s.x, [[0.0, 1.0], [3.0, 4.0]])
     np.testing.assert_array_equal(s.y, [2.0, 5.0])
+    # A header cell may be blank; it only must not parse as a number.
+    assert load_csv(_write(tmp_path, "x, ,y\n1,2,3\n4,5,6\n", "b.csv")).n == 2
 
 
 def test_load_csv_without_header(tmp_path):
@@ -63,6 +65,16 @@ def test_load_csv_non_numeric_cell(tmp_path):
     path = _write(tmp_path, "1.0,2.0\n3.0,oops\n")
     with pytest.raises(NonNumericCellError):
         load_csv(path)
+
+
+def test_load_csv_first_row_with_a_typo_is_not_a_header(tmp_path):
+    # A first row that mixes numbers and text is a data row with a bad cell,
+    # not a header to drop.
+    path = _write(tmp_path, "1,2x,3\n4,5,6\n7,8,9\n10,11,12\n")
+    with pytest.raises(NonNumericCellError, match=r"\(0,1\): '2x'"):
+        load_csv(path)
+    with pytest.raises(NonNumericCellError, match=r"\(0,1\): 'x2'"):
+        load_csv(_write(tmp_path, "1,x2,y\n1,2,3\n4,5,6\n", "b.csv"))
 
 
 def test_load_csv_nan_cell_rejected(tmp_path):
@@ -129,14 +141,15 @@ def test_sample_dimensions():
 def test_ranks_hand_example_with_ties():
     # Ties share the highest position among equals.
     r = compute_ranks(np.array([3.0, 1.0, 4.0, 1.0, 5.0]))
-    assert r.r.tolist() == [3, 2, 4, 2, 5]
+    assert r.dtype == np.int64
+    assert r.tolist() == [3, 2, 4, 2, 5]
 
 
 def test_ranks_distinct_data_are_a_permutation():
     rng = np.random.default_rng(11)
     for _ in range(5):
         y = rng.standard_normal(40)
-        r = compute_ranks(y).r
+        r = compute_ranks(y)
         assert sorted(r.tolist()) == list(range(1, 41))
         # The max always lands at rank n, the min at its tie count (1 here).
         assert r[np.argmax(y)] == 40
@@ -145,15 +158,15 @@ def test_ranks_distinct_data_are_a_permutation():
 
 def test_ranks_all_tied():
     r = compute_ranks(np.full(6, 2.5))
-    assert r.r.tolist() == [6] * 6
+    assert r.tolist() == [6] * 6
 
 
 def test_ranks_invariant_under_increasing_transform():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(60)
-    a = compute_ranks(y).r
-    b = compute_ranks(np.exp(y)).r
-    c = compute_ranks(3.0 * y - 7.0).r
+    a = compute_ranks(y)
+    b = compute_ranks(np.exp(y))
+    c = compute_ranks(3.0 * y - 7.0)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, c)
 
@@ -169,24 +182,23 @@ def test_ranks_reject_tiny_input():
 
 def test_minmax_scale_hand_example():
     m = minmax_scale(np.array([[1.0, 10.0], [3.0, 10.0], [5.0, 10.0]]))
-    np.testing.assert_array_equal(m.xs, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
-    # Constant column keeps scale 1 so the map stays invertible in form.
-    np.testing.assert_array_equal(m.scales, [4.0, 1.0])
-    np.testing.assert_array_equal(m.offsets, [1.0, 10.0])
+    # A constant column maps to all zeros.
+    np.testing.assert_array_equal(m, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
 
 
 def test_minmax_scale_output_range():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((50, 4)) * 100 - 17
     m = minmax_scale(x)
-    assert m.xs.min() >= 0.0 and m.xs.max() <= 1.0
+    assert m.min() >= 0.0 and m.max() <= 1.0
     # Each non-constant column attains both endpoints.
-    np.testing.assert_array_equal(m.xs.min(axis=0), np.zeros(4))
-    np.testing.assert_array_equal(m.xs.max(axis=0), np.ones(4))
+    np.testing.assert_array_equal(m.min(axis=0), np.zeros(4))
+    np.testing.assert_array_equal(m.max(axis=0), np.ones(4))
 
 
 def test_minmax_scale_roundtrip():
     rng = np.random.default_rng(9)
     x = rng.uniform(-5, 5, size=(30, 3))
     m = minmax_scale(x)
-    np.testing.assert_allclose(m.xs * m.scales + m.offsets, x, atol=1e-12)
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    np.testing.assert_allclose(m * (hi - lo) + lo, x, atol=1e-12)

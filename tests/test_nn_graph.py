@@ -3,16 +3,19 @@
 The reference oracle is a literal O(n^2 d) triple loop that scans candidate
 neighbors in index order and keeps the first strict improvement, which is
 exactly the smallest-index tie rule the production code must implement.
+The kd-tree of build_nn and the stacked search of the bootstrap are both
+checked against it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nncorr import _threads
 from nncorr.errors import InsufficientRowsError, NonFiniteInputError
-from nncorr.nn_graph import build_nn, nn_brute_force
+from nncorr.nn_graph import _stacked_nn, build_nn
 
 
 def _ref_nn(x):
@@ -32,23 +35,34 @@ def _ref_nn(x):
 
 def test_hand_example_line():
     g = build_nn(np.array([[0.0], [1.0], [3.0]]))
-    assert g.nn.tolist() == [1, 0, 1]
-    np.testing.assert_allclose(g.dist, [1.0, 1.0, 2.0])
+    assert g.dtype == np.int64
+    assert g.tolist() == [1, 0, 1]
+    # Squared distances near 1e307 are still finite, so no range check trips.
+    assert build_nn(np.array([[0.0], [1e153], [3e153]])).tolist() == [1, 0, 1]
 
 
 def test_tie_breaks_to_smallest_index():
     # Point 1 is equidistant from 0 and 2; the rule picks index 0.
     g = build_nn(np.array([[0.0], [1.0], [2.0]]))
-    assert g.nn[1] == 0
+    assert g[1] == 0
 
 
 def test_duplicate_rows_give_zero_distance():
     g = build_nn(np.array([[1.0], [1.0], [2.0]]))
-    assert g.nn.tolist() == [1, 0, 0]
-    np.testing.assert_array_equal(g.dist[:2], [0.0, 0.0])
+    assert g.tolist() == [1, 0, 0]
     # A triple of duplicates all point at the smallest other index.
     g3 = build_nn(np.array([[5.0, 5.0]] * 3))
-    assert g3.nn.tolist() == [1, 0, 0]
+    assert g3.tolist() == [1, 0, 0]
+    # Two points are each other's neighbors, duplicated or not.
+    assert build_nn(np.array([[2.0, 2.0]] * 2)).tolist() == [1, 0]
+    assert build_nn(np.array([[0.0], [7.0]])).tolist() == [1, 0]
+
+
+def _check_both_searches(x):
+    # build_nn on the matrix and the stacked search on a stack of one.
+    want = _ref_nn(x)
+    np.testing.assert_array_equal(build_nn(x), want)
+    np.testing.assert_array_equal(_stacked_nn(x[None]), want[None])
 
 
 def test_matches_reference_small_continuous():
@@ -56,9 +70,10 @@ def test_matches_reference_small_continuous():
     for _ in range(10):
         n = int(rng.integers(2, 40))
         d = int(rng.integers(1, 6))
-        x = rng.standard_normal((n, d))
-        g = build_nn(x)
-        np.testing.assert_array_equal(g.nn, _ref_nn(x))
+        _check_both_searches(rng.standard_normal((n, d)))
+    for n in (2, 3):
+        for d in (1, 16, 20):
+            _check_both_searches(rng.standard_normal((n, d)))
 
 
 def test_matches_reference_with_lattice_ties():
@@ -67,37 +82,34 @@ def test_matches_reference_with_lattice_ties():
     for _ in range(8):
         n = int(rng.integers(6, 50))
         d = int(rng.integers(1, 4))
-        x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
-        g = build_nn(x)
-        np.testing.assert_array_equal(g.nn, _ref_nn(x))
+        _check_both_searches(rng.integers(0, 3, size=(n, d)).astype(np.float64))
+    for n in (2, 3):
+        for d in (1, 16, 20):
+            _check_both_searches(rng.integers(0, 2, size=(n, d)).astype(np.float64))
+    # Every row three times, shuffled.
+    for n, d in ((4, 2), (30, 5), (40, 16)):
+        base = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        _check_both_searches(np.concatenate([base, base, base])[rng.permutation(3 * n)])
 
 
-def test_tree_path_agrees_with_brute_force():
-    # n >= 65 and small d routes through the spatial-tree path; results must
-    # match brute force exactly, distances included.
+def test_tree_path_matches_reference():
     rng = np.random.default_rng(23)
-    for d in (1, 3, 8):
-        x = rng.standard_normal((200, d))
-        a = build_nn(x)
-        b = nn_brute_force(x)
-        np.testing.assert_array_equal(a.nn, b.nn)
-        np.testing.assert_array_equal(a.dist, b.dist)
+    for d in (1, 3, 8, 16, 20):
+        _check_both_searches(rng.standard_normal((200, d)))
 
 
 def test_tree_path_agrees_on_tied_lattice():
     rng = np.random.default_rng(24)
-    x = rng.integers(0, 4, size=(300, 2)).astype(np.float64)
-    a = build_nn(x)
-    b = nn_brute_force(x)
-    np.testing.assert_array_equal(a.nn, b.nn)
-    np.testing.assert_array_equal(a.dist, b.dist)
+    _check_both_searches(rng.integers(0, 4, size=(300, 2)).astype(np.float64))
+    for d in (16, 20):
+        _check_both_searches(rng.integers(0, 2, size=(120, d)).astype(np.float64))
 
 
-def test_high_dimension_uses_brute_force_and_agrees():
+def test_high_dimension_matches_reference():
     rng = np.random.default_rng(25)
-    x = rng.standard_normal((120, 20))
-    a = build_nn(x)
-    np.testing.assert_array_equal(a.nn, _ref_nn(x))
+    for d in (16, 20):
+        _check_both_searches(rng.standard_normal((120, d)))
+
 
 
 def test_worker_count_does_not_change_result():
@@ -110,8 +122,7 @@ def test_worker_count_does_not_change_result():
         g4 = build_nn(x)
     finally:
         _threads.set_workers(None)
-    np.testing.assert_array_equal(g1.nn, g4.nn)
-    np.testing.assert_array_equal(g1.dist, g4.dist)
+    np.testing.assert_array_equal(g1, g4)
 
 
 def test_in_degree_bound():
@@ -121,7 +132,7 @@ def test_in_degree_bound():
     for d in (1, 2, 3):
         x = rng.standard_normal((500, d))
         g = build_nn(x)
-        counts = np.bincount(g.nn, minlength=500)
+        counts = np.bincount(g, minlength=500)
         assert counts.max() <= 3**d - 1
 
 
@@ -130,3 +141,20 @@ def test_rejects_bad_input():
         build_nn(np.zeros((1, 2)))
     with pytest.raises(NonFiniteInputError):
         build_nn(np.array([[0.0], [np.nan]]))
+
+
+@pytest.mark.parametrize("x", [
+    [[0.0], [1e200], [2e200]],
+    [[-1e308, 0.0], [1e308, 0.0]],
+    [[0.0] * 20, [1e154] * 20],
+])
+def test_rejects_ranges_whose_squared_distances_overflow(x):
+    # Without the range check these rows become their own neighbours (the
+    # tree reports index n at distance inf). No overflow warning either.
+    x = np.array(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInputError, match="overflow"):
+            build_nn(x)
+        with pytest.raises(NonFiniteInputError, match="overflow"):
+            _stacked_nn(np.stack([x / 1e300, x]))

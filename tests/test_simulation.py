@@ -84,18 +84,18 @@ def test_generator_only_first_covariate_matters():
 
 
 def test_true_t_endpoints_exact():
-    assert true_t(0.0).value == 0.0
-    assert true_t(1.0).value == 1.0
+    assert true_t(0.0) == 0.0
+    assert true_t(1.0) == 1.0
 
 
 def test_true_t_reference_values():
     for rho, ref in TRUTH_REFERENCE.items():
-        assert abs(true_t(rho).value - ref) <= 1e-12
+        assert abs(true_t(rho) - ref) <= 1e-12
 
 
 def test_true_t_strictly_increasing():
     grid = np.linspace(0.0, 1.0, 101)
-    vals = [true_t(r).value for r in grid]
+    vals = [true_t(r) for r in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -131,7 +131,7 @@ def test_study_summaries_match_raw_records():
     assert len(records) == 12
     for ci, cell in enumerate(report.cells):
         rows = [rec for rec in records if rec.cell_id == ci]
-        truth = true_t(grid[ci][0]).value
+        truth = true_t(grid[ci][0])
         t = np.array([rec.t_hat for rec in rows])
         bc = np.array([rec.t_bc for rec in rows])
         np.testing.assert_allclose(cell.rmse_t, np.sqrt(np.mean((t - truth) ** 2)), rtol=1e-15)
@@ -148,7 +148,7 @@ def test_study_single_replication_degenerate_summaries():
     records = []
     report = run_study([(0.5, 2, 60)], reps=1, b_reps=20, seed=9, records=records)
     cell = report.cells[0]
-    truth = true_t(0.5).value
+    truth = true_t(0.5)
     assert cell.ecp_t in (0.0, 1.0) and cell.ecp_tbc in (0.0, 1.0)
     assert cell.rmse_t == abs(records[0].t_hat - truth)
     assert cell.mean_t == records[0].t_hat
