@@ -168,10 +168,19 @@ def minmax_scale(x) -> np.ndarray:
     """Map each column of ``x`` affinely onto [0, 1].
 
     Constant columns map to all zeros. A stack of matrices, shape
-    (..., n, d), scales each matrix on its own.
+    (..., n, d), scales each matrix on its own. A column whose range
+    exceeds the float range is halved before the offset is subtracted.
     """
     arr = _as_matrix(x, stacked=True)
     offsets = arr.min(axis=-2)
-    span = arr.max(axis=-2) - offsets
+    top = arr.max(axis=-2)
+    with np.errstate(over="ignore"):
+        span = top - offsets
+    wide = ~np.isfinite(span)
+    if wide.any():
+        half = np.where(wide, 0.5, 1.0)
+        arr = arr * half[..., None, :]
+        offsets = offsets * half
+        span = top * half - offsets
     scales = np.where(span > 0.0, span, 1.0)
     return (arr - offsets[..., None, :]) / scales[..., None, :]

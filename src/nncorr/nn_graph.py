@@ -6,6 +6,14 @@ full distance matrix. Both return, for each row, the index of its nearest
 other row, resolve distance ties to the smallest index and give identical
 output on every input. Both refuse a matrix whose squared distances could
 overflow before any distance is formed.
+
+:func:`build_nn` makes one pass over the tree for the three nearest rows of
+every row. A row whose nearest other row is at positive distance and
+strictly nearer than the next one, by more than a relative slack, is
+settled by that pass. Only the other rows (distance ties, duplicate rows)
+query the tree a second time for every row within their nearest distance
+plus the slack, and re-score those candidates with exact squared
+distances; on continuous data no row takes that path.
 """
 
 from __future__ import annotations
@@ -40,10 +48,12 @@ def _check_range(x: np.ndarray) -> None:
 def build_nn(x) -> np.ndarray:
     """Index nn[i] != i of the nearest other row of every row of ``x``.
 
-    A kd-tree collects, for each row, every row within its nearest distance
-    (plus a relative slack); rows with more than one candidate are re-scored
-    with exact squared distances, the smallest index winning ties. Duplicate
-    rows are each other's neighbors.
+    A kd-tree query for the three nearest rows settles every row whose
+    nearest other row is at positive distance and whose third-nearest row
+    is farther by more than the slack. The remaining rows (ties, duplicate
+    rows) collect every row within their nearest distance plus the slack
+    and re-score them with exact squared distances, the smallest index
+    winning ties. Duplicate rows are each other's neighbors.
     """
     arr = np.ascontiguousarray(_as_matrix(x))
     n = arr.shape[0]
@@ -53,26 +63,20 @@ def build_nn(x) -> np.ndarray:
     workers = _threads.get_workers()
 
     tree = cKDTree(arr)
-    dk, _ = tree.query(arr, k=2, workers=workers)
+    dk, ik = tree.query(arr, k=3, workers=workers)
+    nn = ik[:, 1].astype(np.int64)
     # Second-smallest distance including self equals the nearest-other
     # distance whether or not duplicates are present.
     radius = dk[:, 1] * (1.0 + _TIE_SLACK)
-    balls = tree.query_ball_point(arr, radius, workers=workers, return_sorted=True)
-
-    nn = np.empty(n, dtype=np.int64)
-    idx = np.arange(n)
-    lens = np.fromiter((len(b) for b in balls), dtype=np.intp, count=n)
-
-    # Generic case: the ball holds exactly {i, neighbor}.
-    pair = lens == 2
-    if pair.any():
-        rows = idx[pair]
-        pmat = np.asarray([balls[i] for i in rows], dtype=np.int64)
-        nn[rows] = np.where(pmat[:, 0] == rows, pmat[:, 1], pmat[:, 0])
+    # A positive nearest distance leaves the row itself as its first hit, so
+    # ik[:, 1] is its neighbor; at n = 2 the third distance is inf.
+    settled = (dk[:, 1] > 0.0) & (dk[:, 2] > radius)
 
     # Tied or duplicate rows: the first minimizer over sorted candidates.
-    for i in idx[~pair]:
-        c = np.asarray([j for j in balls[i] if j != i], dtype=np.int64)
+    rows = np.flatnonzero(~settled)
+    balls = tree.query_ball_point(arr[rows], radius[rows], workers=workers, return_sorted=True)
+    for i, ball in zip(rows, balls):
+        c = np.asarray([j for j in ball if j != i], dtype=np.int64)
         d2 = ((arr[c] - arr[i]) ** 2).sum(axis=1)
         nn[i] = c[np.argmin(d2)]
     return nn

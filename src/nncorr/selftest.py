@@ -59,7 +59,12 @@ def _ref_bias(g: np.ndarray, nn: np.ndarray) -> float:
 
 
 def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
-    """build_nn against the in-module double loop on random and tied data."""
+    """build_nn against the in-module double loop on random and tied data.
+
+    Every fifth case also gets copies of random rows of its own, so the
+    suite covers duplicate rows as well as lattice ties. The copies come
+    from a stream of their own, leaving the other draws unchanged.
+    """
     cases = 30 if quick else 100
     n_hi = 128 if quick else 512
     rng = derive_rng(seed)
@@ -75,6 +80,11 @@ def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
             x = rng.integers(0, 4, size=(n, d)).astype(np.float64)
         else:
             x = rng.random((n, d))
+        if case % 5 == 4:
+            dup = derive_rng(seed, case)
+            x = np.concatenate([x, x[dup.integers(0, n, size=1 + n // 8)]])
+            x = x[dup.permutation(x.shape[0])]
+            n = x.shape[0]
         got = build_nn(x)
         want = _ref_nn(x)
         if not np.array_equal(got, want):

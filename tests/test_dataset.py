@@ -1,8 +1,11 @@
 """Tests for CSV loading, rank computation, and min-max scaling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from nncorr import estimate
 from nncorr.dataset import Sample, compute_ranks, load_csv, minmax_scale
 from nncorr.errors import (
     InputError,
@@ -202,3 +205,25 @@ def test_minmax_scale_roundtrip():
     m = minmax_scale(x)
     lo, hi = x.min(axis=0), x.max(axis=0)
     np.testing.assert_allclose(m * (hi - lo) + lo, x, atol=1e-12)
+
+
+def test_minmax_scale_range_beyond_float_range():
+    # max - min overflows here; the column is halved first instead, without
+    # a warning, and a finite-range column beside it scales as on its own.
+    wide = np.array([[-1e308], [0.0], [1e308]])
+    other = np.array([[0.1], [0.7], [0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(minmax_scale(wide), [[0.0], [0.5], [1.0]])
+        both = minmax_scale(np.hstack([wide, other]))
+        np.testing.assert_array_equal(both[:, :1], [[0.0], [0.5], [1.0]])
+        np.testing.assert_array_equal(both[:, 1:], minmax_scale(other))
+        stack = minmax_scale(np.stack([np.hstack([wide, other]), np.hstack([other, other])]))
+        np.testing.assert_array_equal(stack[0], both)
+        np.testing.assert_array_equal(stack[1], minmax_scale(np.hstack([other, other])))
+        try:
+            res = estimate(Sample(x=wide, y=np.array([0.0, 1.0, 2.0])))
+        except InputError as exc:
+            assert "NaN or infinite" not in str(exc)
+        else:
+            assert np.isfinite([res.t_hat, res.l_hat, res.t_bc]).all()

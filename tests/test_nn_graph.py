@@ -4,14 +4,17 @@ The reference oracle is a literal O(n^2 d) triple loop that scans candidate
 neighbors in index order and keeps the first strict improvement, which is
 exactly the smallest-index tie rule the production code must implement.
 The kd-tree of build_nn and the stacked search of the bootstrap are both
-checked against it.
+checked against it; inputs too large for the loop are checked against a
+block-vectorised brute force with the same tie rule.
 """
 
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from nncorr import _threads
 from nncorr.errors import InsufficientRowsError, NonFiniteInputError
@@ -112,17 +115,50 @@ def test_high_dimension_matches_reference():
 
 
 
+def _block_ref_nn(x, block=256):
+    # Vectorised brute force, a block of rows at a time; argmin keeps the
+    # first minimizer, so ties resolve to the smallest index.
+    n = x.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, block):
+        b = np.arange(lo, min(lo + block, n))
+        d2 = ((x[b, None] - x[None]) ** 2).sum(-1)
+        d2[np.arange(b.size), b] = np.inf
+        out[b] = d2.argmin(axis=1)
+    return out
+
+
+def _copula_with_ties(rng, n=3000, d=4):
+    # Settled rows from a Gaussian copula, mixed with rows that must take
+    # the exact re-score: 20 duplicated rows and a small integer lattice.
+    z = rng.standard_normal((n, d)) @ np.linalg.cholesky(0.5 * np.eye(d) + 0.5).T
+    x = ndtr(z)
+    dups = x[rng.integers(0, n, size=20)]
+    lattice = rng.integers(0, 3, size=(60, d)).astype(np.float64)
+    x = np.concatenate([x, dups, lattice])
+    return x[rng.permutation(x.shape[0])]
+
+
+def test_fallback_rows_mixed_with_settled_rows():
+    x = _copula_with_ties(np.random.default_rng(28))
+    want = _block_ref_nn(x)
+    # The duplicated rows and lattice points really are tied.
+    d2 = ((x - x[want]) ** 2).sum(axis=1)
+    assert (d2 == 0.0).sum() >= 40
+    np.testing.assert_array_equal(build_nn(x), want)
+
+
 def test_worker_count_does_not_change_result():
     rng = np.random.default_rng(26)
-    x = rng.standard_normal((400, 3))
+    inputs = (rng.standard_normal((400, 3)), _copula_with_ties(rng, n=400, d=3))
     try:
-        _threads.set_workers(1)
-        g1 = build_nn(x)
-        _threads.set_workers(4)
-        g4 = build_nn(x)
+        for x in inputs:
+            want = _block_ref_nn(x)
+            for workers in (1, 2, os.cpu_count()):
+                _threads.set_workers(workers)
+                np.testing.assert_array_equal(build_nn(x), want)
     finally:
         _threads.set_workers(None)
-    np.testing.assert_array_equal(g1, g4)
 
 
 def test_in_degree_bound():

@@ -1,0 +1,42 @@
+"""Property test: build_nn equals the double-loop reference on drawn inputs.
+
+The draws mix continuous matrices, small integer lattices and matrices
+with duplicated rows, so the kd-tree's settled rows and its exact re-score
+of tied rows are both exercised. Derandomized, so every run draws the
+same examples.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from nncorr.nn_graph import build_nn  # noqa: E402
+from test_nn_graph import _ref_nn  # noqa: E402
+
+_PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+_CONTINUOUS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_LATTICE = st.integers(0, 3).map(float)
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("continuous", "lattice", "duplicated")))
+    if kind != "duplicated":
+        cells = _CONTINUOUS if kind == "continuous" else _LATTICE
+        return draw(hnp.arrays(np.float64, (n, d), elements=cells))
+    # Every row a copy of one of fewer distinct rows.
+    base = draw(hnp.arrays(np.float64, (draw(st.integers(1, n)), d), elements=_CONTINUOUS))
+    rows = draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=n, max_size=n))
+    return base[rows]
+
+
+@_PROFILE
+@given(matrices())
+def test_build_nn_matches_reference(x):
+    np.testing.assert_array_equal(build_nn(x), _ref_nn(x))
