@@ -11,10 +11,12 @@ The replicates are computed together: the B index vectors are stacked into
 a (B, m) block and every stage of :func:`nncorr.bias_correction.estimate`
 runs on (chunk, m, .) arrays. Ranks come from the (m, m) comparison matrix
 of each subsample, which also gives the ridge right-hand sides, and nearest
-neighbours from the full (m, m) distance matrix, so the neighbour search
-costs O(B m^2 d) in all. Chunks along the replicate axis keep the
-(chunk, m, m, d) difference block and the (chunk, K, K) Gram matrices
-within a fixed byte budget; the results do not depend on the chunk size.
+neighbours from the full (m, m) distance matrix, accumulated one coordinate
+at a time, so the neighbour search costs O(B m^2 d) in all. No block of a
+replicate exceeds max(m, K)^2 floats: its distance matrix, its comparison
+matrix cast to float in the right-hand sides, or its (K, K) Gram matrix.
+Chunks along the replicate axis keep that block within a fixed byte
+budget; the results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -125,9 +127,10 @@ def _chunk_stats(
     return t_hat, t_bc
 
 
-# Byte budget of one chunk's largest block: the (chunk, m, m, d) neighbour
-# differences or, when the fit runs, the (chunk, K, K) Gram matrices. It
-# bounds memory only: every stage is computed per replicate.
+# Byte budget of one chunk's largest block, max(m, K)^2 floats a replicate:
+# the (chunk, m, m) squared distances and comparison matrix or, when the fit
+# runs, the (chunk, K, K) Gram matrices. It bounds memory only: every stage
+# is computed per replicate.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -137,7 +140,7 @@ def _replicates(
     """Replicate values of ``t_hat`` (and ``t_bc``) over the index block."""
     b_reps, m = draws.shape
     k = math.comb(sample.d + config.degree, config.degree) if corrected else 0
-    chunk = max(1, _CHUNK_BYTES // (8 * max(m * m * sample.d, k * k)))
+    chunk = max(1, _CHUNK_BYTES // (8 * max(m, k) ** 2))
     parts = []
     for lo in range(0, b_reps, chunk):
         block = draws[lo : lo + chunk]

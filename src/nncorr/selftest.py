@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .bias_correction import bias_estimate, default_lambda
-from .nn_graph import build_nn
+from .nn_graph import _stacked_nn, build_nn
 from .ridge_series import basis_index_set, design_matrix, ridge_fit_all
 from .rng import derive_rng
 from .simulation import true_t
@@ -59,7 +59,10 @@ def _ref_bias(g: np.ndarray, nn: np.ndarray) -> float:
 
 
 def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
-    """build_nn against the in-module double loop on random and tied data.
+    """Both neighbor searches against the in-module double loop, random and tied data.
+
+    build_nn and the bootstrap's _stacked_nn, on a stack of one matrix, see
+    every case, with d up to 20.
 
     Every fifth case also gets copies of random rows of its own, so the
     suite covers duplicate rows as well as lattice ties. The copies come
@@ -85,14 +88,16 @@ def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
             x = np.concatenate([x, x[dup.integers(0, n, size=1 + n // 8)]])
             x = x[dup.permutation(x.shape[0])]
             n = x.shape[0]
-        got = build_nn(x)
         want = _ref_nn(x)
-        if not np.array_equal(got, want):
-            bad = int(np.nonzero(got != want)[0][0])
-            return False, (
-                f"case {case}: n={n} d={d} row {bad}: got {got[bad]}, want {want[bad]}"
-            )
-    return True, f"{cases} instances matched"
+        searches = {"build_nn": build_nn(x), "_stacked_nn": _stacked_nn(x[None])[0]}
+        for search, got in searches.items():
+            if not np.array_equal(got, want):
+                bad = int(np.nonzero(got != want)[0][0])
+                return False, (
+                    f"case {case}: {search} n={n} d={d} row {bad}: "
+                    f"got {got[bad]}, want {want[bad]}"
+                )
+    return True, f"{cases} instances matched by both searches"
 
 
 def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:

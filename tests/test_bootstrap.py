@@ -293,25 +293,46 @@ def test_cholesky_failure_raises_factorization_error(monkeypatch):
 
 
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
-    for n, d in ((300, 6), (120, 2), (200, 16)):
+    # One replicate per chunk, the default budget, then all of them at once.
+    budgets = (0, bootstrap._CHUNK_BYTES, 1 << 40)
+    for n, d in ((300, 6), (120, 2), (200, 16), (3000, 6), (3000, 12)):
         rng = np.random.default_rng(n + d)
         x = rng.uniform(size=(n, d))
         s = Sample(x=x, y=x[:, 0] + rng.standard_normal(n))
         results = []
-        for budget in (0, 1 << 40):  # one replicate per chunk, then all of them
+        for budget in budgets:
             monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", budget)
             results.append((
                 mn_bootstrap_pair(s, PipelineConfig(), b_reps=60, seed=2),
                 mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=60, seed=2),
             ))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
+
+
+def test_chunks_are_sized_by_the_distance_matrix(monkeypatch):
+    # At m = 54 and K = 28 a replicate's largest block is 54^2 floats, so
+    # the default budget holds 11 replicates a chunk, not one.
+    calls = []
+    chunk_stats = bootstrap._chunk_stats
+
+    def counting(x, y, config, corrected):
+        calls.append(x.shape[0])
+        return chunk_stats(x, y, config, corrected)
+
+    monkeypatch.setattr(bootstrap, "_chunk_stats", counting)
+    rng = np.random.default_rng(68)
+    x = rng.uniform(size=(3000, 6))
+    s = Sample(x=x, y=x[:, 0] + rng.standard_normal(3000))
+    mn_bootstrap_pair(s, PipelineConfig(degree=2), b_reps=200, seed=1)
+    assert sum(calls) == 200
+    assert len(calls) <= 20
 
 
 @pytest.mark.parametrize("n, degree, b_reps", [(3000, 2, 200), (30000, 2, 200), (300, 5, 50)])
 def test_bootstrap_memory_stays_small(n, degree, b_reps):
-    # One chunk's difference block (m = 54 and 173) or Gram block (K = 462
-    # at degree 5) is capped at _CHUNK_BYTES, so the peak stays far below
-    # the perfbench peak-RSS budget.
+    # One chunk's (chunk, m, m) distance matrices (m = 54 and 173) or Gram
+    # block (K = 462 at degree 5) is capped at _CHUNK_BYTES, so the peak
+    # stays far below the perfbench peak-RSS budget.
     rng = np.random.default_rng(67)
     x = rng.uniform(size=(n, 6))
     s = Sample(x=x, y=x[:, 0] + rng.standard_normal(n))

@@ -114,6 +114,19 @@ def test_high_dimension_matches_reference():
         _check_both_searches(rng.standard_normal((120, d)))
 
 
+def test_both_searches_sum_columns_in_order():
+    # Rows 1 and 2 are at squared distance 1 from row 0, up to six terms of
+    # 2**-54 for row 1 that a column-by-column sum rounds away, so the tie
+    # goes to the smaller index. numpy's pairwise sum of eight or more terms
+    # would round row 1 up to 1 + 2**-52 and pick row 2.
+    x = np.zeros((3, 8))
+    x[1, 0] = 1.0
+    x[1, 2:] = 2.0**-27
+    x[2, 1] = 1.0
+    assert build_nn(x)[0] == 1
+    assert _stacked_nn(x[None])[0, 0] == 1
+
+
 
 def _block_ref_nn(x, block=256):
     # Vectorised brute force, a block of rows at a time; argmin keeps the
