@@ -12,12 +12,10 @@ distance is formed.
 :func:`build_nn` makes one pass over the tree for the three nearest rows of
 every row. A row whose nearest other row is at positive distance and
 strictly nearer than the next one, by more than a relative slack, is
-settled by that pass. A duplicate row whose zero-distance rows are exactly
-its copies takes the smallest index among them. Only the other rows
-(distance ties, rows at zero distance that are not copies) query the tree
-a second time for every row within their nearest distance plus the slack,
-and re-score those candidates with exact squared distances; on continuous
-data no row takes that path.
+settled by that pass. Only the other rows (distance ties, duplicate rows)
+query the tree a second time for every row within their nearest distance
+plus the slack, and re-score those candidates with exact squared
+distances; on continuous data no row takes that path.
 """
 
 from __future__ import annotations
@@ -54,12 +52,10 @@ def build_nn(x) -> np.ndarray:
 
     A kd-tree query for the three nearest rows settles every row whose
     nearest other row is at positive distance and whose third-nearest row
-    is farther by more than the slack. A duplicate row whose zero-radius
-    ball holds only its exact copies takes the smallest index among them.
-    The remaining rows (ties, other zero-distance rows) collect every row
-    within their nearest distance plus the slack and re-score them with
-    exact squared distances, the smallest index winning ties. Duplicate
-    rows are each other's neighbors.
+    is farther by more than the slack. The remaining rows (ties, duplicate
+    rows) collect every row within their nearest distance plus the slack
+    and re-score them with exact squared distances, the smallest index
+    winning ties. Duplicate rows are each other's neighbors.
     """
     arr = np.ascontiguousarray(_as_matrix(x))
     n = arr.shape[0]
@@ -78,30 +74,11 @@ def build_nn(x) -> np.ndarray:
     # ik[:, 1] is its neighbor; at n = 2 the third distance is inf.
     settled = (dk[:, 1] > 0.0) & (dk[:, 2] > radius)
 
+    # Tied or duplicate rows: the first minimizer over sorted candidates,
+    # squared distances summed one column at a time as in _stacked_nn.
     rows = np.flatnonzero(~settled)
-    # Duplicate rows whose zero-radius ball is exactly their group of equal
-    # rows: every candidate is at distance 0, so the smallest other index
-    # of the group wins.
-    dup = rows[dk[rows, 1] == 0.0]
-    _, group, counts = np.unique(arr[dup], axis=0, return_inverse=True, return_counts=True)
-    group = group.reshape(-1)  # numpy 2.0.0 returns it with an extra axis
-    # Each group's rows in index order: the first takes the second, every
-    # other row the first.
-    order = np.argsort(group, kind="stable")
-    starts = np.cumsum(counts) - counts
-    pick = dup[order[starts]][group]
-    multi = counts > 1
-    pick[order[starts[multi]]] = dup[order[starts[multi] + 1]]
-    lens = tree.query_ball_point(arr[dup], 0.0, workers=workers, return_length=True)
-    done = lens == counts[group]
-    nn[dup[done]] = pick[done]
-
-    # Tied rows and the other zero-distance rows: the first minimizer over
-    # sorted candidates, squared distances summed one column at a time as
-    # in _stacked_nn.
-    rest = np.concatenate([rows[dk[rows, 1] > 0.0], dup[~done]])
-    balls = tree.query_ball_point(arr[rest], radius[rest], workers=workers, return_sorted=True)
-    for i, ball in zip(rest, balls):
+    balls = tree.query_ball_point(arr[rows], radius[rows], workers=workers, return_sorted=True)
+    for i, ball in zip(rows, balls):
         c = np.asarray([j for j in ball if j != i], dtype=np.int64)
         sq = (arr[c] - arr[i]) ** 2
         nn[i] = c[np.argmin(np.add.accumulate(sq, axis=1)[:, -1])]

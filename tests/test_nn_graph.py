@@ -59,6 +59,11 @@ def test_duplicate_rows_give_zero_distance():
     # Two points are each other's neighbors, duplicated or not.
     assert build_nn(np.array([[2.0, 2.0]] * 2)).tolist() == [1, 0]
     assert build_nn(np.array([[0.0], [7.0]])).tolist() == [1, 0]
+    # 1e-200 squares to 0: every row is at zero distance from the others,
+    # though row 1 is no copy of rows 0 and 2.
+    under = np.array([[0.0], [1e-200], [0.0]])
+    assert build_nn(under).tolist() == [1, 0, 0]
+    assert _stacked_nn(under[None]).tolist() == [[1, 0, 0]]
 
 
 def _check_both_searches(x):
