@@ -41,8 +41,9 @@ class BasisSizeError(InputError):
 
 
 class FactorizationError(RuntimeError):
-    """The shifted Gram matrix could not be factorized.
+    """The shifted Gram matrix could not be inverted.
 
-    With finite inputs the ridge shift makes the matrix positive definite,
-    so this signals a non-finite or corrupted design matrix.
+    A Gram matrix that overflows is rejected before this point, and the
+    ridge shift makes a finite one positive definite, so this signals a
+    corrupted design matrix.
     """

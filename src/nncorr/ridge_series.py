@@ -2,10 +2,12 @@
 
 For every threshold t in the observed responses, the indicator 1(Y >= t) is
 projected onto a total-degree power basis with an L2 penalty. The shifted
-Gram matrix does not depend on t, so one Cholesky factorization serves all
-n right-hand sides: O(K^3) once plus O(n K^2) for the solves. The fitted
-survival matrix g = P @ betas is left in factored form; the bias term in
-:mod:`nncorr.bias_correction` reads the factors directly.
+Gram matrix does not depend on t, so one inverse serves all n right-hand
+sides: O(K^3) once plus O(n K^2) matrix products. Both run on NumPy's own
+LAPACK and BLAS, the library every other product in the package uses, so a
+process starts one BLAS thread pool, not two that compete for the cores. The
+fitted survival matrix g = P @ betas is left in factored form; the bias term
+in :mod:`nncorr.bias_correction` reads the factors directly.
 """
 
 from __future__ import annotations
@@ -15,10 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import _as_matrix, _as_vector
-from .errors import BasisSizeError, DimensionMismatchError, FactorizationError, InputError
+from .errors import (
+    BasisSizeError,
+    DimensionMismatchError,
+    FactorizationError,
+    InputError,
+    NonFiniteInputError,
+)
 
 DEFAULT_BASIS_CAP = 10_000
 
@@ -116,29 +123,42 @@ def design_matrix(xs: np.ndarray, basis: BasisSpec) -> np.ndarray:
 
 
 def _ridge_solve(p: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (P'P + n*lam*I) B = rhs, one Cholesky factor for all columns.
+    """Solve (P'P + n*lam*I) B = rhs with the inverse of the K x K matrix.
 
     Takes (n, K) and (K, J), or stacks (..., n, K) and (..., K, J); ``rhs``
-    may be overwritten. SciPy runs the LAPACK calls of ``cho_factor`` and
-    ``cho_solve`` on every matrix in compiled code, so each solution has
-    their bits (a lone 1 x 1 system is divided instead). A single system is
-    solved in place and keeps the column-major layout of ``rhs``, on which
-    the summation order of the bias term's einsums depends.
+    is overwritten. K is at most a few hundred, J (n, or m in the bootstrap)
+    is of the order of K or larger, and the ridge shift keeps the matrix
+    positive definite, so one inverse and matrix products (GEMM) over all J
+    columns cost less than triangular solves; ``np.linalg.solve`` would also
+    copy ``rhs`` in and out. The inverse alone leaves a residual near
+    eps * cond * |rhs| (a few 1e-12 relative at K = 84, lambda = n**-2), so
+    one step of iterative refinement with the same inverse follows. Every
+    product is NumPy's, computed per matrix, so a stack gives each system
+    the bits it gets alone.
     """
     n, k = p.shape[-2:]
-    gram = np.swapaxes(p, -1, -2) @ p
+    with np.errstate(over="ignore"):
+        gram = np.swapaxes(p, -1, -2) @ p
+    if not np.isfinite(gram).all():
+        raise NonFiniteInputError(
+            "the ridge Gram matrix overflows; rescale x or lower the degree"
+        )
     diag = np.arange(k)
     gram[..., diag, diag] += n * lam
     try:
-        return scipy.linalg.solve(gram, rhs, assume_a="pos", overwrite_b=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"the ridge matrix could not be inverted: {exc}") from exc
+    betas = inv @ rhs
+    rhs -= gram @ betas
+    betas += inv @ rhs
+    return betas
 
 
 def ridge_fit_all(p, y, lam: float) -> RidgeModel:
     """Solve the penalized projection for every threshold t = y_j at once.
 
-    Builds P'P + n*lam*I, factorizes it once, and solves against the
+    Builds P'P + n*lam*I, inverts it once, and solves against the
     indicator responses 1(y >= y_j) for all j. The right-hand sides are
     assembled from suffix sums of the rows of P in response order, which
     costs O(nK) instead of forming the n x n indicator matrix.
@@ -152,10 +172,10 @@ def ridge_fit_all(p, y, lam: float) -> RidgeModel:
         raise InputError(f"ridge parameter must be positive, got {lam}")
 
     order = np.argsort(yvec, kind="stable")
-    p_sorted = pmat[order]
     y_sorted = yvec[order]
-    # suffix[q] = sum of p_sorted rows q..n-1 = P' 1(y >= y_sorted[q]).
-    suffix = np.cumsum(p_sorted[::-1], axis=0)[::-1]
-    pos = np.searchsorted(y_sorted, yvec, side="left")
-    betas = _ridge_solve(pmat, suffix[pos].T, lam)
+    # suffix[q] = sum of rows q..n-1 of P in response order = P' 1(y >= y_sorted[q]).
+    suffix = np.cumsum(pmat[order][::-1], axis=0)[::-1]
+    rhs = suffix[np.searchsorted(y_sorted, yvec, side="left")].T
+    del suffix  # free this (n, K) block before the solve allocates its own
+    betas = _ridge_solve(pmat, rhs, lam)
     return RidgeModel(p=pmat, lam=float(lam), betas=betas)

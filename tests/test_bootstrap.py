@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from nncorr import bootstrap
 from nncorr.bias_correction import PipelineConfig, estimate
@@ -283,11 +282,23 @@ def test_overflowing_distances_raise_in_every_replicate_engine():
         mn_bootstrap_pair(s, cfg, b_reps=10, m=3, seed=0)
 
 
+def test_overflowing_gram_matrix_raises_in_estimate_and_engine():
+    # Unscaled x = k * 1e100: squared distances and the design matrix are
+    # finite, but the degree-2 Gram entries (~x^4) overflow.
+    x = np.arange(1.0, 21.0)[:, None] * 1e100
+    s = Sample(x=x, y=np.random.default_rng(0).standard_normal(20))
+    cfg = PipelineConfig(scale_covariates=False)
+    with pytest.raises(NonFiniteInputError, match="Gram matrix overflows"):
+        estimate(s, cfg)
+    with pytest.raises(NonFiniteInputError, match="Gram matrix overflows"):
+        mn_bootstrap_pair(s, cfg, b_reps=10, seed=0)
+
+
 def test_cholesky_failure_raises_factorization_error(monkeypatch):
     def fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("not positive definite")
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(scipy.linalg, "solve", fail)
+    monkeypatch.setattr(np.linalg, "inv", fail)
     with pytest.raises(FactorizationError):
         mn_bootstrap_pair(_sample(), PipelineConfig(), b_reps=10, seed=1)
 

@@ -9,6 +9,7 @@ import shutil
 import site
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ import pytest
 from nncorr import _threads
 from nncorr.cli import main
 from nncorr.simulation import RAW_CSV_HEADER
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +93,34 @@ def test_estimate_byte_identical_across_thread_counts(capsys, csv_file):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_estimate_byte_identical_across_blas_thread_counts(tmp_path):
+    # At n = 3 000 the ridge GEMMs are large enough for OpenBLAS to split
+    # them over threads; the thread count is read once, at import, so each
+    # run is a fresh interpreter.
+    rng = np.random.default_rng(72)
+    n = 3000
+    x = rng.uniform(size=(n, 6))
+    y = x[:, 0] + 0.4 * rng.standard_normal(n)
+    csv_path = tmp_path / "big.csv"
+    rows = [",".join(format(v, ".12g") for v in row) for row in np.column_stack([x, y])]
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / f"est{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nncorr", "estimate", "--input", str(csv_path),
+             "--bootstrap-reps", "20", "--seed", "4", "--output", str(out)],
+            capture_output=True, text=True, timeout=600, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_estimate_degree_zero_is_uncorrected(capsys, csv_file):
@@ -173,6 +204,20 @@ def test_estimate_rejects_overflowing_distances(capsys, tmp_path):
     assert err.count("\n") == 1 and "overflow" in err
 
 
+def test_estimate_rejects_an_overflowing_gram_matrix(capsys, tmp_path):
+    # x = k * 1e100 is within the distance range, but the degree-2 Gram
+    # entries overflow: an input error naming the cure, not a crash.
+    path = tmp_path / "huge.csv"
+    rows = [f"{k}e100,{(7 * k) % 20}" for k in range(1, 21)]
+    path.write_text("x1,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["estimate", "--input", str(path), "--no-scale"])
+    assert code == 2 and out == "" and caught == []
+    assert "internal error" not in err and "Gram matrix overflows" in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -252,9 +297,6 @@ def test_selftest_detects_a_broken_neighbor_search(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["selftest", "--quick"])
     assert code == 1
     assert "FAIL" in out
-
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _wheel_build_gap():
