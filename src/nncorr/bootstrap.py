@@ -75,6 +75,16 @@ def _resolve_m(n: int, m: int | None) -> int:
     return m_eff
 
 
+def _check_b_reps(b_reps: int) -> None:
+    if b_reps < 2:
+        raise InputError(f"need b_reps >= 2, got {b_reps}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+
+
 def _variance(stats: np.ndarray, m: int, n: int, b_reps: int, seed: int) -> VarianceEstimate:
     sigma2 = m * float(np.var(stats, ddof=1))
     sigma2 = max(sigma2, 0.0)
@@ -177,8 +187,7 @@ def mn_bootstrap(
     """
     if which not in ("t_hat", "t_bc"):
         raise InputError(f"unknown statistic selector {which!r}; use 't_hat' or 't_bc'")
-    if b_reps < 2:
-        raise InputError(f"need b_reps >= 2, got {b_reps}")
+    _check_b_reps(b_reps)
     n = sample.n
     m_eff = _resolve_m(n, m)
     draws = _draws(n, m_eff, b_reps, seed)
@@ -208,8 +217,7 @@ def mn_bootstrap_pair(
     separate :func:`mn_bootstrap` calls with the same seed would produce,
     at roughly the cost of the corrected one alone.
     """
-    if b_reps < 2:
-        raise InputError(f"need b_reps >= 2, got {b_reps}")
+    _check_b_reps(b_reps)
     n = sample.n
     m_eff = _resolve_m(n, m)
     t_hat, t_bc = _replicates(sample, config, _draws(n, m_eff, b_reps, seed), corrected=True)
@@ -221,7 +229,6 @@ def mn_bootstrap_pair(
 
 def confidence_interval(point: float, v: VarianceEstimate, alpha: float) -> tuple[float, float]:
     """Two-sided normal-approximation interval point +- z_{1-alpha/2} * se."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    _check_alpha(alpha)
     z = float(ndtri(1.0 - alpha / 2.0))
     return (point - z * v.se, point + z * v.se)

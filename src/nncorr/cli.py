@@ -16,8 +16,10 @@ from . import _jsonfmt, _threads
 from .bias_correction import DEFAULT_LAMBDA_EXPONENT, PipelineConfig, estimate
 from .bootstrap import (
     DEFAULT_B_REPS,
+    _check_alpha,
+    _check_b_reps,
+    _resolve_m,
     confidence_interval,
-    default_m,
     mn_bootstrap_pair,
 )
 from .dataset import load_csv
@@ -98,8 +100,12 @@ def _cmd_estimate(args) -> int:
         lambda_exponent=args.lambda_exponent,
         scale_covariates=not args.no_scale,
     )
+    # The bootstrap's and the interval's options are checked before any of
+    # the work runs, with the messages those functions would raise.
+    _check_b_reps(args.bootstrap_reps)
+    m_eff = _resolve_m(sample.n, args.m)
+    _check_alpha(args.alpha)
     res = estimate(sample, config)
-    m_eff = default_m(sample.n) if args.m is None else args.m
     v_t, v_bc = mn_bootstrap_pair(
         sample, config, b_reps=args.bootstrap_reps, m=m_eff, seed=args.seed
     )

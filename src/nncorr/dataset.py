@@ -7,6 +7,8 @@ and are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -84,15 +86,27 @@ def _parses(tok: str) -> bool:
     return True
 
 
+def _is_finite_number(tok: str) -> bool:
+    try:
+        return math.isfinite(float(tok.strip()))
+    except ValueError:
+        return False
+
+
 def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     """Read a comma-separated file into a Sample.
 
-    The first line is a header when none of its cells parses as a number;
-    otherwise it is data, and a cell that is not a finite number raises
-    :class:`NonNumericCellError` naming it, in the first row as in any
-    other. Decimal separator is '.', quoting is not supported. ``y_column``
-    selects the response column by 0-based index or the literal ``"last"``;
-    the remaining columns become the covariates in file order.
+    Blank lines are skipped. The first line is a header when none of its
+    cells parses as a number; otherwise it is data. Every cell is read with
+    Python's ``float()`` after ``str.strip()``, so '.' is the decimal
+    separator, quoting is not supported, and ``inf`` and ``nan`` are
+    rejected. The cells are parsed in one pass; the first failure in row
+    order is reported: a cell that is not a finite number raises
+    :class:`NonNumericCellError` naming it (in the first row as in any
+    other), a row whose cell count differs from the first data row's raises
+    :class:`InputError`. ``y_column`` selects the response column by
+    0-based index or the literal ``"last"``; the remaining columns become
+    the covariates in file order.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -109,28 +123,35 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     # Header iff no cell of the first row parses as a number. A first row
     # that mixes numbers and text is data, so its bad cell is reported below.
     start = 0 if any(_parses(tok) for tok in rows[0]) else 1
+    rows = rows[start:]
 
-    arity = len(rows[start]) if start < len(rows) else 0
-    data = []
-    for i, tokens in enumerate(rows[start:]):
-        if len(tokens) != arity:
-            raise InputError(
-                f"row {i} has {len(tokens)} cells, expected {arity} (ragged file)"
-            )
-        vals = []
-        for j, tok in enumerate(tokens):
-            try:
-                v = float(tok.strip())
-            except ValueError:
-                raise NonNumericCellError(f"non-numeric cell at ({i},{j}): {tok!r}") from None
-            if not np.isfinite(v):
-                raise NonNumericCellError(f"non-numeric cell at ({i},{j}): {tok!r}")
-            vals.append(v)
-        data.append(vals)
+    arity = len(rows[0]) if rows else 0
+    ragged = next((i for i, tokens in enumerate(rows) if len(tokens) != arity), len(rows))
+    # The rows before the first ragged one are parsed in one pass; a bad cell
+    # among them is reported before the ragged row, as row order demands.
+    # float() keeps a '\x1f' that str.strip() removes, so the strip stays.
+    cells = list(itertools.chain.from_iterable(rows[:ragged]))
+    try:
+        flat = np.fromiter(map(float, map(str.strip, cells)), np.float64, count=len(cells))
+    except ValueError:
+        flat = None
+    if flat is None or not np.isfinite(flat).all():
+        # Only a failed parse scans the cells again, to name the first culprit.
+        i, j, tok = next(
+            (i, j, tok)
+            for i, tokens in enumerate(rows[:ragged])
+            for j, tok in enumerate(tokens)
+            if not _is_finite_number(tok)
+        )
+        raise NonNumericCellError(f"non-numeric cell at ({i},{j}): {tok!r}")
+    if ragged < len(rows):
+        raise InputError(
+            f"row {ragged} has {len(rows[ragged])} cells, expected {arity} (ragged file)"
+        )
 
-    if len(data) < 2:
-        raise InsufficientRowsError(f"need at least 2 data rows, got {len(data)}")
-    mat = np.asarray(data, dtype=np.float64)
+    if len(rows) < 2:
+        raise InsufficientRowsError(f"need at least 2 data rows, got {len(rows)}")
+    mat = flat.reshape(len(rows), arity)
     ncols = mat.shape[1]
 
     if y_column == "last":
@@ -160,8 +181,16 @@ def compute_ranks(y) -> np.ndarray:
     arr = _as_vector(y)
     if arr.shape[0] < 2:
         raise InsufficientRowsError(f"need at least 2 entries, got {arr.shape[0]}")
-    sorted_y = np.sort(arr, kind="stable")
-    return np.searchsorted(sorted_y, arr, side="right").astype(np.int64)
+    n = arr.shape[0]
+    order = np.argsort(arr, kind="stable")
+    sorted_y = arr[order]
+    # The rank of a tie group is one past its last sorted index.
+    ends = np.ones(n, dtype=bool)
+    np.not_equal(sorted_y[1:], sorted_y[:-1], out=ends[:-1])
+    last = np.where(ends, np.arange(1, n + 1), n)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.minimum.accumulate(last[::-1])[::-1]
+    return ranks
 
 
 def minmax_scale(x) -> np.ndarray:

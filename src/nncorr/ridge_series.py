@@ -173,9 +173,14 @@ def ridge_fit_all(p, y, lam: float) -> RidgeModel:
 
     order = np.argsort(yvec, kind="stable")
     y_sorted = yvec[order]
+    # pos[i] = first sorted index of y_i's tie group, scattered back to i.
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(y_sorted[1:], y_sorted[:-1], out=starts[1:])
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
     # suffix[q] = sum of rows q..n-1 of P in response order = P' 1(y >= y_sorted[q]).
     suffix = np.cumsum(pmat[order][::-1], axis=0)[::-1]
-    rhs = suffix[np.searchsorted(y_sorted, yvec, side="left")].T
+    rhs = suffix[pos].T
     del suffix  # free this (n, K) block before the solve allocates its own
     betas = _ridge_solve(pmat, rhs, lam)
     return RidgeModel(p=pmat, lam=float(lam), betas=betas)

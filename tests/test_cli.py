@@ -179,6 +179,53 @@ def test_estimate_usage_errors(capsys, csv_file):
         assert err.count("\n") == 1 and err.startswith("nncorr: error:"), argv
 
 
+def test_estimate_options_are_checked_before_the_estimate(capsys, csv_file, monkeypatch):
+    import nncorr.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the estimate ran before the options were checked")
+
+    monkeypatch.setattr(cli, "estimate", forbidden)
+    monkeypatch.setattr(cli, "mn_bootstrap_pair", forbidden)
+    cases = [
+        (["--alpha", "1.5"], "alpha must lie strictly between 0 and 1, got 1.5"),
+        (["--bootstrap-reps", "1"], "need b_reps >= 2, got 1"),
+        (["--m", "1"], "need subsample size m >= 2, got 1"),
+        (["--m", "101"], "subsample size 101 exceeds sample size 100"),
+    ]
+    for extra, message in cases:
+        code, out, err = _run(capsys, ["estimate", "--input", str(csv_file)] + extra)
+        assert code == 2 and out == "", extra
+        assert err == f"nncorr: error: {message}\n"
+
+
+def test_estimate_cli_agrees_with_the_api(tmp_path):
+    # A file written with 17 significant digits loads back bit for bit, and
+    # the CLI prints the estimates of estimate() on the same sample exactly.
+    from nncorr import CopulaConfig, estimate, gen_gaussian_copula, load_csv
+
+    sample = gen_gaussian_copula(CopulaConfig(n=3000, d=6, rho=0.9, seed=5))
+    path = tmp_path / "copula.csv"
+    np.savetxt(path, np.column_stack([sample.x, sample.y]), fmt="%.17g", delimiter=",")
+    loaded = load_csv(path)
+    assert loaded.x.tobytes() == sample.x.tobytes()
+    assert loaded.y.tobytes() == sample.y.tobytes()
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "nncorr", "estimate", "--input", str(path),
+         "--bootstrap-reps", "2"],
+        capture_output=True, text=True, timeout=600, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    res = estimate(sample)
+    assert (payload["t_hat"], payload["l_hat"], payload["t_bc"]) == (res.t_hat, res.l_hat, res.t_bc)
+
+
 def test_estimate_missing_file(capsys, tmp_path):
     code, _, err = _run(capsys, ["estimate", "--input", str(tmp_path / "nope.csv")])
     assert code == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nncorr import estimate
-from nncorr.dataset import Sample, compute_ranks, load_csv, minmax_scale
+from nncorr.dataset import Sample, _parses, compute_ranks, load_csv, minmax_scale
 from nncorr.errors import (
     InputError,
     InsufficientRowsError,
@@ -15,6 +15,11 @@ from nncorr.errors import (
     NonFiniteInputError,
     NonNumericCellError,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below is skipped without it
+    given = None
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -117,6 +122,134 @@ def test_load_csv_bad_y_column(tmp_path):
         load_csv(path, y_column=7)
 
 
+def test_load_csv_bad_cell_before_a_ragged_row_wins(tmp_path):
+    path = _write(tmp_path, "1,2,3\n4,oops,6\n7,8,9\n10,11\n")
+    with pytest.raises(NonNumericCellError, match=r"\(1,1\): 'oops'"):
+        load_csv(path)
+
+
+def test_load_csv_ragged_row_before_a_bad_cell_wins(tmp_path):
+    path = _write(tmp_path, "1,2,3\n4,5\n7,8,9\n10,oops,12\n")
+    with pytest.raises(InputError, match=r"^row 1 has 2 cells, expected 3") as info:
+        load_csv(path)
+    assert type(info.value) is InputError
+
+
+def test_load_csv_overflowing_cell_rejected(tmp_path):
+    path = _write(tmp_path, "1,2\n3,4\n5,1e309\n")
+    with pytest.raises(NonNumericCellError, match=r"\(2,1\): '1e309'"):
+        load_csv(path)
+
+
+def test_load_csv_accepts_what_float_accepts(tmp_path):
+    # The grammar is float() after str.strip(): underscores between digits
+    # parse, and so does a cell padded with '\x1f', which float() alone keeps.
+    s = load_csv(_write(tmp_path, "1_000,2\n3,\x1f4\n5, 6\t\n"))
+    np.testing.assert_array_equal(s.x, [[1000.0], [3.0], [5.0]])
+    np.testing.assert_array_equal(s.y, [2.0, 4.0, 6.0])
+
+
+def _per_cell_load_csv(path, y_column="last"):
+    # A loader with one float() and one isfinite() per cell, in row order:
+    # the oracle of the differential test.
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise MissingFileError(f"no such file: {path}") from None
+
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    if not lines:
+        raise InsufficientRowsError(f"{path} is empty")
+    rows = [ln.split(",") for ln in lines]
+    start = 0 if any(_parses(tok) for tok in rows[0]) else 1
+    arity = len(rows[start]) if start < len(rows) else 0
+    data = []
+    for i, tokens in enumerate(rows[start:]):
+        if len(tokens) != arity:
+            raise InputError(
+                f"row {i} has {len(tokens)} cells, expected {arity} (ragged file)"
+            )
+        vals = []
+        for j, tok in enumerate(tokens):
+            try:
+                v = float(tok.strip())
+            except ValueError:
+                raise NonNumericCellError(f"non-numeric cell at ({i},{j}): {tok!r}") from None
+            if not np.isfinite(v):
+                raise NonNumericCellError(f"non-numeric cell at ({i},{j}): {tok!r}")
+            vals.append(v)
+        data.append(vals)
+
+    if len(data) < 2:
+        raise InsufficientRowsError(f"need at least 2 data rows, got {len(data)}")
+    mat = np.asarray(data, dtype=np.float64)
+    ncols = mat.shape[1]
+    if y_column == "last":
+        y_idx = ncols - 1
+    else:
+        try:
+            y_idx = int(y_column)
+        except (TypeError, ValueError):
+            raise InputError(f"y_column must be a 0-based index or 'last', got {y_column!r}") from None
+        if not 0 <= y_idx < ncols:
+            raise InputError(f"y_column {y_idx} out of range for {ncols} columns")
+    if ncols < 2:
+        raise NoCovariateColumnsError("file has no covariate columns besides the response")
+    return Sample(x=np.delete(mat, y_idx, axis=1), y=mat[:, y_idx])
+
+
+def _outcome(loader, path, y_column):
+    try:
+        s = loader(path, y_column=y_column)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+    return s.x.shape, s.x.tobytes(), s.y.tobytes()
+
+
+# Cells that float() and the finiteness check treat differently.
+_ODD_TOKENS = ("", " ", "nan", "inf", "1e309", "1_0", "0x1", "\t4", "\x1f5", "x")
+
+
+if given is not None:
+
+    @st.composite
+    def csv_texts(draw):
+        n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        num = st.one_of(
+            st.integers(-1000, 1000).map(str),
+            st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+        )
+        rows = [[draw(num) for _ in range(d)] for _ in range(n)]
+        # A few cells become odd tokens, a few rows lose or gain a cell.
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))
+            rows[i][j] = draw(st.sampled_from(_ODD_TOKENS))
+        for _ in range(draw(st.integers(0, 1))):
+            i = draw(st.integers(0, n - 1))
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+        lines = [",".join(r) for r in rows]
+        if draw(st.booleans()):
+            lines.insert(0, ",".join(f"c{j}" for j in range(d)))
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t"))))
+        end = draw(st.sampled_from(("\n", "\r\n")))
+        return end.join(lines) + draw(st.sampled_from(("", end)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(csv_texts(), st.sampled_from(("last", 0, 1, 4)))
+    def test_load_csv_matches_the_per_cell_loop(tmp_path_factory, text, y_column):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(load_csv, path, y_column) == _outcome(_per_cell_load_csv, path, y_column)
+
+else:
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_load_csv_matches_the_per_cell_loop():
+        pass
+
+
 # ---------------------------------------------------------------------------
 # Sample
 
@@ -172,6 +305,19 @@ def test_ranks_invariant_under_increasing_transform():
     c = compute_ranks(3.0 * y - 7.0)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, c)
+
+
+def _tie_kinds():
+    rng = np.random.default_rng(12)
+    yield rng.standard_normal(500)
+    yield rng.integers(0, 7, 500).astype(np.float64)
+    yield np.full(500, 2.5)
+
+
+def test_ranks_match_a_binary_search_of_the_sorted_vector():
+    for y in _tie_kinds():
+        expected = np.searchsorted(np.sort(y), y, side="right")
+        np.testing.assert_array_equal(compute_ranks(y), expected)
 
 
 def test_ranks_reject_tiny_input():

@@ -197,6 +197,21 @@ def test_tied_thresholds_share_solutions():
         np.testing.assert_array_equal(model.betas[:, j], model.betas[:, j + 2])
 
 
+def test_tie_group_positions_match_a_binary_search():
+    # ridge_fit_all takes the first sorted index of each tie group from the
+    # sort; a binary search of the sorted y gives the same right-hand sides,
+    # so the same bits, on continuous, 7-level and constant responses.
+    rng = np.random.default_rng(31)
+    x = rng.uniform(size=(400, 3))
+    lam = default_lambda(400, 2.0)
+    for y in (rng.standard_normal(400), rng.integers(0, 7, 400).astype(float), np.full(400, 1.5)):
+        p, model = _fit(x, y, lam)
+        order = np.argsort(y, kind="stable")
+        suffix = np.cumsum(p[order][::-1], axis=0)[::-1]
+        pos = np.searchsorted(y[order], y, side="left")
+        np.testing.assert_array_equal(model.betas, _ridge_solve(p, suffix[pos].T, lam))
+
+
 def test_ghat_matrix_permutation_equivariance():
     rng = np.random.default_rng(46)
     n = 35
