@@ -7,12 +7,15 @@ is estimated by m times the bootstrap sample variance. Each replicate owns
 a counter-derived random stream, so results do not depend on evaluation
 order or thread count.
 
-The replicates are computed together: the B index vectors are stacked into
-a (B, m) block and every stage of :func:`nncorr.bias_correction.estimate`
-runs on (chunk, m, .) arrays. Ranks come from the (m, m) comparison matrix
-of each subsample, which also gives the ridge right-hand sides, and nearest
-neighbours from the full (m, m) distance matrix, accumulated one coordinate
-at a time, so the neighbour search costs O(B m^2 d) in all. No block of a
+The replicates are computed together. The (B, m) block of index vectors
+comes from one vectorized pass that reproduces every replicate's stream,
+``derive_rng(seed, r)``, bit for bit without building its generator (see
+:func:`nncorr.rng._integers_block`; n is limited to 2**32 - 1). Every
+stage of :func:`nncorr.bias_correction.estimate` runs on (chunk, m, .)
+arrays. Ranks come from the (m, m) comparison matrix of each subsample,
+which also gives the ridge right-hand sides, and nearest neighbours from
+the full (m, m) distance matrix, accumulated one coordinate at a time, so
+the neighbour search costs O(B m^2 d) in all. No block of a
 replicate exceeds max(m, K)^2 floats: its distance matrix, its comparison
 matrix cast to float in the right-hand sides, or its (K, K) Gram matrix.
 Chunks along the replicate axis keep that block within a fixed byte
@@ -33,7 +36,7 @@ from .errors import InputError
 from .estimator import _rank_coefficient
 from .nn_graph import _stacked_nn
 from .ridge_series import _ridge_solve, basis_index_set, design_matrix
-from .rng import derive_rng
+from .rng import _integers_block
 
 DEFAULT_B_REPS = 200
 
@@ -98,8 +101,12 @@ def _variance(stats: np.ndarray, m: int, n: int, b_reps: int, seed: int) -> Vari
 
 
 def _draws(n: int, m: int, b_reps: int, seed: int) -> np.ndarray:
-    """The (b_reps, m) block of subsample indices; row r depends only on (seed, r)."""
-    return np.stack([derive_rng(seed, r).integers(0, n, size=m) for r in range(b_reps)])
+    """The (b_reps, m) block of subsample indices; row r depends only on (seed, r).
+
+    Row r equals ``derive_rng(seed, r).integers(0, n, size=m)``; the block
+    is computed in one pass, with no generator per replicate.
+    """
+    return _integers_block(seed, n, m, b_reps)
 
 
 def _chunk_stats(

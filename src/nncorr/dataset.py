@@ -80,7 +80,7 @@ class Sample:
 
 def _parses(tok: str) -> bool:
     try:
-        float(tok)
+        float(tok.strip())
     except ValueError:
         return False
     return True
@@ -120,8 +120,9 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
 
     rows = [ln.split(",") for ln in lines]
 
-    # Header iff no cell of the first row parses as a number. A first row
-    # that mixes numbers and text is data, so its bad cell is reported below.
+    # Header iff no cell of the first row parses as a number, read as every
+    # data cell is. A first row that mixes numbers and text is data, so its
+    # bad cell is reported below.
     start = 0 if any(_parses(tok) for tok in rows[0]) else 1
     rows = rows[start:]
 

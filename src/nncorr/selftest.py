@@ -16,7 +16,7 @@ import numpy as np
 from .bias_correction import bias_estimate, default_lambda
 from .nn_graph import _stacked_nn, build_nn
 from .ridge_series import basis_index_set, design_matrix, ridge_fit_all
-from .rng import derive_rng
+from .rng import _integers_block, derive_rng
 from .simulation import true_t
 
 # Reference values of the closed-form truth, precomputed once with 50-digit
@@ -163,6 +163,34 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
     return True, f"{cases} instances x 4 penalties, worst residual {worst:.2e}"
 
 
+def draws_suite(quick: bool = False, seed: int = 59) -> tuple[bool, str]:
+    """The bootstrap's index block against one generator per replicate.
+
+    Row r of ``_integers_block(s, n, m, b)`` must equal
+    ``derive_rng(s, r).integers(0, n, size=m)`` exactly, for random seeds
+    of one and two 32-bit words, n up to 2**32 - 1 and random block shapes.
+    Case 0 takes n = 2**31 + 1, where about half of the 32-bit candidates
+    are rejected. A NumPy whose SeedSequence, PCG64 or ``integers`` stream
+    changes fails here.
+    """
+    cases = 20 if quick else 60
+    rng = derive_rng(seed)
+    for case in range(cases):
+        s = int(rng.integers(0, 2**32 if case % 3 else 2**64, dtype=np.uint64))
+        if case == 0:
+            n = 2**31 + 1
+        else:
+            n = int(rng.integers(2, 2**32 if case % 2 else 4000))
+        m = int(rng.integers(2, 80))
+        b = int(rng.integers(2, 200))
+        got = _integers_block(s, n, m, b)
+        for r in range(b):
+            want = derive_rng(s, r).integers(0, n, size=m)
+            if not np.array_equal(got[r], want):
+                return False, f"case {case}: seed={s} n={n} m={m} row {r} differs"
+    return True, f"{cases} blocks matched row by row"
+
+
 def truth_suite() -> tuple[bool, str]:
     """Closed-form truth against precomputed references; endpoints exact."""
     if true_t(0.0) != 0.0:
@@ -186,6 +214,7 @@ SUITES = (
     ("nearest-neighbor vs double loop", nn_suite),
     ("bias term vs double loop", bias_suite),
     ("ridge normal equations", ridge_suite),
+    ("bootstrap draws vs per-replicate generators", draws_suite),
     ("closed-form truth", truth_suite),
 )
 

@@ -18,6 +18,12 @@ from nncorr.bootstrap import (
 )
 from nncorr.dataset import Sample
 from nncorr.errors import FactorizationError, InputError, NonFiniteInputError
+from nncorr.rng import derive_rng
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below is skipped without it
+    given = None
 
 Z975 = 1.9599639845400543  # standard normal quantile at 0.975
 
@@ -27,6 +33,65 @@ def _sample(seed=61, n=120, d=2):
     x = rng.uniform(size=(n, d))
     y = x[:, 0] + 0.5 * rng.standard_normal(n)
     return Sample(x=x, y=y)
+
+
+def _draws_loop(n, m, b_reps, seed):
+    # One generator per replicate: the oracle of the vectorized draws.
+    return np.stack([derive_rng(seed, r).integers(0, n, size=m) for r in range(b_reps)])
+
+
+def _assert_same_draws(n, m, b_reps, seed):
+    got, want = _draws(n, m, b_reps, seed), _draws_loop(n, m, b_reps, seed)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+# n = 2**31 + 1 rejects about half of the 32-bit candidates, n = 2**32 - 1
+# is the largest n drawn by the 32-bit method.
+@pytest.mark.parametrize("n", [2, 17, 300, 3000, 2**31 + 1, 2**32 - 1])
+@pytest.mark.parametrize("seed", [0, 3, 2**32, 2**63 + 5, 2**64 - 1])
+def test_draws_match_per_replicate_generators(n, seed):
+    for b_reps, m in ((2, 2), (200, 17), (1000, 54)):
+        _assert_same_draws(n, m, b_reps, seed)
+
+
+def test_draws_rows_do_not_depend_on_b_reps():
+    np.testing.assert_array_equal(_draws(300, 17, 10, 7), _draws(300, 17, 50, 7)[:10])
+    np.testing.assert_array_equal(
+        _draws(2**31 + 1, 17, 10, 7), _draws(2**31 + 1, 17, 50, 7)[:10]
+    )
+
+
+def test_draws_reject_a_negative_seed_like_derive_rng():
+    with pytest.raises(InputError) as want:
+        derive_rng(-1, 0)
+    with pytest.raises(InputError) as got:
+        _draws(300, 17, 10, -1)
+    assert str(got.value) == str(want.value) == "seed path entries must be non-negative, got -1"
+
+
+def test_draws_name_the_row_limit():
+    with pytest.raises(InputError, match=r"at most 4294967295 rows"):
+        _draws(2**32, 17, 10, 0)
+
+
+if given is not None:
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.one_of(st.integers(2, 400), st.integers(2, 2**32 - 1)),
+        st.integers(1, 60),
+        st.integers(1, 40),
+        st.one_of(st.integers(0, 2**32), st.integers(0, 2**64 - 1), st.integers(0, 2**130)),
+    )
+    def test_draws_match_per_replicate_generators_drawn(n, m, b_reps, seed):
+        _assert_same_draws(n, m, b_reps, seed)
+
+else:
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_draws_match_per_replicate_generators_drawn():
+        pass
 
 
 def test_default_m_is_root_n():

@@ -324,7 +324,7 @@ def test_selftest_quick_passes(capsys):
     code, out, _ = _run(capsys, ["selftest", "--quick"])
     assert code == 0
     lines = [ln for ln in out.strip().split("\n") if ln]
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert all(ln.startswith("PASS") for ln in lines)
 
 

@@ -85,6 +85,15 @@ def test_load_csv_first_row_with_a_typo_is_not_a_header(tmp_path):
         load_csv(_write(tmp_path, "1,x2,y\n1,2,3\n4,5,6\n", "b.csv"))
 
 
+def test_load_csv_first_row_is_stripped_like_any_other(tmp_path):
+    # Header detection reads the first row's cells as every data cell is
+    # read, after str.strip(): cells padded with '\x1f' are numbers there too.
+    for i, text in enumerate(("\x1f1,\x1f2\n3,4\n5,6\n", "1,2\n\x1f3,\x1f4\n5,6\n")):
+        s = load_csv(_write(tmp_path, text, f"{i}.csv"))
+        assert s.n == 3
+        np.testing.assert_array_equal(s.y, [2.0, 4.0, 6.0])
+
+
 def test_load_csv_nan_cell_rejected(tmp_path):
     path = _write(tmp_path, "1.0,2.0\n3.0,nan\n")
     with pytest.raises(NonNumericCellError):
