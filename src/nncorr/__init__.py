@@ -27,7 +27,6 @@ from .bootstrap import (
     VarianceEstimate,
     confidence_interval,
     default_m,
-    mn_bootstrap,
     mn_bootstrap_pair,
 )
 from .dataset import Sample, compute_ranks, load_csv, minmax_scale
@@ -104,7 +103,6 @@ __all__ = [
     "gen_gaussian_copula",
     "load_csv",
     "minmax_scale",
-    "mn_bootstrap",
     "mn_bootstrap_pair",
     "raw_csv_lines",
     "ridge_fit_all",

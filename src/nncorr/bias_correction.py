@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Sample, compute_ranks, minmax_scale
+from .dataset import Sample, _as_matrix, _tie_groups, minmax_scale
 from .errors import DimensionMismatchError, InputError
-from .estimator import chatterjee_t
+from .estimator import _rank_coefficient
 from .nn_graph import build_nn
-from .ridge_series import basis_index_set, design_matrix, ridge_fit_all
+from .ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
 
 DEFAULT_DEGREE = 2
 # Exponent c in the penalty lambda = n**-c. Small c over-shrinks the fitted
@@ -134,6 +134,36 @@ def _bias_rows(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
     return pairs - diag
 
 
+def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig, search):
+    """``t_hat``, ``l_hat`` and ``t_bc`` of every sample in a stack, shape (c,) each.
+
+    ``x`` is (c, m, d) and ``y`` is (c, m); ``search`` maps the (scaled)
+    covariate stack to (c, m) nearest-neighbor indices. One stable sort
+    per sample gives both the ranks and the ridge right-hand sides, every
+    product is computed per matrix, and the first failing check raises, so
+    a sample gets the same bits and errors in any stack.
+    """
+    _, m, d = x.shape
+    order, first, ranks = _tie_groups(y)
+    xs = minmax_scale(x) if config.scale_covariates else x
+    nn = search(xs)
+    s = np.minimum(ranks, np.take_along_axis(ranks, nn, axis=-1)).sum(axis=-1)
+    t_hat = _rank_coefficient(s, m)
+
+    p = design_matrix(xs, basis_index_set(d, config.degree))
+    _as_matrix(p, name="design matrix", stacked=True)  # powers of unscaled x can overflow
+    lam = default_lambda(m, config.lambda_exponent)
+    betas = _ridge_solve(p, _threshold_rhs(p, order, first), lam)
+    rows = _bias_rows(p, betas, nn).tolist()
+    l_hat = np.array([math.fsum(r) for r in rows]) / (m * (m - 1))
+    t_bc = t_hat - 6.0 * l_hat
+    for label, v in (("l_hat", l_hat), ("t_bc", t_bc)):
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise InputError(f"{label} is not finite: {v[bad][0]}")
+    return t_hat, l_hat, t_bc
+
+
 def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateResult:
     """Full pipeline: ranks, neighbor graph, ridge fit, bias correction.
 
@@ -141,23 +171,11 @@ def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateRe
     scaling, and the output is a pure function of (sample, config). The
     n = 2 case is legal but degenerate: the raw statistic is -1 for
     distinct responses, and the correction is whatever the two-point fit
-    produces.
+    produces. The bootstrap replicates run the same stages on stacks of
+    subsamples.
     """
     if config is None:
         config = PipelineConfig()
-    n, d = sample.n, sample.d
-
-    ranks = compute_ranks(sample.y)
-    xs = minmax_scale(sample.x) if config.scale_covariates else sample.x
-    nn = build_nn(xs)
-    t_hat = chatterjee_t(ranks, nn)
-
-    basis = basis_index_set(d, config.degree)
-    p = design_matrix(xs, basis)
-    lam = default_lambda(n, config.lambda_exponent)
-    model = ridge_fit_all(p, sample.y, lam)
-
-    l_hat = bias_estimate(model.p, model.betas, nn)
-    t_bc = t_hat - 6.0 * l_hat
-
-    return EstimateResult(t_hat=t_hat, l_hat=l_hat, t_bc=t_bc, n=n, d=d)
+    stats = _stages(sample.x[None], sample.y[None], config, lambda xs: build_nn(xs[0])[None])
+    t_hat, l_hat, t_bc = (float(v[0]) for v in stats)
+    return EstimateResult(t_hat=t_hat, l_hat=l_hat, t_bc=t_bc, n=sample.n, d=sample.d)

@@ -182,16 +182,33 @@ def compute_ranks(y) -> np.ndarray:
     arr = _as_vector(y)
     if arr.shape[0] < 2:
         raise InsufficientRowsError(f"need at least 2 entries, got {arr.shape[0]}")
-    n = arr.shape[0]
-    order = np.argsort(arr, kind="stable")
-    sorted_y = arr[order]
-    # The rank of a tie group is one past its last sorted index.
-    ends = np.ones(n, dtype=bool)
-    np.not_equal(sorted_y[1:], sorted_y[:-1], out=ends[:-1])
-    last = np.where(ends, np.arange(1, n + 1), n)
-    ranks = np.empty(n, dtype=np.int64)
+    return _tie_groups(arr[None])[2][0]
+
+
+def _tie_groups(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tie groups of every row of a (c, m) stack, from one stable sort per row.
+
+    Returns ``(order, first, ranks)``. ``order`` is the flat sort order:
+    entry ``b * m + q`` is the index into ``y.ravel()`` of row b's q-th
+    smallest response. ``first[b, i]`` is the first sorted index of y_bi's
+    tie group, so ``m - first`` counts the entries >= y_bi, and
+    ``ranks[b, i]``, one past its last sorted index, counts those <= y_bi.
+    """
+    c, m = y.shape
+    off = m * np.arange(c)[:, None]
+    order = (np.argsort(y, axis=-1, kind="stable") + off).ravel()
+    ys = y.ravel()[order]
+    # new[i]: sorted entry i + 1 starts a group, as it does at a row boundary,
+    # so one flat pass serves every row.
+    new = ys[1:] != ys[:-1]
+    new[m - 1 :: m] = True
+    flat = np.arange(c * m)
+    first = np.empty(c * m, dtype=np.intp)
+    first[order] = np.maximum.accumulate(np.where(np.append(True, new), flat, 0))
+    ranks = np.empty(c * m, dtype=np.int64)
+    last = np.where(np.append(new, True), flat + 1, c * m)
     ranks[order] = np.minimum.accumulate(last[::-1])[::-1]
-    return ranks
+    return order, first.reshape(c, m) - off, ranks.reshape(c, m) - off
 
 
 def minmax_scale(x) -> np.ndarray:

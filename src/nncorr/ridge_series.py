@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _as_matrix, _as_vector
+from .dataset import _as_matrix, _as_vector, _tie_groups
 from .errors import (
     BasisSizeError,
     DimensionMismatchError,
@@ -136,6 +136,8 @@ def _ridge_solve(p: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     product is NumPy's, computed per matrix, so a stack gives each system
     the bits it gets alone.
     """
+    if not lam > 0.0:
+        raise InputError(f"ridge parameter must be positive, got {lam}")
     n, k = p.shape[-2:]
     with np.errstate(over="ignore"):
         gram = np.swapaxes(p, -1, -2) @ p
@@ -155,32 +157,40 @@ def _ridge_solve(p: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     return betas
 
 
+def _threshold_rhs(p: np.ndarray, order: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Right-hand sides P' 1(y >= y_j) of every threshold of a (c, m, K) stack.
+
+    ``order`` and ``first`` are those of :func:`nncorr.dataset._tie_groups`.
+    The rows of P are gathered in descending response order and summed
+    cumulatively, so row L - 1 of the sums is the sum over the L largest
+    responses; threshold j, with L = m - first_j responses at or above it,
+    takes that row. O(mK) per matrix, with no m x m indicator. Returns a
+    (c, K, m) view of a (c, m, K) array, each matrix column-major.
+    """
+    c, m, k = p.shape
+    # Rank-major (m, c, K) layout: each step of the running sum adds one
+    # contiguous (c, K) block, in the order of a cumsum over each matrix.
+    desc = order.reshape(c, m)[:, ::-1].T.ravel()
+    acc = p.reshape(c * m, k)[desc].reshape(m, c * k)
+    np.add.accumulate(acc, axis=0, out=acc)
+    pick = (m - 1 - first) * c + np.arange(c)[:, None]
+    return np.swapaxes(acc.reshape(m * c, k)[pick.ravel()].reshape(c, m, k), -1, -2)
+
+
 def ridge_fit_all(p, y, lam: float) -> RidgeModel:
     """Solve the penalized projection for every threshold t = y_j at once.
 
     Builds P'P + n*lam*I, inverts it once, and solves against the
     indicator responses 1(y >= y_j) for all j. The right-hand sides are
-    assembled from suffix sums of the rows of P in response order, which
-    costs O(nK) instead of forming the n x n indicator matrix.
+    the suffix sums of :func:`_threshold_rhs`, which the bootstrap
+    replicates share, so they cost O(nK) instead of the n x n indicator
+    matrix.
     """
     pmat = _as_matrix(p, name="design matrix")
     yvec = _as_vector(y)
     n = pmat.shape[0]
     if yvec.shape[0] != n:
         raise DimensionMismatchError(f"design has {n} rows but y has {yvec.shape[0]}")
-    if not lam > 0.0:
-        raise InputError(f"ridge parameter must be positive, got {lam}")
-
-    order = np.argsort(yvec, kind="stable")
-    y_sorted = yvec[order]
-    # pos[i] = first sorted index of y_i's tie group, scattered back to i.
-    starts = np.ones(n, dtype=bool)
-    np.not_equal(y_sorted[1:], y_sorted[:-1], out=starts[1:])
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-    # suffix[q] = sum of rows q..n-1 of P in response order = P' 1(y >= y_sorted[q]).
-    suffix = np.cumsum(pmat[order][::-1], axis=0)[::-1]
-    rhs = suffix[pos].T
-    del suffix  # free this (n, K) block before the solve allocates its own
-    betas = _ridge_solve(pmat, rhs, lam)
+    order, first, _ = _tie_groups(yvec[None])
+    betas = _ridge_solve(pmat, _threshold_rhs(pmat[None], order, first)[0], lam)
     return RidgeModel(p=pmat, lam=float(lam), betas=betas)

@@ -14,8 +14,15 @@ import time
 import numpy as np
 
 from .bias_correction import bias_estimate, default_lambda
+from .dataset import _tie_groups
 from .nn_graph import _stacked_nn, build_nn
-from .ridge_series import basis_index_set, design_matrix, ridge_fit_all
+from .ridge_series import (
+    _ridge_solve,
+    _threshold_rhs,
+    basis_index_set,
+    design_matrix,
+    ridge_fit_all,
+)
 from .rng import _integers_block, derive_rng
 from .simulation import true_t
 
@@ -130,11 +137,24 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
     return True, f"{cases} instances, worst |diff| {worst:.2e}"
 
 
+def _normal_residual(p: np.ndarray, y: np.ndarray, lam: float, betas: np.ndarray) -> float:
+    # Relative residual of (P'P + n*lam*I) betas = P' 1(y >= y_j), with the
+    # right-hand sides taken from the explicit n x n indicator matrix.
+    n, k = p.shape
+    a = p.T @ p + n * lam * np.eye(k)
+    rhs = p.T @ (y[:, None] >= y[None, :]).astype(np.float64)
+    resid = a @ betas - rhs
+    return float((np.linalg.norm(resid, axis=0) / (1.0 + np.linalg.norm(rhs, axis=0))).max())
+
+
 def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
     """Normal-equation residuals of the shared-factorization fit, <= 1e-8.
 
     The right-hand sides are rebuilt here from the explicit n x n indicator
-    matrix, independently of the suffix-sum shortcut used by the fit.
+    matrix, independently of the suffix sums used by the fit. Each case
+    checks ``ridge_fit_all`` at four penalties and the bootstrap's stacked
+    solve on five subsamples drawn with replacement, whose repeated rows
+    tie their responses.
     """
     cases = 8 if quick else 20
     rng = derive_rng(seed)
@@ -149,18 +169,25 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
         basis = basis_index_set(d, 2)
         p = design_matrix(x, basis)
         for lam in (1e-4, 1e-2, 1.0, default_lambda(n)):
-            model = ridge_fit_all(p, y, lam)
-            a = p.T @ p + n * lam * np.eye(basis.size)
-            ind = (y[:, None] >= y[None, :]).astype(np.float64)
-            rhs = p.T @ ind
-            resid = a @ model.betas - rhs
-            rel = np.linalg.norm(resid, axis=0) / (1.0 + np.linalg.norm(rhs, axis=0))
-            worst = max(worst, float(rel.max()))
-            if rel.max() > 1e-8:
-                return False, (
-                    f"case {case}: n={n} d={d} lam={lam:g} residual {rel.max():.3e}"
-                )
-    return True, f"{cases} instances x 4 penalties, worst residual {worst:.2e}"
+            rel = _normal_residual(p, y, lam, ridge_fit_all(p, y, lam).betas)
+            worst = max(worst, rel)
+            if rel > 1e-8:
+                return False, f"case {case}: n={n} d={d} lam={lam:g} residual {rel:.3e}"
+        # The subsamples come from a stream of their own, leaving the other
+        # draws unchanged.
+        sub = derive_rng(seed, case)
+        idx = sub.integers(0, n, size=(5, int(sub.integers(2, 41))))
+        ps, ys = p[idx], y[idx]
+        m = ys.shape[1]
+        lam = default_lambda(m)
+        order, first, _ = _tie_groups(ys)
+        betas = _ridge_solve(ps, _threshold_rhs(ps, order, first), lam)
+        for b in range(ys.shape[0]):
+            rel = _normal_residual(ps[b], ys[b], lam, betas[b])
+            worst = max(worst, rel)
+            if rel > 1e-8:
+                return False, f"case {case}: subsample {b} m={m} d={d} residual {rel:.3e}"
+    return True, f"{cases} instances x (4 penalties + 5 subsamples), worst residual {worst:.2e}"
 
 
 def draws_suite(quick: bool = False, seed: int = 59) -> tuple[bool, str]:

@@ -24,7 +24,7 @@ import scipy.stats
 import conftest
 
 from nncorr.bias_correction import PipelineConfig, estimate
-from nncorr.bootstrap import mn_bootstrap
+from nncorr.bootstrap import mn_bootstrap_pair
 from nncorr.dataset import Sample, compute_ranks
 from nncorr.estimator import chatterjee_t
 from nncorr.nn_graph import build_nn
@@ -237,7 +237,7 @@ def test_criterion_7_root_n_behavior():
             boot_seed = derive_seed(500 + batch, r, 1)
             s = gen_gaussian_copula(CopulaConfig(n=300, d=6, rho=0.5, seed=data_seed))
             res = estimate(s, cfg)
-            v = mn_bootstrap(s, cfg, "t_bc", b_reps=200, seed=boot_seed)
+            _, v = mn_bootstrap_pair(s, cfg, b_reps=200, seed=boot_seed)
             z[r] = (res.t_bc - truth) / v.se
         pval = scipy.stats.kstest(z, "norm").pvalue
         passes += int(pval > 0.01)

@@ -11,9 +11,9 @@ from nncorr.bootstrap import (
     VarianceEstimate,
     _draws,
     _replicates,
+    _variance,
     confidence_interval,
     default_m,
-    mn_bootstrap,
     mn_bootstrap_pair,
 )
 from nncorr.dataset import Sample
@@ -33,6 +33,22 @@ def _sample(seed=61, n=120, d=2):
     x = rng.uniform(size=(n, d))
     y = x[:, 0] + 0.5 * rng.standard_normal(n)
     return Sample(x=x, y=y)
+
+
+def _loop_bootstrap(sample, config, statistic, b_reps, m=None, seed=0):
+    # The oracle of the replicate engine: ``statistic(x, y, config)`` on each
+    # subsample of the same draws, one at a time.
+    m_eff = default_m(sample.n) if m is None else m
+    stats = np.array(
+        [statistic(sample.x[idx], sample.y[idx], config)
+         for idx in _draws(sample.n, m_eff, b_reps, seed)],
+        dtype=np.float64,
+    )
+    return _variance(stats, m_eff, sample.n, b_reps, seed)
+
+
+def _estimate_stat(field):
+    return lambda x, y, cfg: getattr(estimate(Sample(x=x, y=y), cfg), field)
 
 
 def _draws_loop(n, m, b_reps, seed):
@@ -102,10 +118,7 @@ def test_default_m_is_root_n():
 
 
 def test_constant_statistic_has_zero_variance():
-    v = mn_bootstrap(
-        _sample(), PipelineConfig(), "t_hat", b_reps=25, seed=1,
-        statistic=lambda x, y, cfg: 0.42,
-    )
+    v = _loop_bootstrap(_sample(), PipelineConfig(), lambda x, y, cfg: 0.42, b_reps=25, seed=1)
     assert v.sigma2_hat == 0.0
     assert v.se == 0.0
     assert v.b_reps == 25 and v.seed == 1
@@ -113,20 +126,19 @@ def test_constant_statistic_has_zero_variance():
 
 def test_bootstrap_is_deterministic():
     s = _sample()
-    a = mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=40, seed=7)
-    b = mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=40, seed=7)
+    a = mn_bootstrap_pair(s, PipelineConfig(), b_reps=40, seed=7)
+    b = mn_bootstrap_pair(s, PipelineConfig(), b_reps=40, seed=7)
     assert a == b
-    c = mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=40, seed=8)
-    assert c.sigma2_hat != a.sigma2_hat
+    c = mn_bootstrap_pair(s, PipelineConfig(), b_reps=40, seed=8)
+    assert c[0].sigma2_hat != a[0].sigma2_hat
 
 
 def test_subsample_draws_do_not_depend_on_statistic_choice():
-    # The same seed must feed identical subsamples to either statistic, so a
-    # statistic that only looks at the drawn rows sees no difference.
+    # The same seed must feed identical subsamples whatever the correction
+    # does, so t_hat, which ignores the ridge fit, sees no difference.
     s = _sample()
-    probe = lambda x, y, cfg: float(x.sum() + 3.0 * y.sum())
-    a = mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=30, seed=5, statistic=probe)
-    b = mn_bootstrap(s, PipelineConfig(), "t_bc", b_reps=30, seed=5, statistic=probe)
+    a, _ = mn_bootstrap_pair(s, PipelineConfig(degree=2), b_reps=30, seed=5)
+    b, _ = mn_bootstrap_pair(s, PipelineConfig(degree=0, lambda_exponent=0.5), b_reps=30, seed=5)
     assert a == b
 
 
@@ -134,15 +146,15 @@ def test_pair_matches_separate_runs():
     s = _sample(seed=62, n=150)
     cfg = PipelineConfig()
     v_t, v_bc = mn_bootstrap_pair(s, cfg, b_reps=35, seed=11)
-    assert v_t == mn_bootstrap(s, cfg, "t_hat", b_reps=35, seed=11)
-    assert v_bc == mn_bootstrap(s, cfg, "t_bc", b_reps=35, seed=11)
+    assert v_t == _loop_bootstrap(s, cfg, _estimate_stat("t_hat"), b_reps=35, seed=11)
+    assert v_bc == _loop_bootstrap(s, cfg, _estimate_stat("t_bc"), b_reps=35, seed=11)
 
 
 def test_explicit_m_is_respected():
     s = _sample()
-    v = mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=20, m=25, seed=2)
+    v, _ = mn_bootstrap_pair(s, PipelineConfig(), b_reps=20, m=25, seed=2)
     assert v.m == 25
-    v_default = mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=20, seed=2)
+    v_default, _ = mn_bootstrap_pair(s, PipelineConfig(), b_reps=20, seed=2)
     assert v_default.m == default_m(s.n) == 10
 
 
@@ -151,10 +163,7 @@ def test_sigma2_scales_variance_by_m():
     # the arithmetic exactly.
     s = _sample(seed=63, n=100)
     vals = iter([0.0, 1.0] * 10)
-    v = mn_bootstrap(
-        s, PipelineConfig(), "t_hat", b_reps=20, m=16, seed=4,
-        statistic=lambda x, y, cfg: next(vals),
-    )
+    v = _loop_bootstrap(s, PipelineConfig(), lambda x, y, cfg: next(vals), b_reps=20, m=16, seed=4)
     expected = 16 * np.var([0.0, 1.0] * 10, ddof=1)
     assert abs(v.sigma2_hat - expected) < 1e-12
     assert abs(v.se - np.sqrt(expected / 100)) < 1e-15
@@ -164,15 +173,11 @@ def test_bootstrap_argument_validation():
     s = _sample()
     cfg = PipelineConfig()
     with pytest.raises(InputError):
-        mn_bootstrap(s, cfg, "t_med", b_reps=10)
-    with pytest.raises(InputError):
-        mn_bootstrap(s, cfg, "t_hat", b_reps=1)
-    with pytest.raises(InputError):
-        mn_bootstrap(s, cfg, "t_hat", b_reps=10, m=1)
-    with pytest.raises(InputError):
-        mn_bootstrap(s, cfg, "t_hat", b_reps=10, m=s.n + 1)
-    with pytest.raises(InputError):
         mn_bootstrap_pair(s, cfg, b_reps=1)
+    with pytest.raises(InputError):
+        mn_bootstrap_pair(s, cfg, b_reps=10, m=1)
+    with pytest.raises(InputError):
+        mn_bootstrap_pair(s, cfg, b_reps=10, m=s.n + 1)
     with pytest.raises(InputError):
         VarianceEstimate(sigma2_hat=-0.1, se=0.0, m=5, b_reps=10, seed=0)
     with pytest.raises(InputError):
@@ -186,7 +191,7 @@ def test_variance_estimate_is_stable_across_seeds():
     rng = np.random.default_rng(64)
     s = Sample(x=rng.uniform(size=(2000, 2)), y=rng.uniform(size=2000))
     sig = [
-        mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=200, seed=k).sigma2_hat
+        mn_bootstrap_pair(s, PipelineConfig(), b_reps=200, seed=k)[0].sigma2_hat
         for k in range(20)
     ]
     sig = np.asarray(sig)
@@ -227,7 +232,7 @@ def test_bootstrap_tracks_dependence_strength():
     # comfortably positive and the interval has positive width.
     s = _sample(seed=65, n=200)
     point = estimate(s)
-    v = mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=100, seed=9)
+    v, _ = mn_bootstrap_pair(s, PipelineConfig(), b_reps=100, seed=9)
     assert v.sigma2_hat > 0.0
     lo, hi = confidence_interval(point.t_hat, v, 0.05)
     assert lo < point.t_hat < hi
@@ -236,10 +241,6 @@ def test_bootstrap_tracks_dependence_strength():
 # ---------------------------------------------------------------------------
 # The batched replicate engine against estimate() run once per subsample
 # ---------------------------------------------------------------------------
-
-
-def _estimate_stat(field):
-    return lambda x, y, cfg: getattr(estimate(Sample(x=x, y=y), cfg), field)
 
 
 @pytest.mark.parametrize(
@@ -279,18 +280,16 @@ def test_engine_matches_estimate_per_replicate(n, m, d, degree, scale, kind):
     cfg = PipelineConfig(degree=degree, scale_covariates=scale)
     b_reps = 8 if m == 2 else 20  # m = 2 draws the same row twice at rate 1/n
 
-    t_hat, t_bc = _replicates(s, cfg, _draws(n, m, b_reps, 3), corrected=True)
+    t_hat, t_bc = _replicates(s, cfg, _draws(n, m, b_reps, 3))
     for r, idx in enumerate(_draws(n, m, b_reps, 3)):
         want = estimate(Sample(x=x[idx], y=y[idx]), cfg)
         assert t_hat[r] == want.t_hat
-        # Relative to the size of the terms t_bc is the difference of: plain
-        # relative error is unbounded where t_bc crosses zero.
-        scale_tbc = abs(want.t_hat) + abs(want.t_hat - want.t_bc)
-        assert abs(t_bc[r] - want.t_bc) <= 1e-12 * scale_tbc
+        assert t_bc[r] == want.t_bc
 
-    # The statistic= hook sees the same draws, so the raw variance is equal.
-    assert mn_bootstrap(s, cfg, "t_hat", b_reps=b_reps, m=m, seed=3) == mn_bootstrap(
-        s, cfg, "t_hat", b_reps=b_reps, m=m, seed=3, statistic=_estimate_stat("t_hat")
+    # The loop over estimate() sees the same draws, so both variances are equal.
+    assert mn_bootstrap_pair(s, cfg, b_reps=b_reps, m=m, seed=3) == tuple(
+        _loop_bootstrap(s, cfg, _estimate_stat(f), b_reps=b_reps, m=m, seed=3)
+        for f in ("t_hat", "t_bc")
     )
 
 
@@ -300,8 +299,7 @@ def test_binary_response_raises_like_a_replicate_loop():
     y = (rng.uniform(size=300) < 0.5).astype(np.float64)
     s = Sample(x=x, y=y)
     with pytest.raises(RuntimeError) as want:
-        mn_bootstrap(s, PipelineConfig(), "t_bc", b_reps=50, seed=1,
-                     statistic=_estimate_stat("t_bc"))
+        _loop_bootstrap(s, PipelineConfig(), _estimate_stat("t_bc"), b_reps=50, seed=1)
     with pytest.raises(RuntimeError) as got:
         mn_bootstrap_pair(s, PipelineConfig(), b_reps=50, seed=1)
     assert str(got.value) == str(want.value)
@@ -323,12 +321,7 @@ def test_first_failing_replicate_decides_the_error():
     cfg = PipelineConfig(scale_covariates=False)
     kw = dict(b_reps=30, m=6, seed=5)
     with pytest.raises(NonFiniteInputError) as want:
-        mn_bootstrap(s, cfg, "t_hat", statistic=_estimate_stat("t_hat"), **kw)
-    with pytest.raises(NonFiniteInputError) as got:
-        mn_bootstrap(s, cfg, "t_hat", **kw)
-    assert str(got.value) == str(want.value)
-    with pytest.raises(NonFiniteInputError) as want:
-        mn_bootstrap(s, cfg, "t_bc", statistic=_estimate_stat("t_bc"), **kw)
+        _loop_bootstrap(s, cfg, _estimate_stat("t_bc"), **kw)
     with pytest.raises(NonFiniteInputError) as got:
         mn_bootstrap_pair(s, cfg, **kw)
     assert str(got.value) == str(want.value)
@@ -340,9 +333,8 @@ def test_overflowing_distances_raise_in_every_replicate_engine():
     x = np.arange(5.0)[:, None] * 1e200
     s = Sample(x=x, y=np.arange(5.0))
     cfg = PipelineConfig(degree=0, scale_covariates=False)
-    for which in ("t_hat", "t_bc"):
-        with pytest.raises(NonFiniteInputError, match="overflow"):
-            mn_bootstrap(s, cfg, which, b_reps=10, m=3, seed=0)
+    with pytest.raises(NonFiniteInputError, match="overflow"):
+        _loop_bootstrap(s, cfg, _estimate_stat("t_bc"), b_reps=10, m=3, seed=0)
     with pytest.raises(NonFiniteInputError, match="overflow"):
         mn_bootstrap_pair(s, cfg, b_reps=10, m=3, seed=0)
 
@@ -378,24 +370,23 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
         results = []
         for budget in budgets:
             monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", budget)
-            results.append((
-                mn_bootstrap_pair(s, PipelineConfig(), b_reps=60, seed=2),
-                mn_bootstrap(s, PipelineConfig(), "t_hat", b_reps=60, seed=2),
-            ))
-        assert results[0] == results[1] == results[2]
+            results.append(_replicates(s, PipelineConfig(), _draws(n, default_m(n), 60, 2)))
+        for t_hat, t_bc in results[1:]:
+            np.testing.assert_array_equal(t_hat, results[0][0])
+            np.testing.assert_array_equal(t_bc, results[0][1])
 
 
 def test_chunks_are_sized_by_the_distance_matrix(monkeypatch):
     # At m = 54 and K = 28 a replicate's largest block is 54^2 floats, so
     # the default budget holds 11 replicates a chunk, not one.
     calls = []
-    chunk_stats = bootstrap._chunk_stats
+    stages = bootstrap._stages
 
-    def counting(x, y, config, corrected):
+    def counting(x, y, config, search):
         calls.append(x.shape[0])
-        return chunk_stats(x, y, config, corrected)
+        return stages(x, y, config, search)
 
-    monkeypatch.setattr(bootstrap, "_chunk_stats", counting)
+    monkeypatch.setattr(bootstrap, "_stages", counting)
     rng = np.random.default_rng(68)
     x = rng.uniform(size=(3000, 6))
     s = Sample(x=x, y=x[:, 0] + rng.standard_normal(3000))

@@ -1,0 +1,90 @@
+"""Property tests: the one stable sort behind the ranks and the ridge
+right-hand sides equals the m x m comparison matrix it replaces.
+
+The drawn (c, m) stacks mix rows of distinct, tied and constant
+responses. Derandomized, so every run draws the same examples.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from nncorr.bias_correction import default_lambda  # noqa: E402
+from nncorr.dataset import _tie_groups, compute_ranks, minmax_scale  # noqa: E402
+from nncorr.ridge_series import (  # noqa: E402
+    _ridge_solve,
+    _threshold_rhs,
+    basis_index_set,
+    design_matrix,
+    ridge_fit_all,
+)
+
+_PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+_CONTINUOUS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_LEVELS = st.integers(0, 3).map(float)
+
+
+@st.composite
+def row(draw, m):
+    kind = draw(st.sampled_from(("distinct", "tied", "constant")))
+    if kind == "constant":
+        return np.full(m, draw(_CONTINUOUS))
+    cells = _CONTINUOUS if kind == "distinct" else _LEVELS
+    return draw(hnp.arrays(np.float64, m, elements=cells, unique=kind == "distinct"))
+
+
+@st.composite
+def stacks(draw):
+    c, m = draw(st.integers(1, 6)), draw(st.integers(2, 40))
+    return np.stack([draw(row(m)) for _ in range(c)])
+
+
+def _le(y):
+    # le[b, i, j] = 1(y_bj <= y_bi), the comparison matrix of each row.
+    return y[..., None, :] <= y[..., :, None]
+
+
+def _design(y, seed):
+    # Nonnegative (c, m, K) design matrices, so the sums carry no cancellation.
+    c, m = y.shape
+    x = np.random.default_rng(seed).uniform(size=(c, m, 3))
+    return design_matrix(minmax_scale(x), basis_index_set(3, 2))
+
+
+@_PROFILE
+@given(stacks())
+def test_tie_groups_match_the_comparison_matrix(y):
+    c, m = y.shape
+    order, first, ranks = _tie_groups(y)
+    np.testing.assert_array_equal(ranks, _le(y).sum(axis=-1))
+    np.testing.assert_array_equal(m - first, (y[..., None, :] >= y[..., :, None]).sum(axis=-1))
+    # order sorts every row within its own stretch of y.ravel().
+    np.testing.assert_array_equal(order // m, np.repeat(np.arange(c), m))
+    np.testing.assert_array_equal(y.ravel()[order].reshape(c, m), np.sort(y, axis=-1))
+
+
+@_PROFILE
+@given(stacks(), st.integers(0, 2**32 - 1))
+def test_threshold_rhs_matches_the_comparison_gemm(y, seed):
+    p = _design(y, seed)
+    order, first, _ = _tie_groups(y)
+    got = _threshold_rhs(p, order, first)
+    want = np.swapaxes(p, -1, -2) @ _le(y)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@_PROFILE
+@given(stacks(), st.integers(0, 2**32 - 1))
+def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed):
+    c, m = y.shape
+    p = _design(y, seed)
+    order, first, ranks = _tie_groups(y)
+    lam = default_lambda(m)
+    betas = _ridge_solve(p, _threshold_rhs(p, order, first), lam)
+    for b in range(c):
+        np.testing.assert_array_equal(ranks[b], compute_ranks(y[b]))
+        np.testing.assert_array_equal(betas[b], ridge_fit_all(p[b], y[b], lam).betas)
