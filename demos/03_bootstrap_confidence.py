@@ -13,6 +13,7 @@ from nncorr import (
     CopulaConfig,
     PipelineConfig,
     confidence_interval,
+    default_m,
     estimate,
     gen_gaussian_copula,
     mn_bootstrap_pair,
@@ -20,20 +21,21 @@ from nncorr import (
 )
 
 rho, d, n = 0.5, 6, 300
+m, B = default_m(n), 200
 truth = true_t(rho)
 config = PipelineConfig()
 
 sample = gen_gaussian_copula(CopulaConfig(n=n, d=d, rho=rho, seed=42))
 res = estimate(sample, config)
-v_raw, v_corr = mn_bootstrap_pair(sample, config, b_reps=200, seed=0)
+se_raw, se_corr = mn_bootstrap_pair(sample, config, b_reps=B, m=m, seed=0)
 
 print(f"Cell rho={rho}, d={d}, n={n}; population value T = {truth:.4f}")
-print(f"Subsample size m = {v_raw.m}, bootstrap replicates = {v_raw.b_reps}\n")
+print(f"Subsample size m = {m}, bootstrap replicates = {B}\n")
 
-for label, point, v in (("raw", res.t_hat, v_raw), ("corrected", res.t_bc, v_corr)):
-    lo, hi = confidence_interval(point, v, alpha=0.05)
+for label, point, se in (("raw", res.t_hat, se_raw), ("corrected", res.t_bc, se_corr)):
+    lo, hi = confidence_interval(point, se, alpha=0.05)
     hit = "covers" if lo <= truth <= hi else "misses"
-    print(f"  {label:<9} point = {point:.4f}   se = {v.se:.4f}   "
+    print(f"  {label:<9} point = {point:.4f}   se = {se:.4f}   "
           f"95% CI = [{lo:.4f}, {hi:.4f}]   ({hit} the truth)")
 
 # Coverage over repeated draws: the corrected interval should hit the truth
@@ -43,10 +45,10 @@ hits_raw = hits_corr = 0
 for r in range(reps):
     s = gen_gaussian_copula(CopulaConfig(n=n, d=d, rho=rho, seed=1000 + r))
     e = estimate(s, config)
-    vr, vc = mn_bootstrap_pair(s, config, b_reps=100, seed=r)
-    lo, hi = confidence_interval(e.t_hat, vr, 0.05)
+    se_r, se_c = mn_bootstrap_pair(s, config, b_reps=100, seed=r)
+    lo, hi = confidence_interval(e.t_hat, se_r, 0.05)
     hits_raw += lo <= truth <= hi
-    lo, hi = confidence_interval(e.t_bc, vc, 0.05)
+    lo, hi = confidence_interval(e.t_bc, se_c, 0.05)
     hits_corr += lo <= truth <= hi
 
 print(f"\nEmpirical coverage over {reps} replications: "

@@ -24,7 +24,6 @@ from .bias_correction import (
     estimate,
 )
 from .bootstrap import (
-    VarianceEstimate,
     confidence_interval,
     default_m,
     mn_bootstrap_pair,
@@ -44,8 +43,6 @@ from .errors import (
 from .estimator import chatterjee_t
 from .nn_graph import build_nn
 from .ridge_series import (
-    BasisSpec,
-    RidgeModel,
     basis_index_set,
     design_matrix,
     ridge_fit_all,
@@ -68,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RAW_CSV_HEADER",
-    "BasisSpec",
     "BasisSizeError",
     "CellSummary",
     "CopulaConfig",
@@ -83,10 +79,8 @@ __all__ = [
     "NonNumericCellError",
     "PipelineConfig",
     "RawRecord",
-    "RidgeModel",
     "Sample",
     "SimReport",
-    "VarianceEstimate",
     "basis_index_set",
     "bias_estimate",
     "build_nn",

@@ -79,8 +79,6 @@ class EstimateResult:
     t_hat: float
     l_hat: float
     t_bc: float
-    n: int
-    d: int
 
     def __post_init__(self):
         for label, v in (("t_hat", self.t_hat), ("l_hat", self.l_hat), ("t_bc", self.t_bc)):
@@ -115,15 +113,16 @@ def bias_estimate(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> float:
         )
     if n < 2:
         raise InputError("need at least two rows to average over pairs")
-    return math.fsum(_bias_rows(pm, bm, idx).tolist()) / (n * (n - 1))
+    return float(_l_hat(pm[None], bm[None], idx[None])[0])
 
 
-def _bias_rows(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
-    """Row terms of :func:`bias_estimate`, shape (..., n).
+def _l_hat(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """:func:`bias_estimate` of every sample in a stack, shape (c,).
 
-    Takes factors (n, K) and (K, n) with neighbor indices (n,), or stacks
-    of them with the same leading axes.
+    Takes factors (c, n, K) and (c, K, n) with neighbor indices (c, n).
+    Each sample's n row terms are combined with ``math.fsum``.
     """
+    n = p.shape[-2]
     d = np.take_along_axis(p, nn[..., None], axis=-2) - p
     # einsum sums every entry of M in the same order, so equal rows of betas
     # give bit-equal entries and curves that agree cancel exactly; BLAS
@@ -131,7 +130,8 @@ def _bias_rows(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
     m = np.einsum("...kj,...lj->...kl", betas, betas)
     pairs = np.einsum("...ik,...ik->...i", p, d @ m)
     diag = np.einsum("...ik,...ki->...i", p, betas) * np.einsum("...ik,...ki->...i", d, betas)
-    return pairs - diag
+    rows = (pairs - diag).tolist()
+    return np.array([math.fsum(r) for r in rows]) / (n * (n - 1))
 
 
 def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig, search):
@@ -147,15 +147,13 @@ def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig, search):
     order, first, ranks = _tie_groups(y)
     xs = minmax_scale(x) if config.scale_covariates else x
     nn = search(xs)
-    s = np.minimum(ranks, np.take_along_axis(ranks, nn, axis=-1)).sum(axis=-1)
-    t_hat = _rank_coefficient(s, m)
+    t_hat = _rank_coefficient(ranks, nn)
 
     p = design_matrix(xs, basis_index_set(d, config.degree))
     _as_matrix(p, name="design matrix", stacked=True)  # powers of unscaled x can overflow
     lam = default_lambda(m, config.lambda_exponent)
     betas = _ridge_solve(p, _threshold_rhs(p, order, first), lam)
-    rows = _bias_rows(p, betas, nn).tolist()
-    l_hat = np.array([math.fsum(r) for r in rows]) / (m * (m - 1))
+    l_hat = _l_hat(p, betas, nn)
     t_bc = t_hat - 6.0 * l_hat
     for label, v in (("l_hat", l_hat), ("t_bc", t_bc)):
         bad = ~np.isfinite(v)
@@ -178,4 +176,4 @@ def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateRe
         config = PipelineConfig()
     stats = _stages(sample.x[None], sample.y[None], config, lambda xs: build_nn(xs[0])[None])
     t_hat, l_hat, t_bc = (float(v[0]) for v in stats)
-    return EstimateResult(t_hat=t_hat, l_hat=l_hat, t_bc=t_bc, n=sample.n, d=sample.d)
+    return EstimateResult(t_hat=t_hat, l_hat=l_hat, t_bc=t_bc)

@@ -1,10 +1,13 @@
-"""m-out-of-n bootstrap variance estimates and normal-quantile intervals.
+"""m-out-of-n bootstrap standard errors and normal-quantile intervals.
 
 Subsamples of size m (default floor(sqrt(n))) are drawn with replacement,
 the statistic is recomputed in full on each subsample (including the ridge
 refit, whose penalty tracks the subsample size), and the limiting variance
-is estimated by m times the bootstrap sample variance. Each replicate owns
-a counter-derived random stream, so results do not depend on evaluation
+is estimated by m times the bootstrap sample variance.
+:func:`mn_bootstrap_pair` returns the standard errors this gives at the
+original sample size n, as two floats ``(se_t, se_tbc)``, and
+:func:`confidence_interval` takes one of them. Each replicate owns a
+counter-derived random stream, so results do not depend on evaluation
 order or thread count.
 
 The replicates are computed together. The (B, m) block of index vectors
@@ -26,7 +29,6 @@ not depend on the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -38,29 +40,6 @@ from .nn_graph import _stacked_nn
 from .rng import _integers_block
 
 DEFAULT_B_REPS = 200
-
-
-@dataclass(frozen=True)
-class VarianceEstimate:
-    """Bootstrap estimate of the limiting variance of a root-n statistic.
-
-    ``sigma2_hat`` targets n * Var(statistic); the usable standard error is
-    ``se = sqrt(sigma2_hat / n)`` for the original sample size n.
-    """
-
-    sigma2_hat: float
-    se: float
-    m: int
-    b_reps: int
-    seed: int
-
-    def __post_init__(self):
-        if not self.sigma2_hat >= 0.0:
-            raise InputError(f"sigma2_hat must be nonnegative, got {self.sigma2_hat}")
-        if not self.se >= 0.0:
-            raise InputError(f"se must be nonnegative, got {self.se}")
-        if self.m < 2:
-            raise InputError(f"need m >= 2, got {self.m}")
 
 
 def default_m(n: int) -> int:
@@ -87,16 +66,9 @@ def _check_alpha(alpha: float) -> None:
         raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
-def _variance(stats: np.ndarray, m: int, n: int, b_reps: int, seed: int) -> VarianceEstimate:
-    sigma2 = m * float(np.var(stats, ddof=1))
-    sigma2 = max(sigma2, 0.0)
-    return VarianceEstimate(
-        sigma2_hat=sigma2,
-        se=math.sqrt(sigma2 / n),
-        m=m,
-        b_reps=b_reps,
-        seed=seed,
-    )
+def _se(stats: np.ndarray, m: int, n: int) -> float:
+    """Root-n standard error sqrt(m * Var(stats) / n) of the replicate values."""
+    return math.sqrt(m * float(np.var(stats, ddof=1)) / n)
 
 
 def _draws(n: int, m: int, b_reps: int, seed: int) -> np.ndarray:
@@ -144,26 +116,26 @@ def mn_bootstrap_pair(
     b_reps: int = DEFAULT_B_REPS,
     m: int | None = None,
     seed: int = 0,
-) -> tuple[VarianceEstimate, VarianceEstimate]:
-    """Bootstrap variances of ``t_hat`` and ``t_bc`` from one set of subsamples.
+) -> tuple[float, float]:
+    """Bootstrap standard errors ``(se_t, se_tbc)`` of ``t_hat`` and ``t_bc``.
 
-    Each replicate records both statistics, computed by the stages of
+    Both come from one set of subsamples. Each replicate records both
+    statistics, computed by the stages of
     :func:`nncorr.bias_correction.estimate`: both are bit-identical to
     ``estimate`` on the same subsample. The draws depend only on
-    ``(seed, replicate)``.
+    ``(seed, replicate)``. Each standard error is sqrt(m * s^2 / n), with
+    s^2 the sample variance of the replicate values, so n * se^2 estimates
+    the limiting variance of the root-n statistic.
     """
     _check_b_reps(b_reps)
     n = sample.n
     m_eff = _resolve_m(n, m)
     t_hat, t_bc = _replicates(sample, config, _draws(n, m_eff, b_reps, seed))
-    return (
-        _variance(t_hat, m_eff, n, b_reps, seed),
-        _variance(t_bc, m_eff, n, b_reps, seed),
-    )
+    return _se(t_hat, m_eff, n), _se(t_bc, m_eff, n)
 
 
-def confidence_interval(point: float, v: VarianceEstimate, alpha: float) -> tuple[float, float]:
+def confidence_interval(point: float, se: float, alpha: float) -> tuple[float, float]:
     """Two-sided normal-approximation interval point +- z_{1-alpha/2} * se."""
     _check_alpha(alpha)
     z = float(ndtri(1.0 - alpha / 2.0))
-    return (point - z * v.se, point + z * v.se)
+    return (point - z * se, point + z * se)

@@ -9,10 +9,11 @@ seed; wall-clock information only ever goes to the human-readable table.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from . import _jsonfmt, _threads
+from . import _threads
 from .bias_correction import DEFAULT_LAMBDA_EXPONENT, PipelineConfig, estimate
 from .bootstrap import (
     DEFAULT_B_REPS,
@@ -93,6 +94,12 @@ def _parse_y_column(raw: str):
         raise InputError(f'invalid --y-column {raw!r}; use an integer or "last"') from None
 
 
+def _dumps(obj) -> str:
+    # Keys keep insertion order; floats print as their shortest round-trip
+    # repr, and a non-finite one raises rather than printing invalid JSON.
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
 def _cmd_estimate(args) -> int:
     sample = load_csv(args.input, y_column=_parse_y_column(args.y_column))
     config = PipelineConfig(
@@ -106,20 +113,20 @@ def _cmd_estimate(args) -> int:
     m_eff = _resolve_m(sample.n, args.m)
     _check_alpha(args.alpha)
     res = estimate(sample, config)
-    v_t, v_bc = mn_bootstrap_pair(
+    se_t, se_bc = mn_bootstrap_pair(
         sample, config, b_reps=args.bootstrap_reps, m=m_eff, seed=args.seed
     )
-    ci_t = confidence_interval(res.t_hat, v_t, args.alpha)
-    ci_bc = confidence_interval(res.t_bc, v_bc, args.alpha)
+    ci_t = confidence_interval(res.t_hat, se_t, args.alpha)
+    ci_bc = confidence_interval(res.t_bc, se_bc, args.alpha)
 
     payload = {
-        "n": res.n,
-        "d": res.d,
+        "n": sample.n,
+        "d": sample.d,
         "t_hat": res.t_hat,
         "l_hat": res.l_hat,
         "t_bc": res.t_bc,
-        "se_t": v_t.se,
-        "se_tbc": v_bc.se,
+        "se_t": se_t,
+        "se_tbc": se_bc,
         "ci_t": [ci_t[0], ci_t[1]],
         "ci_tbc": [ci_bc[0], ci_bc[1]],
         "config": {
@@ -132,7 +139,7 @@ def _cmd_estimate(args) -> int:
             "seed": args.seed,
         },
     }
-    text = _jsonfmt.dumps(payload) + "\n"
+    text = _dumps(payload)
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -159,7 +166,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
-        _jsonfmt.dumps(report.to_dict()) + "\n", encoding="utf-8"
+        _dumps(report.to_dict()), encoding="utf-8"
     )
     (out_dir / "report.txt").write_text(format_report(report), encoding="utf-8")
     (out_dir / "raw.csv").write_text(

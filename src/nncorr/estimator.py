@@ -26,19 +26,18 @@ def chatterjee_t(ranks: np.ndarray, nn: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"ranks have length {r.shape[0]} but the neighbor map has length {idx.shape[0]}"
         )
-    n = int(r.shape[0])
-    s = np.minimum(r, r[idx]).sum(dtype=np.int64)
-    return float(_rank_coefficient(s, n))
+    return float(_rank_coefficient(r[None], idx[None])[0])
 
 
-def _rank_coefficient(s, n: int):
-    """``6 s / (n^2-1) - (2n+1)/(n-1)`` for integer rank-minimum sums ``s``.
+def _rank_coefficient(ranks: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """:func:`chatterjee_t` of every sample in a stack: (c, n) ranks and nn give (c,).
 
-    ``s`` may be a scalar or an array of sums over samples of size n each;
-    every value goes through the same sane-range check, and the first one
-    outside it raises.
+    Each sample's sum of rank minima is exact in int64; every value goes
+    through the same sane-range check, and the first one outside it raises.
     """
-    value = (6 * np.asarray(s, dtype=np.int64)) / (n * n - 1) - (2 * n + 1) / (n - 1)
+    n = ranks.shape[-1]
+    s = np.minimum(ranks, np.take_along_axis(ranks, nn, axis=-1)).sum(axis=-1, dtype=np.int64)
+    value = (6 * s) / (n * n - 1) - (2 * n + 1) / (n - 1)
     bad = ~np.isfinite(value) | (value > 1.5) | (value < -3.0)
     if bad.any():
         raise RuntimeError(

@@ -5,16 +5,19 @@ projected onto a total-degree power basis with an L2 penalty. The shifted
 Gram matrix does not depend on t, so one inverse serves all n right-hand
 sides: O(K^3) once plus O(n K^2) matrix products. Both run on NumPy's own
 LAPACK and BLAS, the library every other product in the package uses, so a
-process starts one BLAS thread pool, not two that compete for the cores. The
-fitted survival matrix g = P @ betas is left in factored form; the bias term
-in :mod:`nncorr.bias_correction` reads the factors directly.
+process starts one BLAS thread pool, not two that compete for the cores.
+
+Everything here is a plain array: :func:`basis_index_set` gives the (K, d)
+exponent array that :func:`design_matrix` takes, and :func:`ridge_fit_all`
+returns the (K, n) coefficients ``betas``. The fitted survival matrix
+g = P @ betas is left in factored form; the bias term in
+:mod:`nncorr.bias_correction` reads the factors directly.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,41 +30,8 @@ from .errors import (
     NonFiniteInputError,
 )
 
-DEFAULT_BASIS_CAP = 10_000
-
-
-@dataclass(frozen=True)
-class BasisSpec:
-    """Multi-index set of a total-degree power basis.
-
-    ``exponents`` is a (K, d) integer array in graded-lexicographic order:
-    sorted by total degree, then lexicographically, with the constant term
-    first. K = C(d + degree, degree). ``exponents`` is read-only, because
-    :func:`basis_index_set` hands the same instance to every caller.
-    """
-
-    d: int
-    degree: int
-    exponents: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.exponents.shape[0]
-
-
-@dataclass(frozen=True)
-class RidgeModel:
-    """Fitted ridge system shared across all response thresholds.
-
-    Column j of ``betas`` solves (P'P + n*lam*I) beta = P' 1(y >= y_j) for
-    threshold t = y_j, so entry (i, j) of ``p @ betas`` estimates
-    P(Y >= y_j | X = x_i). This is a linear probability model: entries may
-    fall outside [0, 1], and nothing clamps them.
-    """
-
-    p: np.ndarray
-    lam: float
-    betas: np.ndarray
+# Largest basis size K that basis_index_set builds.
+BASIS_CAP = 10_000
 
 
 def _compositions(total: int, parts: int):
@@ -76,21 +46,24 @@ def _compositions(total: int, parts: int):
 
 
 @functools.lru_cache(maxsize=None)
-def basis_index_set(d: int, degree: int, cap: int = DEFAULT_BASIS_CAP) -> BasisSpec:
+def basis_index_set(d: int, degree: int) -> np.ndarray:
     """Multi-indices of all monomials with total degree up to ``degree``.
 
-    Cached per ``(d, degree, cap)``: every bootstrap refit asks for the same
-    basis. Invalid arguments raise on every call, since exceptions are not
-    cached.
+    A (K, d) integer array in graded-lexicographic order: sorted by total
+    degree, then lexicographically, with the constant term first. K =
+    C(d + degree, degree), at most ``BASIS_CAP``. Cached per ``(d,
+    degree)``, since every bootstrap refit asks for the same basis, so the
+    array is read-only. Invalid arguments raise on every call, since
+    exceptions are not cached.
     """
     if d < 1:
         raise InputError(f"need d >= 1, got {d}")
     if degree < 0:
         raise InputError(f"need degree >= 0, got {degree}")
     k = math.comb(d + degree, degree)
-    if k > cap:
+    if k > BASIS_CAP:
         raise BasisSizeError(
-            f"basis would have {k} functions, above the cap of {cap}; lower the degree"
+            f"basis would have {k} functions, above the cap of {BASIS_CAP}; lower the degree"
         )
     exps = []
     for total in range(degree + 1):
@@ -98,27 +71,30 @@ def basis_index_set(d: int, degree: int, cap: int = DEFAULT_BASIS_CAP) -> BasisS
     exponents = np.asarray(exps, dtype=np.int64)
     assert exponents.shape == (k, d)
     exponents.setflags(write=False)
-    return BasisSpec(d=d, degree=degree, exponents=exponents)
+    return exponents
 
 
-def design_matrix(xs: np.ndarray, basis: BasisSpec) -> np.ndarray:
+def design_matrix(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Evaluate every basis monomial at every row: entry (i, k) = xs_i^alpha_k.
 
-    The 0^0 = 1 convention applies, so the constant column is all ones even
-    at the origin. A stack of matrices, shape (..., n, d), gives a stack of
-    design matrices, shape (..., n, K).
+    ``exponents`` is the (K, d) array of :func:`basis_index_set`. The 0^0 =
+    1 convention applies, so the constant column is all ones even at the
+    origin. A stack of matrices, shape (..., n, d), gives a stack of design
+    matrices, shape (..., n, K).
     """
     arr = _as_matrix(xs, stacked=True)
-    if arr.shape[-1] != basis.d:
+    k, d = exponents.shape
+    if arr.shape[-1] != d:
         raise DimensionMismatchError(
-            f"matrix has {arr.shape[-1]} columns but basis expects {basis.d}"
+            f"matrix has {arr.shape[-1]} columns but basis expects {d}"
         )
     # One power table per covariate, then gather-and-multiply per monomial;
     # much cheaper than broadcasting x ** E over an (n, K, d) block.
-    p = np.ones(arr.shape[:-1] + (basis.size,), dtype=np.float64)
-    for m in range(basis.d):
-        col_powers = arr[..., m, None] ** np.arange(basis.degree + 1)
-        p *= col_powers[..., basis.exponents[:, m]]
+    p = np.ones(arr.shape[:-1] + (k,), dtype=np.float64)
+    powers = np.arange(exponents.max() + 1)
+    for m in range(d):
+        col_powers = arr[..., m, None] ** powers
+        p *= col_powers[..., exponents[:, m]]
     return p
 
 
@@ -177,14 +153,16 @@ def _threshold_rhs(p: np.ndarray, order: np.ndarray, first: np.ndarray) -> np.nd
     return np.swapaxes(acc.reshape(m * c, k)[pick.ravel()].reshape(c, m, k), -1, -2)
 
 
-def ridge_fit_all(p, y, lam: float) -> RidgeModel:
+def ridge_fit_all(p, y, lam: float) -> np.ndarray:
     """Solve the penalized projection for every threshold t = y_j at once.
 
-    Builds P'P + n*lam*I, inverts it once, and solves against the
-    indicator responses 1(y >= y_j) for all j. The right-hand sides are
-    the suffix sums of :func:`_threshold_rhs`, which the bootstrap
-    replicates share, so they cost O(nK) instead of the n x n indicator
-    matrix.
+    Returns the (K, n) ``betas``: column j solves (P'P + n*lam*I) beta =
+    P' 1(y >= y_j), so entry (i, j) of ``p @ betas`` estimates
+    P(Y >= y_j | X = x_i). This is a linear probability model: entries may
+    fall outside [0, 1], and nothing clamps them. P'P + n*lam*I is inverted
+    once for all n right-hand sides, which are the suffix sums of
+    :func:`_threshold_rhs`, shared with the bootstrap replicates, so they
+    cost O(nK) instead of the n x n indicator matrix.
     """
     pmat = _as_matrix(p, name="design matrix")
     yvec = _as_vector(y)
@@ -192,5 +170,4 @@ def ridge_fit_all(p, y, lam: float) -> RidgeModel:
     if yvec.shape[0] != n:
         raise DimensionMismatchError(f"design has {n} rows but y has {yvec.shape[0]}")
     order, first, _ = _tie_groups(yvec[None])
-    betas = _ridge_solve(pmat, _threshold_rhs(pmat[None], order, first)[0], lam)
-    return RidgeModel(p=pmat, lam=float(lam), betas=betas)
+    return _ridge_solve(pmat, _threshold_rhs(pmat[None], order, first)[0], lam)

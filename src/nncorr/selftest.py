@@ -169,7 +169,7 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
         basis = basis_index_set(d, 2)
         p = design_matrix(x, basis)
         for lam in (1e-4, 1e-2, 1.0, default_lambda(n)):
-            rel = _normal_residual(p, y, lam, ridge_fit_all(p, y, lam).betas)
+            rel = _normal_residual(p, y, lam, ridge_fit_all(p, y, lam))
             worst = max(worst, rel)
             if rel > 1e-8:
                 return False, f"case {case}: n={n} d={d} lam={lam:g} residual {rel:.3e}"

@@ -11,15 +11,23 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr
 
 from .bias_correction import PipelineConfig, estimate
-from .bootstrap import DEFAULT_B_REPS, confidence_interval, mn_bootstrap_pair
+from .bootstrap import (
+    DEFAULT_B_REPS,
+    _check_alpha,
+    _check_b_reps,
+    _resolve_m,
+    confidence_interval,
+    mn_bootstrap_pair,
+)
 from .dataset import Sample
 from .errors import InputError
+from .ridge_series import basis_index_set
 from .rng import derive_rng, derive_seed
 
 # Stream tags separating the data draw from the bootstrap draws within one
@@ -64,18 +72,7 @@ class CellSummary:
     mean_tbc: float
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "d": self.d,
-            "n": self.n,
-            "reps": self.reps,
-            "rmse_t": self.rmse_t,
-            "rmse_tbc": self.rmse_tbc,
-            "ecp_t": self.ecp_t,
-            "ecp_tbc": self.ecp_tbc,
-            "mean_t": self.mean_t,
-            "mean_tbc": self.mean_tbc,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,17 @@ class RawRecord:
     true_t: float
 
 
-RAW_CSV_HEADER = "cell_id,rep,t_hat,t_bc,ci_lo_t,ci_hi_t,ci_lo_tbc,ci_hi_tbc,true_t"
+def _g17(v: float) -> str:
+    return format(v, ".17g")
+
+
+# The raw.csv columns, RawRecord's fields in order, each with its format:
+# ints as they are, floats to 17 significant digits. The annotations are
+# strings, since this module imports ``annotations`` from __future__.
+_RAW_COLUMNS = tuple(
+    (f.name, str if f.type == "int" else _g17) for f in fields(RawRecord)
+)
+RAW_CSV_HEADER = ",".join(name for name, _ in _RAW_COLUMNS)
 
 
 def gen_gaussian_copula(cfg: CopulaConfig) -> Sample:
@@ -153,15 +160,14 @@ def run_study(
     alpha: float = 0.05,
     b_reps: int = DEFAULT_B_REPS,
     seed: int = 0,
-    config: PipelineConfig | None = None,
-    m: int | None = None,
     records: list | None = None,
 ) -> SimReport:
     """Monte-Carlo sweep over (rho, d, n) cells.
 
-    Per replication: generate a dataset, compute both estimates, bootstrap
-    both intervals, and record squared errors and coverage indicators
-    against the closed-form truth. Replication streams derive from
+    Per replication: generate a dataset, compute both estimates with the
+    default :class:`PipelineConfig`, bootstrap both intervals at the
+    default subsample size, and record squared errors and coverage
+    indicators against the closed-form truth. Replication streams derive from
     (seed, cell_index, rep_index), so any execution order reproduces the
     same numbers. Pass a list as ``records`` to capture per-replication
     rows for the raw CSV sidecar. A failing replication raises with the
@@ -170,16 +176,18 @@ def run_study(
     grid = list(grid)
     if not grid:
         raise InputError("empty simulation grid")
+    config = PipelineConfig()
+    _check_b_reps(b_reps)
     for rho, d, n in grid:
-        # Reuse the config validation so bad grid values fail before any
-        # replication runs (and fail as input errors, not wrapped ones).
+        # Reuse the validation of the configs, the bootstrap and the basis,
+        # so bad options fail before any replication runs (and fail as
+        # input errors, not wrapped ones).
         CopulaConfig(n=int(n), d=int(d), rho=float(rho))
+        _resolve_m(int(n), None)
+        basis_index_set(int(d), config.degree)
     if reps < 1:
         raise InputError(f"need reps >= 1, got {reps}")
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    if config is None:
-        config = PipelineConfig()
+    _check_alpha(alpha)
 
     start = time.perf_counter()
     cells = []
@@ -195,9 +203,9 @@ def run_study(
                 boot_seed = derive_seed(seed, ci, r, _TAG_BOOT)
                 sample = gen_gaussian_copula(CopulaConfig(n=n, d=d, rho=rho, seed=data_seed))
                 res = estimate(sample, config)
-                v_t, v_bc = mn_bootstrap_pair(sample, config, b_reps=b_reps, m=m, seed=boot_seed)
-                ci_t = confidence_interval(res.t_hat, v_t, alpha)
-                ci_bc = confidence_interval(res.t_bc, v_bc, alpha)
+                se_t, se_bc = mn_bootstrap_pair(sample, config, b_reps=b_reps, seed=boot_seed)
+                ci_t = confidence_interval(res.t_hat, se_t, alpha)
+                ci_bc = confidence_interval(res.t_bc, se_bc, alpha)
             except Exception as exc:
                 raise RuntimeError(
                     f"replication {r} of cell (rho={rho}, d={d}, n={n}) failed: {exc}"
@@ -257,15 +265,6 @@ def format_report(report: SimReport) -> str:
 
 
 def raw_csv_lines(records) -> list:
-    """Raw per-replication rows as CSV lines (17 significant digits)."""
-    def f(v: float) -> str:
-        return format(v, ".17g")
-
-    lines = [RAW_CSV_HEADER]
-    for rec in records:
-        lines.append(
-            f"{rec.cell_id},{rec.rep},{f(rec.t_hat)},{f(rec.t_bc)},"
-            f"{f(rec.ci_lo_t)},{f(rec.ci_hi_t)},{f(rec.ci_lo_tbc)},{f(rec.ci_hi_tbc)},"
-            f"{f(rec.true_t)}"
-        )
-    return lines
+    """Raw per-replication rows as CSV lines, the header first (17 significant digits)."""
+    rows = (",".join(fmt(getattr(rec, name)) for name, fmt in _RAW_COLUMNS) for rec in records)
+    return [RAW_CSV_HEADER, *rows]

@@ -5,10 +5,10 @@ import nncorr
 PUBLIC = {
     # pipeline and bootstrap
     "EstimateResult", "PipelineConfig", "bias_estimate", "default_lambda", "estimate",
-    "VarianceEstimate", "confidence_interval", "default_m", "mn_bootstrap_pair",
+    "confidence_interval", "default_m", "mn_bootstrap_pair",
     # stages
     "Sample", "compute_ranks", "load_csv", "minmax_scale", "chatterjee_t", "build_nn",
-    "BasisSpec", "RidgeModel", "basis_index_set", "design_matrix", "ridge_fit_all",
+    "basis_index_set", "design_matrix", "ridge_fit_all",
     "derive_rng", "derive_seed",
     # study
     "RAW_CSV_HEADER", "CellSummary", "CopulaConfig", "RawRecord", "SimReport",
@@ -21,7 +21,7 @@ PUBLIC = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 38
     assert sorted(nncorr.__all__) == sorted(PUBLIC)
     for name in nncorr.__all__:
         assert hasattr(nncorr, name), name

@@ -1,4 +1,4 @@
-"""Tests for m-out-of-n bootstrap variance estimation and intervals."""
+"""Tests for m-out-of-n bootstrap standard errors and intervals."""
 
 import tracemalloc
 
@@ -8,10 +8,9 @@ import pytest
 from nncorr import bootstrap
 from nncorr.bias_correction import PipelineConfig, estimate
 from nncorr.bootstrap import (
-    VarianceEstimate,
     _draws,
     _replicates,
-    _variance,
+    _se,
     confidence_interval,
     default_m,
     mn_bootstrap_pair,
@@ -44,7 +43,7 @@ def _loop_bootstrap(sample, config, statistic, b_reps, m=None, seed=0):
          for idx in _draws(sample.n, m_eff, b_reps, seed)],
         dtype=np.float64,
     )
-    return _variance(stats, m_eff, sample.n, b_reps, seed)
+    return _se(stats, m_eff, sample.n)
 
 
 def _estimate_stat(field):
@@ -118,10 +117,16 @@ def test_default_m_is_root_n():
 
 
 def test_constant_statistic_has_zero_variance():
-    v = _loop_bootstrap(_sample(), PipelineConfig(), lambda x, y, cfg: 0.42, b_reps=25, seed=1)
-    assert v.sigma2_hat == 0.0
-    assert v.se == 0.0
-    assert v.b_reps == 25 and v.seed == 1
+    calls = []
+
+    def constant(x, y, cfg):
+        calls.append(x.shape[0])
+        return 0.42
+
+    s = _sample()
+    se = _loop_bootstrap(s, PipelineConfig(), constant, b_reps=25, seed=1)
+    assert se == 0.0
+    assert calls == [default_m(s.n)] * 25
 
 
 def test_bootstrap_is_deterministic():
@@ -130,7 +135,7 @@ def test_bootstrap_is_deterministic():
     b = mn_bootstrap_pair(s, PipelineConfig(), b_reps=40, seed=7)
     assert a == b
     c = mn_bootstrap_pair(s, PipelineConfig(), b_reps=40, seed=8)
-    assert c[0].sigma2_hat != a[0].sigma2_hat
+    assert c[0] != a[0]
 
 
 def test_subsample_draws_do_not_depend_on_statistic_choice():
@@ -145,28 +150,32 @@ def test_subsample_draws_do_not_depend_on_statistic_choice():
 def test_pair_matches_separate_runs():
     s = _sample(seed=62, n=150)
     cfg = PipelineConfig()
-    v_t, v_bc = mn_bootstrap_pair(s, cfg, b_reps=35, seed=11)
-    assert v_t == _loop_bootstrap(s, cfg, _estimate_stat("t_hat"), b_reps=35, seed=11)
-    assert v_bc == _loop_bootstrap(s, cfg, _estimate_stat("t_bc"), b_reps=35, seed=11)
+    se_t, se_bc = mn_bootstrap_pair(s, cfg, b_reps=35, seed=11)
+    assert se_t == _loop_bootstrap(s, cfg, _estimate_stat("t_hat"), b_reps=35, seed=11)
+    assert se_bc == _loop_bootstrap(s, cfg, _estimate_stat("t_bc"), b_reps=35, seed=11)
 
 
 def test_explicit_m_is_respected():
     s = _sample()
-    v, _ = mn_bootstrap_pair(s, PipelineConfig(), b_reps=20, m=25, seed=2)
-    assert v.m == 25
-    v_default, _ = mn_bootstrap_pair(s, PipelineConfig(), b_reps=20, seed=2)
-    assert v_default.m == default_m(s.n) == 10
+    cfg = PipelineConfig()
+    t_hat = _estimate_stat("t_hat")
+    se, _ = mn_bootstrap_pair(s, cfg, b_reps=20, m=25, seed=2)
+    assert se == _loop_bootstrap(s, cfg, t_hat, b_reps=20, m=25, seed=2)
+    se_default, _ = mn_bootstrap_pair(s, cfg, b_reps=20, seed=2)
+    assert default_m(s.n) == 10
+    assert se_default == _loop_bootstrap(s, cfg, t_hat, b_reps=20, m=10, seed=2)
+    assert se_default != se
 
 
 def test_sigma2_scales_variance_by_m():
-    # sigma2_hat = m * Var(replicates); a scripted two-point statistic pins
+    # n * se^2 = m * Var(replicates); a scripted two-point statistic pins
     # the arithmetic exactly.
     s = _sample(seed=63, n=100)
     vals = iter([0.0, 1.0] * 10)
-    v = _loop_bootstrap(s, PipelineConfig(), lambda x, y, cfg: next(vals), b_reps=20, m=16, seed=4)
+    se = _loop_bootstrap(s, PipelineConfig(), lambda x, y, cfg: next(vals), b_reps=20, m=16, seed=4)
     expected = 16 * np.var([0.0, 1.0] * 10, ddof=1)
-    assert abs(v.sigma2_hat - expected) < 1e-12
-    assert abs(v.se - np.sqrt(expected / 100)) < 1e-15
+    assert abs(s.n * se**2 - expected) < 1e-12
+    assert abs(se - np.sqrt(expected / 100)) < 1e-15
 
 
 def test_bootstrap_argument_validation():
@@ -178,10 +187,6 @@ def test_bootstrap_argument_validation():
         mn_bootstrap_pair(s, cfg, b_reps=10, m=1)
     with pytest.raises(InputError):
         mn_bootstrap_pair(s, cfg, b_reps=10, m=s.n + 1)
-    with pytest.raises(InputError):
-        VarianceEstimate(sigma2_hat=-0.1, se=0.0, m=5, b_reps=10, seed=0)
-    with pytest.raises(InputError):
-        VarianceEstimate(sigma2_hat=0.1, se=0.1, m=1, b_reps=10, seed=0)
 
 
 def test_variance_estimate_is_stable_across_seeds():
@@ -191,7 +196,7 @@ def test_variance_estimate_is_stable_across_seeds():
     rng = np.random.default_rng(64)
     s = Sample(x=rng.uniform(size=(2000, 2)), y=rng.uniform(size=2000))
     sig = [
-        mn_bootstrap_pair(s, PipelineConfig(), b_reps=200, seed=k)[0].sigma2_hat
+        s.n * mn_bootstrap_pair(s, PipelineConfig(), b_reps=200, seed=k)[0] ** 2
         for k in range(20)
     ]
     sig = np.asarray(sig)
@@ -199,42 +204,39 @@ def test_variance_estimate_is_stable_across_seeds():
 
 
 def test_confidence_interval_normal_quantiles():
-    v = VarianceEstimate(sigma2_hat=3.0, se=0.1, m=17, b_reps=200, seed=0)
-    lo, hi = confidence_interval(0.5, v, 0.05)
+    lo, hi = confidence_interval(0.5, 0.1, 0.05)
     assert lo == 0.5 - Z975 * 0.1
     assert hi == 0.5 + Z975 * 0.1
 
 
 def test_confidence_interval_zero_se_degenerates():
-    v = VarianceEstimate(sigma2_hat=0.0, se=0.0, m=17, b_reps=200, seed=0)
-    assert confidence_interval(0.25, v, 0.05) == (0.25, 0.25)
+    assert confidence_interval(0.25, 0.0, 0.05) == (0.25, 0.25)
 
 
 def test_confidence_interval_width_grows_with_confidence():
-    v = VarianceEstimate(sigma2_hat=1.0, se=0.05, m=10, b_reps=50, seed=0)
     widths = []
     for alpha in (0.32, 0.05, 0.01):
-        lo, hi = confidence_interval(0.0, v, alpha)
+        lo, hi = confidence_interval(0.0, 0.05, alpha)
         assert lo == -hi
         widths.append(hi - lo)
     assert widths[0] < widths[1] < widths[2]
 
 
 def test_confidence_interval_alpha_validation():
-    v = VarianceEstimate(sigma2_hat=1.0, se=0.05, m=10, b_reps=50, seed=0)
     for alpha in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(InputError):
-            confidence_interval(0.0, v, alpha)
+            confidence_interval(0.0, 0.05, alpha)
 
 
 def test_bootstrap_tracks_dependence_strength():
-    # Dependent data produce a real spread of replicate values, so sigma2 is
-    # comfortably positive and the interval has positive width.
+    # Dependent data produce a real spread of replicate values, so the
+    # standard error is comfortably positive and the interval has positive
+    # width.
     s = _sample(seed=65, n=200)
     point = estimate(s)
-    v, _ = mn_bootstrap_pair(s, PipelineConfig(), b_reps=100, seed=9)
-    assert v.sigma2_hat > 0.0
-    lo, hi = confidence_interval(point.t_hat, v, 0.05)
+    se, _ = mn_bootstrap_pair(s, PipelineConfig(), b_reps=100, seed=9)
+    assert se > 0.0
+    lo, hi = confidence_interval(point.t_hat, se, 0.05)
     assert lo < point.t_hat < hi
 
 
@@ -286,7 +288,8 @@ def test_engine_matches_estimate_per_replicate(n, m, d, degree, scale, kind):
         assert t_hat[r] == want.t_hat
         assert t_bc[r] == want.t_bc
 
-    # The loop over estimate() sees the same draws, so both variances are equal.
+    # The loop over estimate() sees the same draws, so both standard errors
+    # are equal.
     assert mn_bootstrap_pair(s, cfg, b_reps=b_reps, m=m, seed=3) == tuple(
         _loop_bootstrap(s, cfg, _estimate_stat(f), b_reps=b_reps, m=m, seed=3)
         for f in ("t_hat", "t_bc")

@@ -316,6 +316,23 @@ def test_simulate_rejects_bad_grid(capsys, tmp_path):
     assert code2 == 2 and "reps" in err2
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--n", "50", "--bootstrap-reps", "1"], "need b_reps >= 2, got 1"),
+    (["--n", "3"], "need subsample size m >= 2, got 1"),
+    (["--n", "50", "--d", "200", "--bootstrap-reps", "2"],
+     "basis would have 20301 functions, above the cap of 10000; lower the degree"),
+], ids=["b_reps", "m", "basis"])
+def test_simulate_option_errors_are_input_errors(capsys, tmp_path, options, message):
+    # Checked before any replication runs, so they exit 2 with the message
+    # of the check, not as a failed replication.
+    code, out, err = _run(capsys, [
+        "simulate", "--rho", "0.5", "--reps", "1", *options, "--out-dir", str(tmp_path),
+    ])
+    assert (code, out) == (2, "")
+    assert err == f"nncorr: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

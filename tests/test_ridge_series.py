@@ -9,6 +9,7 @@ from nncorr.bias_correction import default_lambda
 from nncorr.dataset import minmax_scale
 from nncorr.errors import BasisSizeError, DimensionMismatchError, InputError
 from nncorr.ridge_series import (
+    BASIS_CAP,
     _ridge_solve,
     basis_index_set,
     design_matrix,
@@ -17,8 +18,8 @@ from nncorr.ridge_series import (
 
 
 def _fit(x, y, lam, degree=2):
-    basis = basis_index_set(x.shape[1], degree)
-    p = design_matrix(minmax_scale(x), basis)
+    exps = basis_index_set(x.shape[1], degree)
+    p = design_matrix(minmax_scale(x), exps)
     return p, ridge_fit_all(p, y, lam)
 
 
@@ -27,34 +28,37 @@ def _fit(x, y, lam, degree=2):
 
 
 def test_basis_two_covariates_degree_two():
-    basis = basis_index_set(2, 2)
-    assert [tuple(e) for e in basis.exponents] == [
+    exps = basis_index_set(2, 2)
+    assert [tuple(e) for e in exps] == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
     ]
-    assert basis.size == 6
+    assert exps.shape == (6, 2)
+    assert exps.dtype == np.int64
 
 
 def test_basis_ordering_is_degree_then_lexicographic():
-    basis = basis_index_set(3, 3)
-    exps = [tuple(int(v) for v in e) for e in basis.exponents]
+    exps = [tuple(int(v) for v in e) for e in basis_index_set(3, 3)]
     assert exps == sorted(exps, key=lambda e: (sum(e), e))
     assert len(exps) == len(set(exps)) == math.comb(3 + 3, 3)
 
 
 def test_basis_size_matches_binomial():
     for d, degree in [(1, 0), (1, 5), (4, 2), (6, 2), (8, 3)]:
-        assert basis_index_set(d, degree).size == math.comb(d + degree, degree)
+        exps = basis_index_set(d, degree)
+        assert exps.shape == (math.comb(d + degree, degree), d)
+        assert exps.max() == degree
 
 
 def test_basis_degree_zero_is_constant_only():
-    basis = basis_index_set(5, 0)
-    assert basis.size == 1
-    assert tuple(basis.exponents[0]) == (0, 0, 0, 0, 0)
+    exps = basis_index_set(5, 0)
+    assert exps.shape == (1, 5)
+    assert tuple(exps[0]) == (0, 0, 0, 0, 0)
 
 
 def test_basis_cap_enforced():
-    # C(142, 2) = 10011 just exceeds the default cap of 10000.
-    assert basis_index_set(139, 2).size == math.comb(141, 2)
+    # C(142, 2) = 10011 just exceeds the cap of 10000.
+    assert BASIS_CAP == 10_000
+    assert basis_index_set(139, 2).shape == (math.comb(141, 2), 139)
     with pytest.raises(BasisSizeError):
         basis_index_set(140, 2)
     with pytest.raises(InputError):
@@ -64,10 +68,10 @@ def test_basis_cap_enforced():
 
 
 def test_basis_is_cached_and_read_only():
-    basis = basis_index_set(6, 2)
-    assert basis_index_set(6, 2) is basis
+    exps = basis_index_set(6, 2)
+    assert basis_index_set(6, 2) is exps
     with pytest.raises(ValueError):
-        basis.exponents[0, 0] = 1
+        exps[0, 0] = 1
     # Errors are not cached: a bad request raises every time.
     for _ in range(2):
         with pytest.raises(BasisSizeError):
@@ -75,24 +79,22 @@ def test_basis_is_cached_and_read_only():
 
 
 def test_design_matrix_hand_row():
-    basis = basis_index_set(2, 2)
-    row = design_matrix(np.array([[0.5, 1.0]]), basis)[0]
+    row = design_matrix(np.array([[0.5, 1.0]]), basis_index_set(2, 2))[0]
     np.testing.assert_array_equal(row, [1.0, 1.0, 0.5, 1.0, 0.5, 0.25])
 
 
 def test_design_matrix_zero_row_uses_zero_power_convention():
-    basis = basis_index_set(2, 2)
-    row = design_matrix(np.array([[0.0, 0.0]]), basis)[0]
+    row = design_matrix(np.array([[0.0, 0.0]]), basis_index_set(2, 2))[0]
     np.testing.assert_array_equal(row, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_design_matrix_against_naive_powers():
     rng = np.random.default_rng(41)
     x = rng.uniform(size=(25, 3))
-    basis = basis_index_set(3, 3)
-    p = design_matrix(x, basis)
+    exps = basis_index_set(3, 3)
+    p = design_matrix(x, exps)
     naive = np.empty_like(p)
-    for k, e in enumerate(basis.exponents):
+    for k, e in enumerate(exps):
         naive[:, k] = np.prod(x ** np.asarray(e)[None, :], axis=1)
     np.testing.assert_allclose(p, naive, rtol=1e-13)
 
@@ -109,15 +111,14 @@ def test_design_matrix_dimension_mismatch():
 def test_constant_basis_closed_form():
     # With only the constant column, each threshold solve is scalar:
     # (n + n*lam) * beta = #(y >= t), so beta = frac / (1 + lam).
-    basis = basis_index_set(1, 0)
     x = np.array([[0.1], [0.2], [0.3], [0.4]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    p = design_matrix(x, basis)
-    model = ridge_fit_all(p, y, 0.25)
-    assert model.betas.shape == (1, 4)
-    np.testing.assert_allclose(model.betas[0], np.array([1.0, 0.75, 0.5, 0.25]) / 1.25)
+    p = design_matrix(x, basis_index_set(1, 0))
+    betas = ridge_fit_all(p, y, 0.25)
+    assert betas.shape == (1, 4)
+    np.testing.assert_allclose(betas[0], np.array([1.0, 0.75, 0.5, 0.25]) / 1.25)
     # The fitted matrix column at the smallest threshold is 1/(1+lam).
-    g = model.p @ model.betas
+    g = p @ betas
     np.testing.assert_allclose(g[:, 0], 0.8)
 
 
@@ -133,11 +134,11 @@ def test_residual_identity_against_explicit_indicators():
     for n, d, degree, lam, tied, bound in cases:
         x = rng.standard_normal((n, d))
         y = np.floor(4 * rng.uniform(size=n)) if tied else rng.standard_normal(n)
-        p, model = _fit(x, y, lam=lam, degree=degree)
+        p, betas = _fit(x, y, lam=lam, degree=degree)
         ind = (y[:, None] >= y[None, :]).astype(np.float64)  # ind[i, j] = 1(y_i >= y_j)
         rhs = p.T @ ind
-        gram = p.T @ p + n * model.lam * np.eye(p.shape[1])
-        resid = gram @ model.betas - rhs
+        gram = p.T @ p + n * lam * np.eye(p.shape[1])
+        resid = gram @ betas - rhs
         rel = np.linalg.norm(resid) / np.linalg.norm(rhs)
         assert rel <= bound
 
@@ -162,8 +163,8 @@ def test_near_zero_penalty_matches_least_squares():
     n = 60
     x = rng.uniform(size=(n, 2))
     y = rng.standard_normal(n)
-    p, model = _fit(x, y, lam=1e-10)
-    fitted = p @ model.betas
+    p, betas = _fit(x, y, lam=1e-10)
+    fitted = p @ betas
     for j in range(0, n, 7):
         ind = (y >= y[j]).astype(np.float64)
         beta_ls, *_ = np.linalg.lstsq(p, ind, rcond=None)
@@ -177,13 +178,13 @@ def test_coefficient_norm_shrinks_as_penalty_grows():
     lams = [1e-4, 1e-2, 1e-1, 1.0, 10.0]
     norms = []
     for lam in lams:
-        _, model = _fit(x, y, lam)
-        norms.append(np.linalg.norm(model.betas, axis=0))
+        _, betas = _fit(x, y, lam)
+        norms.append(np.linalg.norm(betas, axis=0))
     for a, b in zip(norms, norms[1:]):
         assert np.all(a >= b - 1e-10)
     # Very large penalties drive every coefficient toward zero.
     _, heavy = _fit(x, y, 1e8)
-    assert np.abs(heavy.betas).max() < 1e-5
+    assert np.abs(heavy).max() < 1e-5
 
 
 def test_tied_thresholds_share_solutions():
@@ -191,10 +192,10 @@ def test_tied_thresholds_share_solutions():
     rng = np.random.default_rng(45)
     x = rng.standard_normal((30, 2))
     y = np.repeat(np.arange(10.0), 3)
-    _, model = _fit(x, y, lam=0.01)
+    _, betas = _fit(x, y, lam=0.01)
     for j in range(0, 30, 3):
-        np.testing.assert_array_equal(model.betas[:, j], model.betas[:, j + 1])
-        np.testing.assert_array_equal(model.betas[:, j], model.betas[:, j + 2])
+        np.testing.assert_array_equal(betas[:, j], betas[:, j + 1])
+        np.testing.assert_array_equal(betas[:, j], betas[:, j + 2])
 
 
 def test_tie_group_positions_match_a_binary_search():
@@ -205,11 +206,11 @@ def test_tie_group_positions_match_a_binary_search():
     x = rng.uniform(size=(400, 3))
     lam = default_lambda(400, 2.0)
     for y in (rng.standard_normal(400), rng.integers(0, 7, 400).astype(float), np.full(400, 1.5)):
-        p, model = _fit(x, y, lam)
+        p, betas = _fit(x, y, lam)
         order = np.argsort(y, kind="stable")
         suffix = np.cumsum(p[order][::-1], axis=0)[::-1]
         pos = np.searchsorted(y[order], y, side="left")
-        np.testing.assert_array_equal(model.betas, _ridge_solve(p, suffix[pos].T, lam))
+        np.testing.assert_array_equal(betas, _ridge_solve(p, suffix[pos].T, lam))
 
 
 def test_ghat_matrix_permutation_equivariance():
@@ -217,12 +218,12 @@ def test_ghat_matrix_permutation_equivariance():
     n = 35
     x = rng.uniform(size=(n, 2))
     y = rng.standard_normal(n)
-    basis = basis_index_set(2, 2)
-    m = ridge_fit_all(design_matrix(x, basis), y, 0.05)
-    g = m.p @ m.betas
+    exps = basis_index_set(2, 2)
+    p = design_matrix(x, exps)
+    g = p @ ridge_fit_all(p, y, 0.05)
     perm = rng.permutation(n)
-    mp = ridge_fit_all(design_matrix(x[perm], basis), y[perm], 0.05)
-    gp = mp.p @ mp.betas
+    pp = design_matrix(x[perm], exps)
+    gp = pp @ ridge_fit_all(pp, y[perm], 0.05)
     np.testing.assert_allclose(gp, g[np.ix_(perm, perm)], atol=1e-9)
 
 

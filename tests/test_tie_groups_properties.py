@@ -87,4 +87,4 @@ def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed):
     betas = _ridge_solve(p, _threshold_rhs(p, order, first), lam)
     for b in range(c):
         np.testing.assert_array_equal(ranks[b], compute_ranks(y[b]))
-        np.testing.assert_array_equal(betas[b], ridge_fit_all(p[b], y[b], lam).betas)
+        np.testing.assert_array_equal(betas[b], ridge_fit_all(p[b], y[b], lam))
