@@ -1,17 +1,19 @@
 """A desk-scale Monte-Carlo study with the built-in harness.
 
 run_study sweeps a (rho, d, n) grid; every replication generates a copula
-dataset, computes both estimators, and bootstraps both intervals. The
-summary reports RMSE against the closed-form truth and empirical interval
-coverage per cell. Replication seed streams hang off (seed, cell, rep), so
-the numbers are independent of execution order and thread count.
+dataset, computes both estimators, and bootstraps both intervals. It
+returns one summary per cell, in grid order: RMSE against the closed-form
+truth and empirical interval coverage. Replication seed streams hang off
+(seed, cell, rep), so the numbers are independent of execution order and
+thread count.
 
 The command-line equivalent of this script is:
 
   nncorr simulate --rho 0.0 --rho 0.5 --rho 0.9 --d 6 --n 100 \
       --reps 40 --bootstrap-reps 100 --seed 1 --out-dir study_out
 
-which additionally writes report.json, report.txt, and raw.csv.
+which additionally writes report.json, report.txt, and raw.csv, and prints
+its run time on stderr.
 
 Run:  python3 demos/04_simulation_study.py   (about a minute)
 """
@@ -19,10 +21,11 @@ Run:  python3 demos/04_simulation_study.py   (about a minute)
 from nncorr import format_report, raw_csv_lines, run_study, true_t
 
 grid = [(0.0, 6, 100), (0.5, 6, 100), (0.9, 6, 100)]
+alpha = 0.05
 records = []
-report = run_study(grid, reps=40, b_reps=100, seed=1, records=records)
+cells = run_study(grid, reps=40, b_reps=100, seed=1, alpha=alpha, records=records)
 
-print(format_report(report))
+print(format_report(cells, alpha))
 
 print("Closed-form truths for the three cells:")
 for rho, _, _ in grid:

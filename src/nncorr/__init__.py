@@ -53,7 +53,6 @@ from .simulation import (
     CellSummary,
     CopulaConfig,
     RawRecord,
-    SimReport,
     format_report,
     gen_gaussian_copula,
     raw_csv_lines,
@@ -80,7 +79,6 @@ __all__ = [
     "PipelineConfig",
     "RawRecord",
     "Sample",
-    "SimReport",
     "basis_index_set",
     "bias_estimate",
     "build_nn",

@@ -73,17 +73,13 @@ class EstimateResult:
     """Point estimates from one run of the pipeline.
 
     The pipeline is deterministic and bootstrap-free; intervals come from
-    :mod:`nncorr.bootstrap`.
+    :mod:`nncorr.bootstrap`. :func:`estimate` raises before it builds a
+    result with a non-finite value.
     """
 
     t_hat: float
     l_hat: float
     t_bc: float
-
-    def __post_init__(self):
-        for label, v in (("t_hat", self.t_hat), ("l_hat", self.l_hat), ("t_bc", self.t_bc)):
-            if not math.isfinite(v):
-                raise InputError(f"{label} is not finite: {v}")
 
 
 def bias_estimate(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> float:

@@ -2,8 +2,9 @@
 
 Exit codes are fixed: 0 for success, 2 for input or usage problems (with a
 one-line message on stderr), 1 for anything unexpected or a failed
-self-test. JSON and CSV outputs are byte-stable for a given invocation and
-seed; wall-clock information only ever goes to the human-readable table.
+self-test. Every file and stdout output is byte-stable for a given
+invocation and seed; the one wall-clock figure, the study's run time, goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import _threads
@@ -25,6 +28,8 @@ from .bootstrap import (
 )
 from .dataset import load_csv
 from .errors import InputError
+from .ridge_series import basis_index_set
+from .rng import _check_path
 from .selftest import run_selftest
 from .simulation import format_report, raw_csv_lines, run_study
 
@@ -33,15 +38,11 @@ DEFAULT_SIM_DS = (6,)
 DEFAULT_SIM_NS = (300,)
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse prints usage plus the error; the contract here is a single
-    # diagnostic line and exit code 2, so route errors through an exception.
+    # diagnostic line and exit code 2, so a usage error is an input error.
     def error(self, message):
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def _build_parser() -> _Parser:
@@ -107,11 +108,14 @@ def _cmd_estimate(args) -> int:
         lambda_exponent=args.lambda_exponent,
         scale_covariates=not args.no_scale,
     )
-    # The bootstrap's and the interval's options are checked before any of
-    # the work runs, with the messages those functions would raise.
+    # The bootstrap and interval options, the seed and the basis size are
+    # checked before any of the work runs, with the messages those functions
+    # would raise.
     _check_b_reps(args.bootstrap_reps)
     m_eff = _resolve_m(sample.n, args.m)
     _check_alpha(args.alpha)
+    _check_path(args.seed, ())
+    basis_index_set(sample.d, config.degree)
     res = estimate(sample, config)
     se_t, se_bc = mn_bootstrap_pair(
         sample, config, b_reps=args.bootstrap_reps, m=m_eff, seed=args.seed
@@ -130,9 +134,7 @@ def _cmd_estimate(args) -> int:
         "ci_t": [ci_t[0], ci_t[1]],
         "ci_tbc": [ci_bc[0], ci_bc[1]],
         "config": {
-            "degree": config.degree,
-            "lambda_exponent": config.lambda_exponent,
-            "scale_covariates": config.scale_covariates,
+            **asdict(config),
             "m": m_eff,
             "bootstrap_reps": args.bootstrap_reps,
             "alpha": args.alpha,
@@ -154,7 +156,8 @@ def _cmd_simulate(args) -> int:
     grid = [(rho, d, n) for rho in rhos for d in ds for n in ns]
 
     records: list = []
-    report = run_study(
+    start = time.perf_counter()
+    cells = run_study(
         grid,
         reps=args.reps,
         alpha=args.alpha,
@@ -162,17 +165,19 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         records=records,
     )
+    wall = time.perf_counter() - start
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        _dumps(report.to_dict()), encoding="utf-8"
-    )
-    (out_dir / "report.txt").write_text(format_report(report), encoding="utf-8")
+    report = {"alpha": args.alpha, "cells": [asdict(c) for c in cells]}
+    (out_dir / "report.json").write_text(_dumps(report), encoding="utf-8")
+    text = format_report(cells, args.alpha)
+    (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "raw.csv").write_text(
         "\n".join(raw_csv_lines(records)) + "\n", encoding="utf-8"
     )
-    sys.stdout.write(format_report(report))
+    sys.stdout.write(text)
+    print(f"wall time = {wall:.2f} s", file=sys.stderr)
     return 0
 
 
@@ -191,9 +196,6 @@ def main(argv=None) -> int:
         if args.subcommand == "simulate":
             return _cmd_simulate(args)
         return _cmd_selftest(args)
-    except _UsageError as exc:
-        print(f"nncorr: error: {exc}", file=sys.stderr)
-        return 2
     except InputError as exc:
         print(f"nncorr: error: {exc}", file=sys.stderr)
         return 2

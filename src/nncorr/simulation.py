@@ -5,13 +5,16 @@ coordinate into the response with weight rho, and pushes everything through
 the standard normal CDF so the observed sample has uniform marginals. For
 this family the population dependence value has a closed form, which makes
 RMSE and interval-coverage summaries exact rather than estimated.
+
+The study returns one :class:`CellSummary` per grid cell, each computed from
+that cell's :class:`RawRecord` rows. It reads no clock, so its outputs are
+a pure function of its arguments.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr
@@ -28,7 +31,7 @@ from .bootstrap import (
 from .dataset import Sample
 from .errors import InputError
 from .ridge_series import basis_index_set
-from .rng import derive_rng, derive_seed
+from .rng import _check_path, derive_rng, derive_seed
 
 # Stream tags separating the data draw from the bootstrap draws within one
 # replication; both hang off (seed, cell_index, rep_index).
@@ -70,29 +73,6 @@ class CellSummary:
     ecp_tbc: float
     mean_t: float
     mean_tbc: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class SimReport:
-    """Study output: one summary row per cell, plus the level and wall time.
-
-    ``wall_time`` is informational only and deliberately left out of the
-    machine-readable serialization so repeated runs with one seed emit
-    byte-identical JSON.
-    """
-
-    cells: tuple
-    alpha: float
-    wall_time: float
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "cells": [c.to_dict() for c in self.cells],
-        }
 
 
 @dataclass(frozen=True)
@@ -154,6 +134,27 @@ def true_t(rho: float) -> float:
     return (3.0 / math.pi) * math.asin((1.0 + rho * rho) / 2.0) - 0.5
 
 
+def _summarize(rho, d, n, rows) -> CellSummary:
+    """One cell's RMSE, coverage and means, from its replication records."""
+    truth = rows[0].true_t
+    est_t = np.array([rec.t_hat for rec in rows])
+    est_bc = np.array([rec.t_bc for rec in rows])
+    cover_t = np.array([rec.ci_lo_t <= truth <= rec.ci_hi_t for rec in rows], dtype=float)
+    cover_bc = np.array([rec.ci_lo_tbc <= truth <= rec.ci_hi_tbc for rec in rows], dtype=float)
+    return CellSummary(
+        rho=float(rho),
+        d=int(d),
+        n=int(n),
+        reps=len(rows),
+        rmse_t=float(np.sqrt(np.mean((est_t - truth) ** 2))),
+        rmse_tbc=float(np.sqrt(np.mean((est_bc - truth) ** 2))),
+        ecp_t=float(np.mean(cover_t)),
+        ecp_tbc=float(np.mean(cover_bc)),
+        mean_t=float(np.mean(est_t)),
+        mean_tbc=float(np.mean(est_bc)),
+    )
+
+
 def run_study(
     grid,
     reps: int,
@@ -161,17 +162,18 @@ def run_study(
     b_reps: int = DEFAULT_B_REPS,
     seed: int = 0,
     records: list | None = None,
-) -> SimReport:
-    """Monte-Carlo sweep over (rho, d, n) cells.
+) -> tuple[CellSummary, ...]:
+    """Monte-Carlo sweep over (rho, d, n) cells, one summary per cell in grid order.
 
     Per replication: generate a dataset, compute both estimates with the
     default :class:`PipelineConfig`, bootstrap both intervals at the
-    default subsample size, and record squared errors and coverage
-    indicators against the closed-form truth. Replication streams derive from
-    (seed, cell_index, rep_index), so any execution order reproduces the
-    same numbers. Pass a list as ``records`` to capture per-replication
-    rows for the raw CSV sidecar. A failing replication raises with the
-    cell coordinates attached; nothing is skipped silently.
+    default subsample size, and keep the estimates, the intervals and the
+    closed-form truth in a :class:`RawRecord`. Each cell's summary is
+    computed from its records. Replication streams derive from (seed, cell_index,
+    rep_index), so any execution order reproduces the same numbers. Pass a
+    list as ``records`` to capture every record for the raw CSV sidecar. A
+    failing replication raises with the cell coordinates attached; nothing
+    is skipped silently.
     """
     grid = list(grid)
     if not grid:
@@ -188,15 +190,12 @@ def run_study(
     if reps < 1:
         raise InputError(f"need reps >= 1, got {reps}")
     _check_alpha(alpha)
+    _check_path(seed, ())
 
-    start = time.perf_counter()
     cells = []
     for ci, (rho, d, n) in enumerate(grid):
         truth = true_t(rho)
-        est_t = np.empty(reps, dtype=np.float64)
-        est_bc = np.empty(reps, dtype=np.float64)
-        cover_t = np.empty(reps, dtype=np.float64)
-        cover_bc = np.empty(reps, dtype=np.float64)
+        rows = []
         for r in range(reps):
             try:
                 data_seed = derive_seed(seed, ci, r, _TAG_DATA)
@@ -210,57 +209,40 @@ def run_study(
                 raise RuntimeError(
                     f"replication {r} of cell (rho={rho}, d={d}, n={n}) failed: {exc}"
                 ) from exc
-            est_t[r] = res.t_hat
-            est_bc[r] = res.t_bc
-            cover_t[r] = 1.0 if ci_t[0] <= truth <= ci_t[1] else 0.0
-            cover_bc[r] = 1.0 if ci_bc[0] <= truth <= ci_bc[1] else 0.0
-            if records is not None:
-                records.append(
-                    RawRecord(
-                        cell_id=ci,
-                        rep=r,
-                        t_hat=res.t_hat,
-                        t_bc=res.t_bc,
-                        ci_lo_t=ci_t[0],
-                        ci_hi_t=ci_t[1],
-                        ci_lo_tbc=ci_bc[0],
-                        ci_hi_tbc=ci_bc[1],
-                        true_t=truth,
-                    )
+            rows.append(
+                RawRecord(
+                    cell_id=ci,
+                    rep=r,
+                    t_hat=res.t_hat,
+                    t_bc=res.t_bc,
+                    ci_lo_t=ci_t[0],
+                    ci_hi_t=ci_t[1],
+                    ci_lo_tbc=ci_bc[0],
+                    ci_hi_tbc=ci_bc[1],
+                    true_t=truth,
                 )
-        cells.append(
-            CellSummary(
-                rho=float(rho),
-                d=int(d),
-                n=int(n),
-                reps=reps,
-                rmse_t=float(np.sqrt(np.mean((est_t - truth) ** 2))),
-                rmse_tbc=float(np.sqrt(np.mean((est_bc - truth) ** 2))),
-                ecp_t=float(np.mean(cover_t)),
-                ecp_tbc=float(np.mean(cover_bc)),
-                mean_t=float(np.mean(est_t)),
-                mean_tbc=float(np.mean(est_bc)),
             )
-        )
-    wall = time.perf_counter() - start
-    return SimReport(cells=tuple(cells), alpha=alpha, wall_time=wall)
+        cells.append(_summarize(rho, d, n, rows))
+        if records is not None:
+            records.extend(rows)
+    return tuple(cells)
 
 
-def format_report(report: SimReport) -> str:
-    """Aligned plain-text table of the study, one row per cell."""
+def format_report(cells, alpha: float) -> str:
+    """Aligned plain-text table of the study, one row per cell, then the level."""
     header = (
         f"{'rho':>5} {'d':>3} {'n':>6} {'reps':>5} "
         f"{'rmse_t':>9} {'rmse_tbc':>9} {'ecp_t':>6} {'ecp_tbc':>7} "
         f"{'mean_t':>9} {'mean_tbc':>9}"
     )
     lines = [header, "-" * len(header)]
-    for c in report.cells:
+    for c in cells:
         lines.append(
             f"{c.rho:>5.2f} {c.d:>3d} {c.n:>6d} {c.reps:>5d} "
             f"{c.rmse_t:>9.4f} {c.rmse_tbc:>9.4f} {c.ecp_t:>6.3f} {c.ecp_tbc:>7.3f} "
             f"{c.mean_t:>9.4f} {c.mean_tbc:>9.4f}"
         )
-    lines.append(f"alpha = {report.alpha:g}; wall time = {report.wall_time:.2f} s")
+    lines.append(f"alpha = {alpha:g}")
     return "\n".join(lines) + "\n"
 
 

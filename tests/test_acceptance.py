@@ -45,8 +45,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _cell(rho, d, n, reps=200, b_reps=200, seed=0):
-    report = run_study([(rho, d, n)], reps=reps, b_reps=b_reps, seed=seed)
-    return report.cells[0]
+    return run_study([(rho, d, n)], reps=reps, b_reps=b_reps, seed=seed)[0]
 
 
 def _within(value, target, frac=0.30):

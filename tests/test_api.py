@@ -11,7 +11,7 @@ PUBLIC = {
     "basis_index_set", "design_matrix", "ridge_fit_all",
     "derive_rng", "derive_seed",
     # study
-    "RAW_CSV_HEADER", "CellSummary", "CopulaConfig", "RawRecord", "SimReport",
+    "RAW_CSV_HEADER", "CellSummary", "CopulaConfig", "RawRecord",
     "format_report", "gen_gaussian_copula", "raw_csv_lines", "run_study", "true_t",
     # errors
     "BasisSizeError", "DimensionMismatchError", "FactorizationError", "InputError",
@@ -21,7 +21,7 @@ PUBLIC = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 37
     assert sorted(nncorr.__all__) == sorted(PUBLIC)
     for name in nncorr.__all__:
         assert hasattr(nncorr, name), name

@@ -192,6 +192,9 @@ def test_estimate_options_are_checked_before_the_estimate(capsys, csv_file, monk
         (["--bootstrap-reps", "1"], "need b_reps >= 2, got 1"),
         (["--m", "1"], "need subsample size m >= 2, got 1"),
         (["--m", "101"], "subsample size 101 exceeds sample size 100"),
+        (["--seed", "-1"], "seed path entries must be non-negative, got -1"),
+        (["--degree", "40"],
+         "basis would have 12341 functions, above the cap of 10000; lower the degree"),
     ]
     for extra, message in cases:
         code, out, err = _run(capsys, ["estimate", "--input", str(csv_file)] + extra)
@@ -275,7 +278,9 @@ def test_simulate_writes_artifacts(capsys, tmp_path):
         "simulate", "--rho", "0.0", "--rho", "0.5", "--d", "2", "--n", "60",
         "--reps", "2", "--bootstrap-reps", "20", "--out-dir", str(out_dir),
     ])
-    assert code == 0 and err == ""
+    assert code == 0
+    # The run time is the one line on stderr; no output file holds it.
+    assert re.fullmatch(r"wall time = \d+\.\d\d s\n", err)
     report_json = out_dir / "report.json"
     report_txt = out_dir / "report.txt"
     raw_csv = out_dir / "raw.csv"
@@ -297,10 +302,12 @@ def test_simulate_machine_outputs_are_byte_stable(capsys, tmp_path):
         "--reps", "2", "--bootstrap-reps", "20",
     ]
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    assert _run(capsys, args + ["--out-dir", str(dir_a), "--threads", "1"])[0] == 0
-    assert _run(capsys, args + ["--out-dir", str(dir_b), "--threads", "4"])[0] == 0
-    assert (dir_a / "report.json").read_bytes() == (dir_b / "report.json").read_bytes()
-    assert (dir_a / "raw.csv").read_bytes() == (dir_b / "raw.csv").read_bytes()
+    code_a, out_a, _ = _run(capsys, args + ["--out-dir", str(dir_a), "--threads", "1"])
+    code_b, out_b, _ = _run(capsys, args + ["--out-dir", str(dir_b), "--threads", "4"])
+    assert code_a == code_b == 0
+    for name in ("report.json", "report.txt", "raw.csv"):
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+    assert out_a == out_b
 
 
 def test_simulate_rejects_bad_grid(capsys, tmp_path):
@@ -321,7 +328,9 @@ def test_simulate_rejects_bad_grid(capsys, tmp_path):
     (["--n", "3"], "need subsample size m >= 2, got 1"),
     (["--n", "50", "--d", "200", "--bootstrap-reps", "2"],
      "basis would have 20301 functions, above the cap of 10000; lower the degree"),
-], ids=["b_reps", "m", "basis"])
+    (["--n", "20", "--d", "1", "--bootstrap-reps", "2", "--seed", "-1"],
+     "seed path entries must be non-negative, got -1"),
+], ids=["b_reps", "m", "basis", "seed"])
 def test_simulate_option_errors_are_input_errors(capsys, tmp_path, options, message):
     # Checked before any replication runs, so they exit 2 with the message
     # of the check, not as a failed replication.

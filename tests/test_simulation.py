@@ -1,12 +1,17 @@
 """Tests for the copula generator, closed-form truth, and study harness."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from nncorr.cli import main
 from nncorr.errors import InputError
 from nncorr.simulation import (
     RAW_CSV_HEADER,
+    CellSummary,
     CopulaConfig,
     format_report,
     gen_gaussian_copula,
@@ -121,15 +126,19 @@ def test_study_validation_happens_up_front():
         run_study([(1.5, 2, 40)], reps=2)
     with pytest.raises(InputError):
         run_study([(0.5, 0, 40)], reps=2)
+    with pytest.raises(InputError):
+        run_study([(0.5, 2, 40)], reps=2, seed=-1)
 
 
 def test_study_summaries_match_raw_records():
     records = []
     grid = [(0.0, 2, 80), (0.5, 2, 80)]
-    report = run_study(grid, reps=6, b_reps=30, seed=101, records=records)
-    assert len(report.cells) == 2
+    cells = run_study(grid, reps=6, b_reps=30, seed=101, records=records)
+    assert isinstance(cells, tuple) and len(cells) == 2
+    assert all(isinstance(cell, CellSummary) for cell in cells)
     assert len(records) == 12
-    for ci, cell in enumerate(report.cells):
+    for ci, cell in enumerate(cells):
+        assert (cell.rho, cell.d, cell.n, cell.reps) == (grid[ci][0], 2, 80, 6)
         rows = [rec for rec in records if rec.cell_id == ci]
         truth = true_t(grid[ci][0])
         t = np.array([rec.t_hat for rec in rows])
@@ -146,8 +155,7 @@ def test_study_summaries_match_raw_records():
 
 def test_study_single_replication_degenerate_summaries():
     records = []
-    report = run_study([(0.5, 2, 60)], reps=1, b_reps=20, seed=9, records=records)
-    cell = report.cells[0]
+    cell = run_study([(0.5, 2, 60)], reps=1, b_reps=20, seed=9, records=records)[0]
     truth = true_t(0.5)
     assert cell.ecp_t in (0.0, 1.0) and cell.ecp_tbc in (0.0, 1.0)
     assert cell.rmse_t == abs(records[0].t_hat - truth)
@@ -159,10 +167,10 @@ def test_study_is_reproducible():
     rec_a, rec_b = [], []
     a = run_study(grid, reps=3, b_reps=20, seed=77, records=rec_a)
     b = run_study(grid, reps=3, b_reps=20, seed=77, records=rec_b)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
     assert rec_a == rec_b
     c = run_study(grid, reps=3, b_reps=20, seed=78)
-    assert c.to_dict() != a.to_dict()
+    assert c != a
 
 
 def test_study_cell_streams_depend_on_position():
@@ -171,33 +179,41 @@ def test_study_cell_streams_depend_on_position():
     grid = [(0.3, 2, 60), (0.7, 2, 60)]
     combined = run_study(grid, reps=2, b_reps=20, seed=55)
     single = run_study(grid[:1], reps=2, b_reps=20, seed=55)
-    assert combined.cells[0] == single.cells[0]
+    assert combined[0] == single[0]
 
 
-def test_report_serialization_shape():
-    report = run_study([(0.0, 1, 50)], reps=2, b_reps=20, seed=1)
-    d = report.to_dict()
-    assert list(d.keys()) == ["alpha", "cells"]
-    assert list(d["cells"][0].keys()) == [
+def test_report_serialization_shape(capsys, tmp_path):
+    cells = run_study([(0.0, 1, 50)], reps=2, b_reps=20, seed=1)
+    keys = [
         "rho", "d", "n", "reps", "rmse_t", "rmse_tbc",
         "ecp_t", "ecp_tbc", "mean_t", "mean_tbc",
     ]
-    # Wall time is reported on the object but kept out of the serialization.
-    assert report.wall_time > 0.0
-    assert "wall_time" not in d
+    assert list(asdict(cells[0]).keys()) == keys
+    # The CLI's report.json is the level plus these summaries, field for
+    # field; no wall time reaches it.
+    assert main([
+        "simulate", "--rho", "0.0", "--d", "1", "--n", "50", "--reps", "2",
+        "--bootstrap-reps", "20", "--seed", "1", "--out-dir", str(tmp_path),
+    ]) == 0
+    capsys.readouterr()
+    d = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert list(d.keys()) == ["alpha", "cells"]
+    assert list(d["cells"][0].keys()) == keys
+    assert d == {"alpha": 0.05, "cells": [asdict(c) for c in cells]}
 
 
 def test_format_report_layout():
-    report = run_study([(0.0, 1, 50), (0.5, 1, 50)], reps=2, b_reps=20, seed=2)
-    text = format_report(report)
+    cells = run_study([(0.0, 1, 50), (0.5, 1, 50)], reps=2, b_reps=20, seed=2)
+    text = format_report(cells, 0.05)
     lines = text.strip().split("\n")
     assert len(lines) == 2 + 2 + 1  # header, rule, two cells, footer
     assert lines[0].split() == [
         "rho", "d", "n", "reps", "rmse_t", "rmse_tbc",
         "ecp_t", "ecp_tbc", "mean_t", "mean_tbc",
     ]
-    assert "alpha = 0.05" in lines[-1]
-    assert "wall time" in lines[-1]
+    # The footer is the level alone; run time is not part of the table.
+    assert lines[-1] == "alpha = 0.05"
+    assert format_report(cells, 0.1).strip().split("\n")[-1] == "alpha = 0.1"
 
 
 def test_raw_csv_roundtrip():
