@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import single_blas_thread
 from .dataset import Sample, _as_matrix, _tie_groups, minmax_scale
 from .errors import DimensionMismatchError, InputError
 from .estimator import _rank_coefficient
@@ -137,25 +138,28 @@ def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig, search):
     covariate stack to (c, m) nearest-neighbor indices. One stable sort
     per sample gives both the ranks and the ridge right-hand sides, every
     product is computed per matrix, and the first failing check raises, so
-    a sample gets the same bits and errors in any stack.
+    a sample gets the same bits and errors in any stack. The products are
+    too small to share across threads, so NumPy's BLAS runs on one thread
+    here (:func:`nncorr._threads.single_blas_thread`).
     """
-    _, m, d = x.shape
-    order, first, ranks = _tie_groups(y)
-    xs = minmax_scale(x) if config.scale_covariates else x
-    nn = search(xs)
-    t_hat = _rank_coefficient(ranks, nn)
+    with single_blas_thread():
+        _, m, d = x.shape
+        order, first, ranks = _tie_groups(y)
+        xs = minmax_scale(x) if config.scale_covariates else x
+        nn = search(xs)
+        t_hat = _rank_coefficient(ranks, nn)
 
-    p = design_matrix(xs, basis_index_set(d, config.degree))
-    _as_matrix(p, name="design matrix", stacked=True)  # powers of unscaled x can overflow
-    lam = default_lambda(m, config.lambda_exponent)
-    betas = _ridge_solve(p, _threshold_rhs(p, order, first), lam)
-    l_hat = _l_hat(p, betas, nn)
-    t_bc = t_hat - 6.0 * l_hat
-    for label, v in (("l_hat", l_hat), ("t_bc", t_bc)):
-        bad = ~np.isfinite(v)
-        if bad.any():
-            raise InputError(f"{label} is not finite: {v[bad][0]}")
-    return t_hat, l_hat, t_bc
+        p = design_matrix(xs, basis_index_set(d, config.degree))
+        _as_matrix(p, name="design matrix", stacked=True)  # powers of unscaled x can overflow
+        lam = default_lambda(m, config.lambda_exponent)
+        betas = _ridge_solve(p, _threshold_rhs(p, order, first), lam)
+        l_hat = _l_hat(p, betas, nn)
+        t_bc = t_hat - 6.0 * l_hat
+        for label, v in (("l_hat", l_hat), ("t_bc", t_bc)):
+            bad = ~np.isfinite(v)
+            if bad.any():
+                raise InputError(f"{label} is not finite: {v[bad][0]}")
+        return t_hat, l_hat, t_bc
 
 
 def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateResult:

@@ -182,20 +182,24 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return 0 if run_selftest(quick=args.quick) else 1
+    ok = run_selftest(quick=args.quick)
+    if _threads.blas_pin_active():
+        print("INFO  BLAS pin: active, NumPy's BLAS runs on one thread inside nncorr calls")
+    else:
+        print("INFO  BLAS pin: inactive, openblas_set_num_threads_local not found in NumPy's BLAS")
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", None) is not None:
-            _threads.set_workers(args.threads)
-        if args.subcommand == "estimate":
-            return _cmd_estimate(args)
-        if args.subcommand == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_selftest(args)
+        with _threads.workers(args.threads):
+            if args.subcommand == "estimate":
+                return _cmd_estimate(args)
+            if args.subcommand == "simulate":
+                return _cmd_simulate(args)
+            return _cmd_selftest(args)
     except InputError as exc:
         print(f"nncorr: error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,10 @@ Gram matrix does not depend on t, so one inverse serves all n right-hand
 sides: O(K^3) once plus O(n K^2) matrix products. Both run on NumPy's own
 LAPACK and BLAS, the library every other product in the package uses, so a
 process starts one BLAS thread pool, not two that compete for the cores.
+Inside the pipeline that pool stays idle: products with K of a few dozen
+are too small to split, so the pipeline runs BLAS on the calling thread
+(:func:`nncorr._threads.single_blas_thread`). The bits do not depend on the
+BLAS thread count.
 
 Everything here is a plain array: :func:`basis_index_set` gives the (K, d)
 exponent array that :func:`design_matrix` takes, and :func:`ridge_fit_all`

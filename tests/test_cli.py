@@ -95,10 +95,32 @@ def test_estimate_byte_identical_across_thread_counts(capsys, csv_file):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("reps", ["30", "1"], ids=["success", "input-error"])
+def test_threads_option_does_not_outlive_the_call(capsys, csv_file, monkeypatch, reps):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _threads.set_workers(3)
+    seen = []
+    real = _threads.get_workers
+
+    def spy():
+        seen.append(real())
+        return seen[-1]
+
+    monkeypatch.setattr(_threads, "get_workers", spy)
+    code, _, _ = _run(capsys, [
+        "estimate", "--input", str(csv_file), "--bootstrap-reps", reps, "--threads", "1",
+    ])
+    assert code == (0 if reps == "30" else 2)
+    assert set(seen) == ({1} if reps == "30" else set())
+    assert real() == 3
+
+
 def test_estimate_byte_identical_across_blas_thread_counts(tmp_path):
-    # At n = 3 000 the ridge GEMMs are large enough for OpenBLAS to split
-    # them over threads; the thread count is read once, at import, so each
-    # run is a fresh interpreter.
+    # The BLAS thread count is read once, at import, so each run is a fresh
+    # interpreter. The last run leaves OPENBLAS_NUM_THREADS unset, so
+    # OpenBLAS starts its default pool, one thread per core. The pipeline
+    # runs BLAS on one thread whatever the pool; tests/test_threads.py
+    # compares it with the unpinned pool at n = 3 000.
     rng = np.random.default_rng(72)
     n = 3000
     x = rng.uniform(size=(n, 6))
@@ -107,8 +129,10 @@ def test_estimate_byte_identical_across_blas_thread_counts(tmp_path):
     rows = [",".join(format(v, ".12g") for v in row) for row in np.column_stack([x, y])]
     csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
         )
@@ -120,7 +144,7 @@ def test_estimate_byte_identical_across_blas_thread_counts(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_estimate_degree_zero_is_uncorrected(capsys, csv_file):
@@ -330,7 +354,9 @@ def test_simulate_rejects_bad_grid(capsys, tmp_path):
      "basis would have 20301 functions, above the cap of 10000; lower the degree"),
     (["--n", "20", "--d", "1", "--bootstrap-reps", "2", "--seed", "-1"],
      "seed path entries must be non-negative, got -1"),
-], ids=["b_reps", "m", "basis", "seed"])
+    (["--n", "50", "--threads", "-1"],
+     "thread count must be >= 0 (0 means all cores), got -1"),
+], ids=["b_reps", "m", "basis", "seed", "threads"])
 def test_simulate_option_errors_are_input_errors(capsys, tmp_path, options, message):
     # Checked before any replication runs, so they exit 2 with the message
     # of the check, not as a failed replication.
@@ -350,8 +376,9 @@ def test_selftest_quick_passes(capsys):
     code, out, _ = _run(capsys, ["selftest", "--quick"])
     assert code == 0
     lines = [ln for ln in out.strip().split("\n") if ln]
-    assert len(lines) == 5
-    assert all(ln.startswith("PASS") for ln in lines)
+    assert len(lines) == 6
+    assert all(ln.startswith("PASS") for ln in lines[:5])
+    assert lines[5].startswith("INFO  BLAS pin: ")
 
 
 def test_selftest_detects_a_broken_neighbor_search(capsys, monkeypatch):
