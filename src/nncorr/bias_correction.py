@@ -21,7 +21,7 @@ import numpy as np
 
 from ._threads import single_blas_thread
 from .dataset import Sample, _as_matrix, _tie_groups, minmax_scale
-from .errors import DimensionMismatchError, InputError
+from .errors import ConstantResponseError, DimensionMismatchError, InputError
 from .estimator import _rank_coefficient
 from .nn_graph import build_nn
 from .ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
@@ -119,8 +119,11 @@ def _l_hat(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
     Takes factors (c, n, K) and (c, K, n) with neighbor indices (c, n).
     Each sample's n row terms are combined with ``math.fsum``.
     """
-    n = p.shape[-2]
-    d = np.take_along_axis(p, nn[..., None], axis=-2) - p
+    c, n, k = p.shape
+    # Neighbor rows gathered through a flat (c * n, K) view, then the row
+    # itself subtracted in place, so only one (c, n, K) temporary exists.
+    d = p.reshape(c * n, k)[(nn + n * np.arange(c)[:, None]).ravel()].reshape(c, n, k)
+    d -= p
     # einsum sums every entry of M in the same order, so equal rows of betas
     # give bit-equal entries and curves that agree cancel exactly; BLAS
     # (syrk or gemm) rounds edge and diagonal blocks differently.
@@ -145,6 +148,11 @@ def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig, search):
     with single_blas_thread():
         _, m, d = x.shape
         order, first, ranks = _tie_groups(y)
+        if (ranks.min(axis=-1) == m).any():
+            # Every rank is m only when all m responses are equal.
+            raise ConstantResponseError(
+                f"the response is constant over all {m} rows; there is nothing to rank"
+            )
         xs = minmax_scale(x) if config.scale_covariates else x
         nn = search(xs)
         t_hat = _rank_coefficient(ranks, nn)

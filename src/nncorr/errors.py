@@ -40,6 +40,10 @@ class BasisSizeError(InputError):
     code = "basis-size-cap"
 
 
+class ConstantResponseError(InputError):
+    code = "constant-response"
+
+
 class FactorizationError(RuntimeError):
     """The shifted Gram matrix could not be inverted.
 

@@ -35,8 +35,9 @@ def _rank_coefficient(ranks: np.ndarray, nn: np.ndarray) -> np.ndarray:
     Each sample's sum of rank minima is exact in int64; every value goes
     through the same sane-range check, and the first one outside it raises.
     """
-    n = ranks.shape[-1]
-    s = np.minimum(ranks, np.take_along_axis(ranks, nn, axis=-1)).sum(axis=-1, dtype=np.int64)
+    c, n = ranks.shape
+    r_nn = ranks.ravel()[nn + n * np.arange(c)[:, None]]
+    s = np.minimum(ranks, r_nn, out=r_nn).sum(axis=-1, dtype=np.int64)
     value = (6 * s) / (n * n - 1) - (2 * n + 1) / (n - 1)
     bad = ~np.isfinite(value) | (value > 1.5) | (value < -3.0)
     if bad.any():

@@ -10,9 +10,10 @@ Both refuse a matrix whose squared distances could overflow before any
 distance is formed.
 
 :func:`build_nn` makes one pass over the tree for the three nearest rows of
-every row. A row whose nearest other row is at positive distance and
-strictly nearer than the next one, by more than a relative slack, is
-settled by that pass. Only the other rows (distance ties, duplicate rows)
+every row, querying the rows in the tree's leaf order so that consecutive
+queries walk the same nodes, and scattering the answers back to row order.
+A row whose nearest other row is at positive distance and strictly nearer
+than the next one, by more than a relative slack, is settled by that pass. Only the other rows (distance ties, duplicate rows)
 query the tree a second time for every row within their nearest distance
 plus the slack, and re-score those candidates with exact squared
 distances; on continuous data no row takes that path.
@@ -52,10 +53,13 @@ def build_nn(x) -> np.ndarray:
 
     A kd-tree query for the three nearest rows settles every row whose
     nearest other row is at positive distance and whose third-nearest row
-    is farther by more than the slack. The remaining rows (ties, duplicate
-    rows) collect every row within their nearest distance plus the slack
-    and re-score them with exact squared distances, the smallest index
-    winning ties. Duplicate rows are each other's neighbors.
+    is farther by more than the slack. The rows are queried in the tree's
+    leaf order (``tree.indices``) and the answers scattered back to row
+    order; a settled row's neighbor is unique, so the order of the queries
+    cannot change it. The remaining rows (ties, duplicate rows) collect
+    every row within their nearest distance plus the slack and re-score
+    them with exact squared distances, the smallest index winning ties.
+    Duplicate rows are each other's neighbors.
     """
     arr = np.ascontiguousarray(_as_matrix(x))
     n = arr.shape[0]
@@ -65,7 +69,12 @@ def build_nn(x) -> np.ndarray:
     workers = _threads.get_workers()
 
     tree = cKDTree(arr)
-    dk, ik = tree.query(arr, k=3, workers=workers)
+    # Query in leaf order, so consecutive queries walk the same nodes and each
+    # worker takes a spatially contiguous block, then scatter back to row order.
+    perm = tree.indices
+    dk = np.empty((n, 3))
+    ik = np.empty((n, 3), dtype=np.intp)
+    dk[perm], ik[perm] = tree.query(arr[perm], k=3, workers=workers)
     nn = ik[:, 1].astype(np.int64)
     # Second-smallest distance including self equals the nearest-other
     # distance whether or not duplicates are present.

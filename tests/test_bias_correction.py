@@ -146,6 +146,14 @@ def test_overflowing_distances_raise():
     assert estimate(s, PipelineConfig(degree=0)).t_hat == 0.0
 
 
+def test_constant_response_is_an_input_error():
+    rng = np.random.default_rng(48)
+    s = Sample(x=rng.uniform(size=(50, 3)), y=np.full(50, 0.25))
+    with pytest.raises(InputError) as err:
+        estimate(s)
+    assert err.value.code == "constant-response"
+
+
 def test_degree_zero_correction_vanishes():
     # A constant-only basis fits the same value to every row, so the pair
     # average cancels term by term and the correction is a no-op.

@@ -292,6 +292,21 @@ def test_estimate_rejects_an_overflowing_gram_matrix(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_estimate_rejects_a_constant_response(capsys, tmp_path):
+    # A constant y, and an n = 2 file whose m = 2 replicates draw one row
+    # twice half the time: input errors, not an out-of-range crash.
+    flat = "x1,x2,y\n" + "".join(f"{0.1 * i},{(3 * i) % 7},2.5\n" for i in range(30))
+    cases = [(flat, [], 30), ("x1,y\n0.0,1.0\n1.0,2.0\n", ["--m", "2"], 2)]
+    for text, extra, m in cases:
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)] + extra)
+        assert code == 2 and out == "", extra
+        assert err == (
+            f"nncorr: error: the response is constant over all {m} rows; there is nothing to rank\n"
+        )
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

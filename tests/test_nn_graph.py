@@ -173,7 +173,13 @@ def test_fallback_rows_mixed_with_settled_rows():
 
 def test_worker_count_does_not_change_result():
     rng = np.random.default_rng(26)
-    inputs = (rng.standard_normal((400, 3)), _copula_with_ties(rng, n=400, d=3))
+    # At n = 3000 the leaf order moves rows far from their row order, and each
+    # worker queries a contiguous slice of it.
+    inputs = (
+        rng.standard_normal((400, 3)),
+        _copula_with_ties(rng, n=400, d=3),
+        _copula_with_ties(rng, n=3000, d=4),
+    )
     try:
         for x in inputs:
             want = _block_ref_nn(x)
