@@ -24,6 +24,9 @@ costs O(B m^2 d) in all. No block of a replicate exceeds max(m, K)^2
 floats: its distance matrix or its (K, K) Gram matrix. Chunks along the
 replicate axis keep that block within a fixed byte budget; the results do
 not depend on the chunk size.
+
+:func:`_analyze` is the one checked analysis of the command line's
+``estimate`` and of every study replication.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from .bias_correction import PipelineConfig, _stages
+from .bias_correction import PipelineConfig, _stages, estimate
 from .dataset import Sample
 from .errors import InputError
 from .nn_graph import _stacked_nn
-from .rng import _integers_block
+from .ridge_series import basis_index_set
+from .rng import _check_path, _integers_block
 
 DEFAULT_B_REPS = 200
 
@@ -71,15 +75,6 @@ def _se(stats: np.ndarray, m: int, n: int) -> float:
     return math.sqrt(m * float(np.var(stats, ddof=1)) / n)
 
 
-def _draws(n: int, m: int, b_reps: int, seed: int) -> np.ndarray:
-    """The (b_reps, m) block of subsample indices; row r depends only on (seed, r).
-
-    Row r equals ``derive_rng(seed, r).integers(0, n, size=m)``; the block
-    is computed in one pass, with no generator per replicate.
-    """
-    return _integers_block(seed, n, m, b_reps)
-
-
 # Byte budget of one chunk's largest block, max(m, K)^2 floats a replicate:
 # the (chunk, m, m) squared distances or the (chunk, K, K) Gram matrices.
 # It bounds memory only: every stage is computed per replicate.
@@ -91,7 +86,7 @@ def _replicates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replicate values of ``t_hat`` and ``t_bc`` over the index block."""
     b_reps, m = draws.shape
-    k = math.comb(sample.d + config.degree, config.degree)
+    k = len(basis_index_set(sample.d, config.degree))
     chunk = max(1, _CHUNK_BYTES // (8 * max(m, k) ** 2))
     parts = []
     for lo in range(0, b_reps, chunk):
@@ -130,7 +125,7 @@ def mn_bootstrap_pair(
     _check_b_reps(b_reps)
     n = sample.n
     m_eff = _resolve_m(n, m)
-    t_hat, t_bc = _replicates(sample, config, _draws(n, m_eff, b_reps, seed))
+    t_hat, t_bc = _replicates(sample, config, _integers_block(seed, n, m_eff, b_reps))
     return _se(t_hat, m_eff, n), _se(t_bc, m_eff, n)
 
 
@@ -139,3 +134,30 @@ def confidence_interval(point: float, se: float, alpha: float) -> tuple[float, f
     _check_alpha(alpha)
     z = float(ndtri(1.0 - alpha / 2.0))
     return (point - z * se, point + z * se)
+
+
+def _check_run(
+    n: int, d: int, config: PipelineConfig, b_reps: int, m: int | None, alpha: float, seed: int
+) -> int:
+    """Run every check of one analysis before its work; return the subsample size."""
+    _check_b_reps(b_reps)
+    m_eff = _resolve_m(n, m)
+    _check_alpha(alpha)
+    _check_path(seed, ())
+    basis_index_set(d, config.degree)
+    return m_eff
+
+
+def _analyze(
+    sample: Sample, config: PipelineConfig, b_reps: int, m: int | None, alpha: float, seed: int
+):
+    """Check the options, then estimate, bootstrap and build both intervals.
+
+    Returns ``(result, m, (se_t, se_tbc), (ci_t, ci_tbc))``, m the subsample size.
+    """
+    m_eff = _check_run(sample.n, sample.d, config, b_reps, m, alpha, seed)
+    res = estimate(sample, config)
+    se_t, se_tbc = mn_bootstrap_pair(sample, config, b_reps=b_reps, m=m_eff, seed=seed)
+    ci_t = confidence_interval(res.t_hat, se_t, alpha)
+    ci_tbc = confidence_interval(res.t_bc, se_tbc, alpha)
+    return res, m_eff, (se_t, se_tbc), (ci_t, ci_tbc)

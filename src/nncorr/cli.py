@@ -2,9 +2,10 @@
 
 Exit codes are fixed: 0 for success, 2 for input or usage problems (with a
 one-line message on stderr), 1 for anything unexpected or a failed
-self-test. Every file and stdout output is byte-stable for a given
-invocation and seed; the one wall-clock figure, the study's run time, goes
-to stderr.
+self-test. ``estimate`` and each ``simulate`` replication run one analysis,
+:func:`nncorr.bootstrap._analyze`, which checks every option before any
+work. Every file and stdout output is byte-stable for a given invocation
+and seed; the one wall-clock figure, the study's run time, goes to stderr.
 """
 
 from __future__ import annotations
@@ -17,19 +18,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import _threads
-from .bias_correction import DEFAULT_LAMBDA_EXPONENT, PipelineConfig, estimate
-from .bootstrap import (
-    DEFAULT_B_REPS,
-    _check_alpha,
-    _check_b_reps,
-    _resolve_m,
-    confidence_interval,
-    mn_bootstrap_pair,
-)
+from .bias_correction import DEFAULT_DEGREE, DEFAULT_LAMBDA_EXPONENT, PipelineConfig
+from .bootstrap import DEFAULT_B_REPS, _analyze
 from .dataset import load_csv
 from .errors import InputError
-from .ridge_series import basis_index_set
-from .rng import _check_path
 from .selftest import run_selftest
 from .simulation import format_report, raw_csv_lines, run_study
 
@@ -53,7 +45,8 @@ def _build_parser() -> _Parser:
     est.add_argument("--input", required=True, help="CSV with covariates and response")
     est.add_argument("--y-column", default="last",
                      help='response column: 0-based index or "last" (default)')
-    est.add_argument("--degree", type=int, default=2, help="polynomial total degree")
+    est.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
+                     help="polynomial total degree")
     est.add_argument("--lambda-exponent", type=float, default=DEFAULT_LAMBDA_EXPONENT,
                      help="ridge penalty exponent c in n**-c")
     est.add_argument("--bootstrap-reps", type=int, default=DEFAULT_B_REPS)
@@ -86,15 +79,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_y_column(raw: str):
-    if raw == "last":
-        return "last"
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f'invalid --y-column {raw!r}; use an integer or "last"') from None
-
-
 def _dumps(obj) -> str:
     # Keys keep insertion order; floats print as their shortest round-trip
     # repr, and a non-finite one raises rather than printing invalid JSON.
@@ -102,26 +86,15 @@ def _dumps(obj) -> str:
 
 
 def _cmd_estimate(args) -> int:
-    sample = load_csv(args.input, y_column=_parse_y_column(args.y_column))
+    sample = load_csv(args.input, y_column=args.y_column)
     config = PipelineConfig(
         degree=args.degree,
         lambda_exponent=args.lambda_exponent,
         scale_covariates=not args.no_scale,
     )
-    # The bootstrap and interval options, the seed and the basis size are
-    # checked before any of the work runs, with the messages those functions
-    # would raise.
-    _check_b_reps(args.bootstrap_reps)
-    m_eff = _resolve_m(sample.n, args.m)
-    _check_alpha(args.alpha)
-    _check_path(args.seed, ())
-    basis_index_set(sample.d, config.degree)
-    res = estimate(sample, config)
-    se_t, se_bc = mn_bootstrap_pair(
-        sample, config, b_reps=args.bootstrap_reps, m=m_eff, seed=args.seed
+    res, m_eff, (se_t, se_bc), (ci_t, ci_bc) = _analyze(
+        sample, config, args.bootstrap_reps, args.m, args.alpha, args.seed
     )
-    ci_t = confidence_interval(res.t_hat, se_t, args.alpha)
-    ci_bc = confidence_interval(res.t_bc, se_bc, args.alpha)
 
     payload = {
         "n": sample.n,
@@ -157,14 +130,8 @@ def _cmd_simulate(args) -> int:
 
     records: list = []
     start = time.perf_counter()
-    cells = run_study(
-        grid,
-        reps=args.reps,
-        alpha=args.alpha,
-        b_reps=args.bootstrap_reps,
-        seed=args.seed,
-        records=records,
-    )
+    cells = run_study(grid, reps=args.reps, alpha=args.alpha, b_reps=args.bootstrap_reps,
+                      seed=args.seed, records=records)
     wall = time.perf_counter() - start
 
     out_dir = Path(args.out_dir)

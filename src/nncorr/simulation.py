@@ -19,19 +19,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import ndtr
 
-from .bias_correction import PipelineConfig, estimate
-from .bootstrap import (
-    DEFAULT_B_REPS,
-    _check_alpha,
-    _check_b_reps,
-    _resolve_m,
-    confidence_interval,
-    mn_bootstrap_pair,
-)
+from .bias_correction import PipelineConfig
+from .bootstrap import DEFAULT_B_REPS, _analyze, _check_run
 from .dataset import Sample
 from .errors import InputError
-from .ridge_series import basis_index_set
-from .rng import _check_path, derive_rng, derive_seed
+from .rng import derive_rng, derive_seed
 
 # Stream tags separating the data draw from the bootstrap draws within one
 # replication; both hang off (seed, cell_index, rep_index).
@@ -165,32 +157,28 @@ def run_study(
 ) -> tuple[CellSummary, ...]:
     """Monte-Carlo sweep over (rho, d, n) cells, one summary per cell in grid order.
 
-    Per replication: generate a dataset, compute both estimates with the
-    default :class:`PipelineConfig`, bootstrap both intervals at the
-    default subsample size, and keep the estimates, the intervals and the
-    closed-form truth in a :class:`RawRecord`. Each cell's summary is
-    computed from its records. Replication streams derive from (seed, cell_index,
-    rep_index), so any execution order reproduces the same numbers. Pass a
-    list as ``records`` to capture every record for the raw CSV sidecar. A
-    failing replication raises with the cell coordinates attached; nothing
-    is skipped silently.
+    Per replication: generate a dataset, run the command line's analysis on
+    it (default :class:`PipelineConfig` and subsample size), and keep both
+    estimates, both intervals and the closed-form truth in a
+    :class:`RawRecord`. Each cell's summary is computed from its records.
+    Replication streams derive from (seed, cell_index, rep_index), so any
+    execution order reproduces the same numbers. Pass a list as ``records``
+    to capture every record for the raw CSV sidecar. Every option is checked
+    before any replication runs; a failing replication raises with the cell
+    coordinates attached, an :class:`InputError` when the drawn data is at
+    fault.
     """
     grid = list(grid)
     if not grid:
         raise InputError("empty simulation grid")
-    config = PipelineConfig()
-    _check_b_reps(b_reps)
-    for rho, d, n in grid:
-        # Reuse the validation of the configs, the bootstrap and the basis,
-        # so bad options fail before any replication runs (and fail as
-        # input errors, not wrapped ones).
-        CopulaConfig(n=int(n), d=int(d), rho=float(rho))
-        _resolve_m(int(n), None)
-        basis_index_set(int(d), config.degree)
     if reps < 1:
         raise InputError(f"need reps >= 1, got {reps}")
-    _check_alpha(alpha)
-    _check_path(seed, ())
+    config = PipelineConfig()
+    for rho, d, n in grid:
+        # Every cell's options are checked as each replication checks them,
+        # so a bad one fails before any replication runs.
+        CopulaConfig(n=int(n), d=int(d), rho=float(rho))
+        _check_run(int(n), int(d), config, b_reps, None, alpha, seed)
 
     cells = []
     for ci, (rho, d, n) in enumerate(grid):
@@ -201,12 +189,11 @@ def run_study(
                 data_seed = derive_seed(seed, ci, r, _TAG_DATA)
                 boot_seed = derive_seed(seed, ci, r, _TAG_BOOT)
                 sample = gen_gaussian_copula(CopulaConfig(n=n, d=d, rho=rho, seed=data_seed))
-                res = estimate(sample, config)
-                se_t, se_bc = mn_bootstrap_pair(sample, config, b_reps=b_reps, seed=boot_seed)
-                ci_t = confidence_interval(res.t_hat, se_t, alpha)
-                ci_bc = confidence_interval(res.t_bc, se_bc, alpha)
+                res, _, _, (ci_t, ci_bc) = _analyze(sample, config, b_reps, None, alpha, boot_seed)
             except Exception as exc:
-                raise RuntimeError(
+                # A property of the drawn data stays an input error.
+                wrap = type(exc) if isinstance(exc, InputError) else RuntimeError
+                raise wrap(
                     f"replication {r} of cell (rho={rho}, d={d}, n={n}) failed: {exc}"
                 ) from exc
             rows.append(

@@ -8,7 +8,6 @@ import pytest
 from nncorr import bootstrap
 from nncorr.bias_correction import PipelineConfig, estimate
 from nncorr.bootstrap import (
-    _draws,
     _replicates,
     _se,
     confidence_interval,
@@ -17,7 +16,7 @@ from nncorr.bootstrap import (
 )
 from nncorr.dataset import Sample
 from nncorr.errors import FactorizationError, InputError, NonFiniteInputError
-from nncorr.rng import derive_rng
+from nncorr.rng import _integers_block, derive_rng
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -40,7 +39,7 @@ def _loop_bootstrap(sample, config, statistic, b_reps, m=None, seed=0):
     m_eff = default_m(sample.n) if m is None else m
     stats = np.array(
         [statistic(sample.x[idx], sample.y[idx], config)
-         for idx in _draws(sample.n, m_eff, b_reps, seed)],
+         for idx in _integers_block(seed, sample.n, m_eff, b_reps)],
         dtype=np.float64,
     )
     return _se(stats, m_eff, sample.n)
@@ -56,7 +55,7 @@ def _draws_loop(n, m, b_reps, seed):
 
 
 def _assert_same_draws(n, m, b_reps, seed):
-    got, want = _draws(n, m, b_reps, seed), _draws_loop(n, m, b_reps, seed)
+    got, want = _integers_block(seed, n, m, b_reps), _draws_loop(n, m, b_reps, seed)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
@@ -71,9 +70,11 @@ def test_draws_match_per_replicate_generators(n, seed):
 
 
 def test_draws_rows_do_not_depend_on_b_reps():
-    np.testing.assert_array_equal(_draws(300, 17, 10, 7), _draws(300, 17, 50, 7)[:10])
     np.testing.assert_array_equal(
-        _draws(2**31 + 1, 17, 10, 7), _draws(2**31 + 1, 17, 50, 7)[:10]
+        _integers_block(7, 300, 17, 10), _integers_block(7, 300, 17, 50)[:10]
+    )
+    np.testing.assert_array_equal(
+        _integers_block(7, 2**31 + 1, 17, 10), _integers_block(7, 2**31 + 1, 17, 50)[:10]
     )
 
 
@@ -81,13 +82,13 @@ def test_draws_reject_a_negative_seed_like_derive_rng():
     with pytest.raises(InputError) as want:
         derive_rng(-1, 0)
     with pytest.raises(InputError) as got:
-        _draws(300, 17, 10, -1)
+        _integers_block(-1, 300, 17, 10)
     assert str(got.value) == str(want.value) == "seed path entries must be non-negative, got -1"
 
 
 def test_draws_name_the_row_limit():
     with pytest.raises(InputError, match=r"at most 4294967295 rows"):
-        _draws(2**32, 17, 10, 0)
+        _integers_block(0, 2**32, 17, 10)
 
 
 if given is not None:
@@ -282,8 +283,8 @@ def test_engine_matches_estimate_per_replicate(n, m, d, degree, scale, kind):
     cfg = PipelineConfig(degree=degree, scale_covariates=scale)
     b_reps = 8 if m == 2 else 20  # m = 2 draws the same row twice at rate 1/n
 
-    t_hat, t_bc = _replicates(s, cfg, _draws(n, m, b_reps, 3))
-    for r, idx in enumerate(_draws(n, m, b_reps, 3)):
+    t_hat, t_bc = _replicates(s, cfg, _integers_block(3, n, m, b_reps))
+    for r, idx in enumerate(_integers_block(3, n, m, b_reps)):
         want = estimate(Sample(x=x[idx], y=y[idx]), cfg)
         assert t_hat[r] == want.t_hat
         assert t_bc[r] == want.t_bc
@@ -373,7 +374,8 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
         results = []
         for budget in budgets:
             monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", budget)
-            results.append(_replicates(s, PipelineConfig(), _draws(n, default_m(n), 60, 2)))
+            draws = _integers_block(2, n, default_m(n), 60)
+            results.append(_replicates(s, PipelineConfig(), draws))
         for t_hat, t_bc in results[1:]:
             np.testing.assert_array_equal(t_hat, results[0][0])
             np.testing.assert_array_equal(t_bc, results[0][1])

@@ -204,13 +204,13 @@ def test_estimate_usage_errors(capsys, csv_file):
 
 
 def test_estimate_options_are_checked_before_the_estimate(capsys, csv_file, monkeypatch):
-    import nncorr.cli as cli
+    import nncorr.bootstrap as bootstrap
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the estimate ran before the options were checked")
 
-    monkeypatch.setattr(cli, "estimate", forbidden)
-    monkeypatch.setattr(cli, "mn_bootstrap_pair", forbidden)
+    monkeypatch.setattr(bootstrap, "estimate", forbidden)
+    monkeypatch.setattr(bootstrap, "mn_bootstrap_pair", forbidden)
     cases = [
         (["--alpha", "1.5"], "alpha must lie strictly between 0 and 1, got 1.5"),
         (["--bootstrap-reps", "1"], "need b_reps >= 2, got 1"),
@@ -380,6 +380,22 @@ def test_simulate_option_errors_are_input_errors(capsys, tmp_path, options, mess
     ])
     assert (code, out) == (2, "")
     assert err == f"nncorr: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_data_error_in_a_replication_is_an_input_error(capsys, tmp_path):
+    # At n = 4 the subsample size is 2, so some bootstrap subsample draws one
+    # row twice and has a constant response: a property of the drawn data,
+    # reported with the cell coordinates and exit 2.
+    code, out, err = _run(capsys, [
+        "simulate", "--rho", "0.5", "--d", "1", "--n", "4", "--reps", "3",
+        "--bootstrap-reps", "50", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert (code, out) == (2, "")
+    assert err == (
+        "nncorr: error: replication 0 of cell (rho=0.5, d=1, n=4) failed: "
+        "the response is constant over all 2 rows; there is nothing to rank\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

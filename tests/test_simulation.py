@@ -130,6 +130,25 @@ def test_study_validation_happens_up_front():
         run_study([(0.5, 2, 40)], reps=2, seed=-1)
 
 
+@pytest.mark.parametrize("options, message", [
+    (dict(b_reps=1), "need b_reps >= 2, got 1"),
+    (dict(alpha=1.5), "alpha must lie strictly between 0 and 1, got 1.5"),
+    (dict(seed=-1), "seed path entries must be non-negative, got -1"),
+    (dict(grid=[(0.5, 2, 40), (0.5, 200, 40)]),
+     "basis would have 20301 functions, above the cap of 10000; lower the degree"),
+], ids=["b_reps", "alpha", "seed", "basis"])
+def test_study_options_are_checked_before_any_replication(monkeypatch, options, message):
+    import nncorr.bootstrap as bootstrap
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a replication ran before the options were checked")
+
+    monkeypatch.setattr(bootstrap, "estimate", forbidden)
+    with pytest.raises(InputError) as exc:
+        run_study(**{"grid": [(0.5, 2, 40)], "reps": 2, **options})
+    assert str(exc.value) == message
+
+
 def test_study_summaries_match_raw_records():
     records = []
     grid = [(0.0, 2, 80), (0.5, 2, 80)]
