@@ -19,7 +19,6 @@ Typical use::
 from .bias_correction import (
     EstimateResult,
     PipelineConfig,
-    bias_estimate,
     default_lambda,
     estimate,
 )
@@ -28,7 +27,7 @@ from .bootstrap import (
     default_m,
     mn_bootstrap_pair,
 )
-from .dataset import Sample, compute_ranks, load_csv, minmax_scale
+from .dataset import Sample, load_csv, minmax_scale
 from .errors import (
     BasisSizeError,
     DimensionMismatchError,
@@ -40,13 +39,8 @@ from .errors import (
     NonFiniteInputError,
     NonNumericCellError,
 )
-from .estimator import chatterjee_t
 from .nn_graph import build_nn
-from .ridge_series import (
-    basis_index_set,
-    design_matrix,
-    ridge_fit_all,
-)
+from .ridge_series import basis_index_set, design_matrix
 from .rng import derive_rng, derive_seed
 from .simulation import (
     RAW_CSV_HEADER,
@@ -80,10 +74,7 @@ __all__ = [
     "RawRecord",
     "Sample",
     "basis_index_set",
-    "bias_estimate",
     "build_nn",
-    "chatterjee_t",
-    "compute_ranks",
     "confidence_interval",
     "default_lambda",
     "default_m",
@@ -97,7 +88,6 @@ __all__ = [
     "minmax_scale",
     "mn_bootstrap_pair",
     "raw_csv_lines",
-    "ridge_fit_all",
     "run_study",
     "true_t",
 ]

@@ -1,15 +1,14 @@
-"""Plug-in bias estimate for the neighbor rank statistic, and the pipeline.
+"""The neighbor rank statistic, its plug-in bias estimate, and the pipeline.
 
-The raw statistic carries a first-order bias driven by how often the
-conditional survival curves at a point and at its nearest neighbor
-disagree. That quantity is estimated by an average of survival-probability
-products over all ordered pairs, with the survival curves themselves fitted
-by :mod:`nncorr.ridge_series`. Subtracting six times the estimate gives the
-corrected statistic.
-
-The fitted survival matrix g = P @ betas has rank K (the basis size), so the
-pair average is computed from the n x K and K x n factors in O(n K^2) time
-and O(n K) memory; the n x n matrix is never formed.
+The raw statistic comes from the response ranks along the nearest-neighbor
+graph. It carries a first-order bias driven by how often the conditional
+survival curves at a point and at its nearest neighbor disagree. That
+quantity is estimated by an average of survival-probability products over
+all ordered pairs, with the survival curves themselves fitted by
+:mod:`nncorr.ridge_series`. Subtracting six times the estimate gives the
+corrected statistic. Every stage takes a stack of samples; :func:`_stages`
+runs them for :func:`estimate` and for each bootstrap chunk. The raw
+statistic alone is ``estimate(sample, PipelineConfig(degree=0)).t_hat``.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ import numpy as np
 
 from ._threads import single_blas_thread
 from .dataset import Sample, _as_matrix, _tie_groups, minmax_scale
-from .errors import ConstantResponseError, DimensionMismatchError, InputError
-from .estimator import _rank_coefficient
+from .errors import ConstantResponseError, InputError
 from .nn_graph import build_nn
 from .ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
 
@@ -83,41 +81,41 @@ class EstimateResult:
     t_bc: float
 
 
-def bias_estimate(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> float:
-    """Average pair discrepancy of the fitted survival curves g = p @ betas.
+def _rank_coefficient(ranks: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """Raw coefficient of every sample in a stack: (c, n) ranks and nn give (c,).
 
-    Computes ``sum_{i != j} g[i,j] * (g[nn[i],j] - g[i,j]) / (n*(n-1))``
-    without forming the n x n matrix g. Since g has rank K, row i of the sum
-    is ``p_i M d_i' - g[i,i] * (d_i @ betas[:, i])`` with ``M = betas @
-    betas.T`` and ``d_i = p[nn[i]] - p_i``; the second part removes the
-    j = i term exactly. The neighbor differences d are formed before any
-    product, so rows whose fitted curves agree contribute exactly zero
-    rather than a cancellation residue. The n row terms are combined with
-    ``math.fsum``, making the result depend on nothing but the inputs.
-    O(n K^2) time and O(n K) memory.
+    Per sample, 6/(n^2-1) * sum_i min(r_i, r_nn(i)) - (2n+1)/(n-1). The sum
+    of rank minima is exact in int64 and divided once, so the result
+    carries a single rounding step per term of the formula. Finite-sample
+    values below 0 are legitimate (n = 2 always yields -1 on distinct
+    responses), so nothing is clamped; every value goes through the same
+    sane-range check, and the first one outside it raises.
     """
-    pm = np.asarray(p, dtype=np.float64)
-    bm = np.asarray(betas, dtype=np.float64)
-    if pm.ndim != 2 or bm.ndim != 2 or bm.shape != pm.shape[::-1]:
-        raise DimensionMismatchError(
-            f"factors must be n x K and K x n, got {pm.shape} and {bm.shape}"
+    c, n = ranks.shape
+    r_nn = ranks.ravel()[nn + n * np.arange(c)[:, None]]
+    s = np.minimum(ranks, r_nn, out=r_nn).sum(axis=-1, dtype=np.int64)
+    value = (6 * s) / (n * n - 1) - (2 * n + 1) / (n - 1)
+    bad = ~np.isfinite(value) | (value > 1.5) | (value < -3.0)
+    if bad.any():
+        raise RuntimeError(
+            f"coefficient {float(value[bad].flat[0])} outside sane range; ranks and nn "
+            "graph are inconsistent or the response is pathologically tied"
         )
-    idx = np.asarray(nn)
-    n = pm.shape[0]
-    if idx.shape != (n,):
-        raise DimensionMismatchError(
-            f"neighbor map has shape {idx.shape} but the factors have {n} rows"
-        )
-    if n < 2:
-        raise InputError("need at least two rows to average over pairs")
-    return float(_l_hat(pm[None], bm[None], idx[None])[0])
+    return value
 
 
 def _l_hat(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
-    """:func:`bias_estimate` of every sample in a stack, shape (c,).
+    """Average pair discrepancy of the fitted curves g = p @ betas, per sample.
 
-    Takes factors (c, n, K) and (c, K, n) with neighbor indices (c, n).
-    Each sample's n row terms are combined with ``math.fsum``.
+    Takes factors (c, n, K) and (c, K, n) with neighbor indices (c, n) and
+    returns, shape (c,), ``sum_{i != j} g[i,j] * (g[nn[i],j] - g[i,j]) /
+    (n*(n-1))`` without forming the n x n matrix g. Since g has rank K, row
+    i of the sum is ``p_i M d_i' - g[i,i] * (d_i @ betas[:, i])`` with ``M =
+    betas @ betas.T`` and ``d_i = p[nn[i]] - p_i``; the second part removes
+    the j = i term exactly. The differences d are formed before any product,
+    so rows whose fitted curves agree contribute exactly zero. Each sample's
+    n row terms are combined with ``math.fsum``. O(n K^2) time and O(n K)
+    memory per sample.
     """
     c, n, k = p.shape
     # Neighbor rows gathered through a flat (c * n, K) view, then the row

@@ -1,8 +1,10 @@
 """Data ingestion, validation, rank computation, and covariate scaling.
 
 Everything downstream consumes a :class:`Sample`. The helpers here are pure
-functions that return plain arrays (int64 ranks, a scaled float64 matrix)
-and are safe to share across threads.
+functions that return plain arrays and are safe to share across threads:
+:func:`minmax_scale` a scaled float64 matrix, and :func:`_tie_groups`, for
+a stack of responses at once, the int64 ranks together with the sort order
+and tie-group starts that the ridge right-hand sides are built from.
 """
 
 from __future__ import annotations
@@ -170,19 +172,6 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     y = mat[:, y_idx]
     x = np.delete(mat, y_idx, axis=1)
     return Sample(x=x, y=y)
-
-
-def compute_ranks(y) -> np.ndarray:
-    """Rank of each entry among the whole vector, counting ties upward.
-
-    ``r_i`` is the number of entries (including y_i itself) less than or
-    equal to y_i, so distinct data yield a permutation of 1..n and the
-    maximum rank is always n.
-    """
-    arr = _as_vector(y)
-    if arr.shape[0] < 2:
-        raise InsufficientRowsError(f"need at least 2 entries, got {arr.shape[0]}")
-    return _tie_groups(arr[None])[2][0]
 
 
 def _tie_groups(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

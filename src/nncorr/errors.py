@@ -1,53 +1,52 @@
 """Exception types shared across the package.
 
-Every user-facing input problem raises a subclass of :class:`InputError`,
-each carrying a stable ``code`` string so callers (and the CLI) can
-distinguish failure modes without parsing messages.
+Every user-facing input problem raises a subclass of :class:`InputError`;
+the class tells the failure modes apart, and the CLI turns any of them
+into exit code 2.
 """
 
 
 class InputError(ValueError):
     """User-supplied data or options violate a precondition."""
 
-    code = "invalid-input"
-
 
 class MissingFileError(InputError):
-    code = "missing-file"
+    pass
 
 
 class NonNumericCellError(InputError):
-    code = "non-numeric-cell"
+    pass
 
 
 class InsufficientRowsError(InputError):
-    code = "insufficient-rows"
+    pass
 
 
 class NoCovariateColumnsError(InputError):
-    code = "no-covariate-columns"
+    pass
 
 
 class NonFiniteInputError(InputError):
-    code = "non-finite-input"
+    pass
 
 
 class DimensionMismatchError(InputError):
-    code = "dimension-mismatch"
+    pass
 
 
 class BasisSizeError(InputError):
-    code = "basis-size-cap"
+    pass
 
 
 class ConstantResponseError(InputError):
-    code = "constant-response"
+    pass
 
 
-class FactorizationError(RuntimeError):
+class FactorizationError(InputError):
     """The shifted Gram matrix could not be inverted.
 
-    A Gram matrix that overflows is rejected before this point, and the
-    ridge shift makes a finite one positive definite, so this signals a
-    corrupted design matrix.
+    A Gram matrix that overflows is rejected before this point, but a
+    finite one can still be numerically singular when the covariates are
+    so large that the ridge shift vanishes beside its entries (unscaled
+    columns near 1e20, say). Rescaling x or lowering the degree avoids it.
     """

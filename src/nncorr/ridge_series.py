@@ -12,10 +12,14 @@ are too small to split, so the pipeline runs BLAS on the calling thread
 BLAS thread count.
 
 Everything here is a plain array: :func:`basis_index_set` gives the (K, d)
-exponent array that :func:`design_matrix` takes, and :func:`ridge_fit_all`
-returns the (K, n) coefficients ``betas``. The fitted survival matrix
-g = P @ betas is left in factored form; the bias term in
-:mod:`nncorr.bias_correction` reads the factors directly.
+exponent array that :func:`design_matrix` takes; :func:`_threshold_rhs`
+gives the right-hand sides of every threshold and :func:`_ridge_solve` the
+(K, n) coefficients ``betas``, for a stack of samples at once. Column j of
+``betas`` solves (P'P + n*lam*I) beta = P' 1(y >= y_j), so entry (i, j) of
+g = P @ betas estimates P(Y >= y_j | X = x_i). This is a linear probability
+model: entries may fall outside [0, 1], and nothing clamps them. g is left
+in factored form; the bias term in :mod:`nncorr.bias_correction` reads the
+factors directly.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 
 import numpy as np
 
-from .dataset import _as_matrix, _as_vector, _tie_groups
+from .dataset import _as_matrix
 from .errors import (
     BasisSizeError,
     DimensionMismatchError,
@@ -130,7 +134,9 @@ def _ridge_solve(p: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     try:
         inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"the ridge matrix could not be inverted: {exc}") from exc
+        raise FactorizationError(
+            f"the ridge matrix could not be inverted: {exc}; rescale x or lower the degree"
+        ) from exc
     betas = inv @ rhs
     rhs -= gram @ betas
     betas += inv @ rhs
@@ -155,23 +161,3 @@ def _threshold_rhs(p: np.ndarray, order: np.ndarray, first: np.ndarray) -> np.nd
     np.add.accumulate(acc, axis=0, out=acc)
     pick = (m - 1 - first) * c + np.arange(c)[:, None]
     return np.swapaxes(acc.reshape(m * c, k)[pick.ravel()].reshape(c, m, k), -1, -2)
-
-
-def ridge_fit_all(p, y, lam: float) -> np.ndarray:
-    """Solve the penalized projection for every threshold t = y_j at once.
-
-    Returns the (K, n) ``betas``: column j solves (P'P + n*lam*I) beta =
-    P' 1(y >= y_j), so entry (i, j) of ``p @ betas`` estimates
-    P(Y >= y_j | X = x_i). This is a linear probability model: entries may
-    fall outside [0, 1], and nothing clamps them. P'P + n*lam*I is inverted
-    once for all n right-hand sides, which are the suffix sums of
-    :func:`_threshold_rhs`, shared with the bootstrap replicates, so they
-    cost O(nK) instead of the n x n indicator matrix.
-    """
-    pmat = _as_matrix(p, name="design matrix")
-    yvec = _as_vector(y)
-    n = pmat.shape[0]
-    if yvec.shape[0] != n:
-        raise DimensionMismatchError(f"design has {n} rows but y has {yvec.shape[0]}")
-    order, first, _ = _tie_groups(yvec[None])
-    return _ridge_solve(pmat, _threshold_rhs(pmat[None], order, first)[0], lam)

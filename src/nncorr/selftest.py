@@ -1,9 +1,11 @@
 """Built-in oracle-equivalence suites, runnable from the command line.
 
-Each suite pits a production routine against an independent reference
-implementation kept in this module (deliberately not shared with the
-production code, so a defect introduced there cannot silently cancel out
-here). Intended as a release gate: everything must pass on a fresh build.
+Each suite pits a function the pipeline itself runs (the neighbor searches,
+``_l_hat``, ``_threshold_rhs`` + ``_ridge_solve``, the bootstrap's index
+block, the closed-form truth), on a stack of one sample where it checks
+one, against an independent reference implementation kept in this module
+(deliberately not shared with the production code, so a defect introduced
+there cannot silently cancel out here). Intended as a release gate.
 """
 
 from __future__ import annotations
@@ -13,16 +15,10 @@ import time
 
 import numpy as np
 
-from .bias_correction import bias_estimate, default_lambda
+from .bias_correction import _l_hat, default_lambda
 from .dataset import _tie_groups
 from .nn_graph import _stacked_nn, build_nn
-from .ridge_series import (
-    _ridge_solve,
-    _threshold_rhs,
-    basis_index_set,
-    design_matrix,
-    ridge_fit_all,
-)
+from .ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
 from .rng import _integers_block, derive_rng
 from .simulation import true_t
 
@@ -108,7 +104,7 @@ def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
 
 
 def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
-    """bias_estimate on random factors against the double loop over g, to 1e-12.
+    """``_l_hat`` on random factors against the double loop over g, to 1e-12.
 
     Cases cycle through rank one (K = 1), low rank (1 < K < n), K >= n, and
     p = I with betas an arbitrary explicit g. The factors are scaled so that
@@ -128,7 +124,7 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
             betas = rng.standard_normal((k, n)) / math.sqrt(k)
         nn_idx = rng.integers(0, n - 1, size=n)
         nn_idx[nn_idx >= np.arange(n)] += 1  # any j != i is a valid neighbor map
-        got = bias_estimate(p, betas, nn_idx)
+        got = float(_l_hat(p[None], betas[None], nn_idx[None])[0])
         want = _ref_bias(p @ betas, nn_idx)
         err = abs(got - want)
         worst = max(worst, err)
@@ -152,7 +148,7 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
 
     The right-hand sides are rebuilt here from the explicit n x n indicator
     matrix, independently of the suffix sums used by the fit. Each case
-    checks ``ridge_fit_all`` at four penalties and the bootstrap's stacked
+    checks the fit of the whole sample at four penalties and a stacked
     solve on five subsamples drawn with replacement, whose repeated rows
     tie their responses.
     """
@@ -168,8 +164,10 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
             y = np.round(y, 1)  # duplicated thresholds
         basis = basis_index_set(d, 2)
         p = design_matrix(x, basis)
+        order, first, _ = _tie_groups(y[None])
         for lam in (1e-4, 1e-2, 1.0, default_lambda(n)):
-            rel = _normal_residual(p, y, lam, ridge_fit_all(p, y, lam))
+            betas = _ridge_solve(p[None], _threshold_rhs(p[None], order, first), lam)[0]
+            rel = _normal_residual(p, y, lam, betas)
             worst = max(worst, rel)
             if rel > 1e-8:
                 return False, f"case {case}: n={n} d={d} lam={lam:g} residual {rel:.3e}"

@@ -23,12 +23,11 @@ import scipy.stats
 
 import conftest
 
-from nncorr.bias_correction import PipelineConfig, estimate
+from nncorr.bias_correction import PipelineConfig, _rank_coefficient, estimate
 from nncorr.bootstrap import mn_bootstrap_pair
-from nncorr.dataset import Sample, compute_ranks
-from nncorr.estimator import chatterjee_t
+from nncorr.dataset import Sample, _tie_groups
 from nncorr.nn_graph import build_nn
-from nncorr.ridge_series import basis_index_set, design_matrix, ridge_fit_all
+from nncorr.ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
 from nncorr.rng import derive_seed
 from nncorr.selftest import run_selftest
 from nncorr.simulation import CopulaConfig, gen_gaussian_copula, run_study, true_t
@@ -137,6 +136,17 @@ def test_criterion_5_oracle_suites():
     assert ok, "\n".join(str(ln) for ln in lines)
 
 
+def _t_raw(y, nn):
+    # The pipeline's rank stages on a stack of one sample.
+    return _rank_coefficient(_tie_groups(y[None])[2], nn[None])[0]
+
+
+def _ridge_fit(p, y, lam):
+    # The pipeline's right-hand sides and ridge solve for one sample.
+    order, first, _ = _tie_groups(y[None])
+    return _ridge_solve(p, _threshold_rhs(p[None], order, first)[0], lam)
+
+
 def test_criterion_6_property_suite():
     rng = np.random.default_rng(600)
     checks = {}
@@ -148,9 +158,9 @@ def test_criterion_6_property_suite():
         x = rng.standard_normal((120, 3))
         y = rng.standard_normal(120)
         g = build_nn(x)
-        base = chatterjee_t(compute_ranks(y), g)
+        base = _t_raw(y, g)
         for f in (np.exp, lambda v: v**3, lambda v: 2.0 * v - 5.0):
-            ok_mono &= chatterjee_t(compute_ranks(f(y)), g) == base
+            ok_mono &= _t_raw(f(y), g) == base
     checks["monotone-y"] = ok_mono
 
     # (b) Exact invariance under orthogonal transforms of the covariates
@@ -161,8 +171,8 @@ def test_criterion_6_property_suite():
         x = rng.standard_normal((150, 3))
         y = rng.standard_normal(150)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        t_raw = chatterjee_t(compute_ranks(y), build_nn(x))
-        t_rot = chatterjee_t(compute_ranks(y), build_nn(x @ q))
+        t_raw = _t_raw(y, build_nn(x))
+        t_rot = _t_raw(y, build_nn(x @ q))
         ok_orth &= t_rot == t_raw
     checks["orthogonal-x"] = ok_orth
 
@@ -182,7 +192,7 @@ def test_criterion_6_property_suite():
     y = rng.standard_normal(60)
     p = design_matrix(x, basis_index_set(3, 2))
     norms = [
-        np.linalg.norm(ridge_fit_all(p, y, lam), axis=0)
+        np.linalg.norm(_ridge_fit(p, y, lam), axis=0)
         for lam in (1e-4, 1e-2, 1.0, 100.0)
     ]
     checks["shrinkage"] = all(
@@ -196,10 +206,10 @@ def test_criterion_6_property_suite():
     y = rng.standard_normal(n)
     exps = basis_index_set(2, 2)
     p = design_matrix(x, exps)
-    g = p @ ridge_fit_all(p, y, 0.05)
+    g = p @ _ridge_fit(p, y, 0.05)
     perm = rng.permutation(n)
     pp = design_matrix(x[perm], exps)
-    gp = pp @ ridge_fit_all(pp, y[perm], 0.05)
+    gp = pp @ _ridge_fit(pp, y[perm], 0.05)
     checks["permutation"] = bool(np.allclose(gp, g[np.ix_(perm, perm)], atol=1e-9))
 
     ok = all(checks.values())

@@ -4,11 +4,10 @@ import nncorr
 
 PUBLIC = {
     # pipeline and bootstrap
-    "EstimateResult", "PipelineConfig", "bias_estimate", "default_lambda", "estimate",
+    "EstimateResult", "PipelineConfig", "default_lambda", "estimate",
     "confidence_interval", "default_m", "mn_bootstrap_pair",
     # stages
-    "Sample", "compute_ranks", "load_csv", "minmax_scale", "chatterjee_t", "build_nn",
-    "basis_index_set", "design_matrix", "ridge_fit_all",
+    "Sample", "load_csv", "minmax_scale", "build_nn", "basis_index_set", "design_matrix",
     "derive_rng", "derive_seed",
     # study
     "RAW_CSV_HEADER", "CellSummary", "CopulaConfig", "RawRecord",
@@ -21,7 +20,7 @@ PUBLIC = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 33
     assert sorted(nncorr.__all__) == sorted(PUBLIC)
     for name in nncorr.__all__:
         assert hasattr(nncorr, name), name

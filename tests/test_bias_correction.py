@@ -7,14 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nncorr.dataset import Sample, compute_ranks, minmax_scale
-from nncorr.errors import DimensionMismatchError, InputError, NonFiniteInputError
+from nncorr.dataset import Sample, _tie_groups, minmax_scale
+from nncorr.errors import ConstantResponseError, InputError, NonFiniteInputError
 from nncorr.nn_graph import build_nn
-from nncorr.estimator import chatterjee_t
-from nncorr.ridge_series import basis_index_set, design_matrix, ridge_fit_all
+from nncorr.ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
 from nncorr.bias_correction import (
     PipelineConfig,
-    bias_estimate,
+    _l_hat,
+    _rank_coefficient,
     default_lambda,
     estimate,
 )
@@ -39,7 +39,12 @@ def _random_nn(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# bias_estimate
+# bias term
+
+
+def _bias(p, betas, nn):
+    # The pipeline's bias term on a stack of one sample.
+    return float(_l_hat(p[None], betas[None], nn[None])[0])
 
 
 def _explicit(g):
@@ -53,7 +58,7 @@ def test_hand_example_two_points():
     #   (1,0): g10*g00 - g10^2 = 0.25*1 - 0.0625   = 0.1875
     # mean over n(n-1)=2 pairs = 0.15625.
     g = np.array([[1.0, 0.5], [0.25, 0.75]])
-    assert bias_estimate(*_explicit(g), np.array([1, 0])) == 0.15625
+    assert _bias(*_explicit(g), np.array([1, 0])) == 0.15625
 
 
 def test_identical_rows_give_exactly_zero():
@@ -61,7 +66,7 @@ def test_identical_rows_give_exactly_zero():
     rng = np.random.default_rng(51)
     row = rng.uniform(size=30)
     g = np.tile(row, (30, 1))
-    assert bias_estimate(*_explicit(g), _random_nn(rng, 30)) == 0.0
+    assert _bias(*_explicit(g), _random_nn(rng, 30)) == 0.0
 
 
 def test_matches_double_loop_reference():
@@ -70,14 +75,14 @@ def test_matches_double_loop_reference():
         n = int(rng.integers(10, 60))
         g = rng.uniform(size=(n, n))
         nn = _random_nn(rng, n)
-        got = bias_estimate(*_explicit(g), nn)
+        got = _bias(*_explicit(g), nn)
         assert abs(got - _ref_bias(g, nn)) <= 1e-12
     # Rank one, low rank and K > n factors.
     for n, k in ((12, 1), (40, 6), (30, 45)):
         p = rng.uniform(size=(n, k))
         betas = rng.uniform(size=(k, n)) / k
         nn = _random_nn(rng, n)
-        got = bias_estimate(p, betas, nn)
+        got = _bias(p, betas, nn)
         assert abs(got - _ref_bias(p @ betas, nn)) <= 1e-12
 
 
@@ -87,18 +92,8 @@ def test_matches_reference_across_block_boundary():
     for n in (255, 256, 257):
         g = rng.uniform(size=(n, n))
         nn = _random_nn(rng, n)
-        got = bias_estimate(*_explicit(g), nn)
+        got = _bias(*_explicit(g), nn)
         assert abs(got - _ref_bias(g, nn)) <= 1e-12
-
-
-def test_bias_validation():
-    p, betas = _explicit(np.zeros((3, 3)))
-    with pytest.raises(DimensionMismatchError):
-        bias_estimate(p, betas, np.array([1, 0]))
-    with pytest.raises(DimensionMismatchError):
-        bias_estimate(np.zeros((3, 2)), np.zeros((3, 2)), np.array([1, 2, 0]))
-    with pytest.raises(InputError):
-        bias_estimate(np.zeros((1, 2)), np.zeros((2, 1)), np.array([0]))
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +123,13 @@ def test_estimate_is_deterministic():
 
 def test_estimate_t_hat_matches_direct_computation():
     s = _sample()
+    ranks = _tie_groups(s.y[None])[2]
     g = build_nn(minmax_scale(s.x))
-    t = chatterjee_t(compute_ranks(s.y), g)
+    t = _rank_coefficient(ranks, g[None])[0]
     assert estimate(s).t_hat == t
     # Without scaling the neighbor graph is built on the raw covariates.
     g_raw = build_nn(s.x)
-    t_raw = chatterjee_t(compute_ranks(s.y), g_raw)
+    t_raw = _rank_coefficient(ranks, g_raw[None])[0]
     assert estimate(s, PipelineConfig(scale_covariates=False)).t_hat == t_raw
 
 
@@ -149,9 +145,8 @@ def test_overflowing_distances_raise():
 def test_constant_response_is_an_input_error():
     rng = np.random.default_rng(48)
     s = Sample(x=rng.uniform(size=(50, 3)), y=np.full(50, 0.25))
-    with pytest.raises(InputError) as err:
+    with pytest.raises(ConstantResponseError):
         estimate(s)
-    assert err.value.code == "constant-response"
 
 
 def test_degree_zero_correction_vanishes():
@@ -175,7 +170,9 @@ def test_pipeline_l_hat_matches_double_loop(n):
     res = estimate(s)
     xs = minmax_scale(s.x)
     p = design_matrix(xs, basis_index_set(s.d, 2))
-    want = _ref_bias(p @ ridge_fit_all(p, s.y, default_lambda(n)), build_nn(xs))
+    order, first, _ = _tie_groups(s.y[None])
+    betas = _ridge_solve(p, _threshold_rhs(p[None], order, first)[0], default_lambda(n))
+    want = _ref_bias(p @ betas, build_nn(xs))
     assert abs(res.l_hat - want) <= 1e-12 * abs(want)
 
 

@@ -292,6 +292,19 @@ def test_estimate_rejects_an_overflowing_gram_matrix(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n,big", [(50, "1e20"), (100, "1e20"), (300, "1e30")])
+def test_estimate_rejects_a_singular_ridge_matrix(capsys, tmp_path, n, big):
+    # Two unscaled constant columns of 1e20: the Gram entries stay finite,
+    # but the ridge shift vanishes beside them and the matrix is singular.
+    y = np.random.default_rng(n).uniform(size=n).tolist()
+    path = tmp_path / "const.csv"
+    path.write_text("".join(f"{big},{big},{v!r}\n" for v in y), encoding="utf-8")
+    code, out, err = _run(capsys, ["estimate", "--input", str(path), "--no-scale"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("nncorr: error: ")
+    assert "could not be inverted" in err and "rescale x or lower the degree" in err
+
+
 def test_estimate_rejects_a_constant_response(capsys, tmp_path):
     # A constant y, and an n = 2 file whose m = 2 replicates draw one row
     # twice half the time: input errors, not an out-of-range crash.

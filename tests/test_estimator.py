@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from nncorr.dataset import compute_ranks
-from nncorr.errors import DimensionMismatchError
+from nncorr.bias_correction import _rank_coefficient
+from nncorr.dataset import _tie_groups
 from nncorr.nn_graph import build_nn
-from nncorr.estimator import chatterjee_t
 
 
 def _t(x, y):
-    return chatterjee_t(compute_ranks(y), build_nn(x))
+    # The pipeline's stage functions on a stack of one sample.
+    return float(_rank_coefficient(_tie_groups(y[None])[2], build_nn(x)[None])[0])
 
 
 def test_hand_example_three_points():
@@ -82,9 +82,3 @@ def test_constant_response_is_rejected():
     x = rng.standard_normal((10, 2))
     with pytest.raises(RuntimeError):
         _t(x, np.ones(10))
-
-
-def test_length_mismatch_rejected():
-    x = np.array([[0.0], [1.0], [2.0]])
-    with pytest.raises(DimensionMismatchError):
-        chatterjee_t(compute_ranks(np.array([1.0, 2.0])), build_nn(x))

@@ -6,21 +6,28 @@ import numpy as np
 import pytest
 
 from nncorr.bias_correction import default_lambda
-from nncorr.dataset import minmax_scale
+from nncorr.dataset import _tie_groups, minmax_scale
 from nncorr.errors import BasisSizeError, DimensionMismatchError, InputError
 from nncorr.ridge_series import (
     BASIS_CAP,
     _ridge_solve,
+    _threshold_rhs,
     basis_index_set,
     design_matrix,
-    ridge_fit_all,
 )
+
+
+def _ridge_fit(p, y, lam):
+    # The pipeline's right-hand sides and solve for one sample: the (K, n)
+    # betas of every threshold y_j.
+    order, first, _ = _tie_groups(y[None])
+    return _ridge_solve(p, _threshold_rhs(p[None], order, first)[0], lam)
 
 
 def _fit(x, y, lam, degree=2):
     exps = basis_index_set(x.shape[1], degree)
     p = design_matrix(minmax_scale(x), exps)
-    return p, ridge_fit_all(p, y, lam)
+    return p, _ridge_fit(p, y, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +112,7 @@ def test_design_matrix_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# ridge_fit_all
+# ridge solve
 
 
 def test_constant_basis_closed_form():
@@ -114,7 +121,7 @@ def test_constant_basis_closed_form():
     x = np.array([[0.1], [0.2], [0.3], [0.4]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
     p = design_matrix(x, basis_index_set(1, 0))
-    betas = ridge_fit_all(p, y, 0.25)
+    betas = _ridge_fit(p, y, 0.25)
     assert betas.shape == (1, 4)
     np.testing.assert_allclose(betas[0], np.array([1.0, 0.75, 0.5, 0.25]) / 1.25)
     # The fitted matrix column at the smallest threshold is 1/(1+lam).
@@ -199,7 +206,7 @@ def test_tied_thresholds_share_solutions():
 
 
 def test_tie_group_positions_match_a_binary_search():
-    # ridge_fit_all takes the first sorted index of each tie group from the
+    # _threshold_rhs takes the first sorted index of each tie group from the
     # sort; a binary search of the sorted y gives the same right-hand sides,
     # so the same bits, on continuous, 7-level and constant responses.
     rng = np.random.default_rng(31)
@@ -220,19 +227,16 @@ def test_ghat_matrix_permutation_equivariance():
     y = rng.standard_normal(n)
     exps = basis_index_set(2, 2)
     p = design_matrix(x, exps)
-    g = p @ ridge_fit_all(p, y, 0.05)
+    g = p @ _ridge_fit(p, y, 0.05)
     perm = rng.permutation(n)
     pp = design_matrix(x[perm], exps)
-    gp = pp @ ridge_fit_all(pp, y[perm], 0.05)
+    gp = pp @ _ridge_fit(pp, y[perm], 0.05)
     np.testing.assert_allclose(gp, g[np.ix_(perm, perm)], atol=1e-9)
 
 
 def test_fit_validation():
     p = np.ones((5, 1))
-    y = np.arange(5.0)
     with pytest.raises(InputError):
-        ridge_fit_all(p, y, 0.0)
+        _ridge_solve(p, np.ones((1, 5)), 0.0)
     with pytest.raises(InputError):
-        ridge_fit_all(p, y, -1.0)
-    with pytest.raises(DimensionMismatchError):
-        ridge_fit_all(p, np.arange(4.0), 0.1)
+        _ridge_solve(p, np.ones((1, 5)), -1.0)

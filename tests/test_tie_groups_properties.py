@@ -1,5 +1,6 @@
 """Property tests: the one stable sort behind the ranks and the ridge
-right-hand sides equals the m x m comparison matrix it replaces.
+right-hand sides equals the m x m comparison matrix it replaces, and
+every stage function gives each row of a stack the bits it gets alone.
 
 The drawn (c, m) stacks mix rows of distinct, tied and constant
 responses. Derandomized, so every run draws the same examples.
@@ -12,14 +13,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from nncorr.bias_correction import default_lambda  # noqa: E402
-from nncorr.dataset import _tie_groups, compute_ranks, minmax_scale  # noqa: E402
+from nncorr.bias_correction import _l_hat, _rank_coefficient, default_lambda  # noqa: E402
+from nncorr.dataset import _tie_groups, minmax_scale  # noqa: E402
 from nncorr.ridge_series import (  # noqa: E402
     _ridge_solve,
     _threshold_rhs,
     basis_index_set,
     design_matrix,
-    ridge_fit_all,
 )
 
 _PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -82,9 +82,29 @@ def test_threshold_rhs_matches_the_comparison_gemm(y, seed):
 def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed):
     c, m = y.shape
     p = _design(y, seed)
+    nn = np.random.default_rng([seed, 1]).integers(0, m - 1, size=(c, m))
+    nn[nn >= np.arange(m)] += 1  # any j != i is a valid neighbor map
     order, first, ranks = _tie_groups(y)
     lam = default_lambda(m)
     betas = _ridge_solve(p, _threshold_rhs(p, order, first), lam)
+    l_hat = _l_hat(p, betas, nn)
+    t_alone, errors = {}, []
     for b in range(c):
-        np.testing.assert_array_equal(ranks[b], compute_ranks(y[b]))
-        np.testing.assert_array_equal(betas[b], ridge_fit_all(p[b], y[b], lam))
+        order_b, first_b, ranks_b = _tie_groups(y[b][None])
+        np.testing.assert_array_equal(ranks[b], ranks_b[0])
+        betas_b = _ridge_solve(p[b][None], _threshold_rhs(p[b][None], order_b, first_b), lam)
+        np.testing.assert_array_equal(betas[b], betas_b[0])
+        np.testing.assert_array_equal(l_hat[b], _l_hat(p[b][None], betas_b, nn[b][None])[0])
+        try:
+            t_alone[b] = _rank_coefficient(ranks_b, nn[b][None])[0]
+        except RuntimeError as exc:  # a constant or heavily tied row
+            errors.append(str(exc))
+    # The rows that pass alone get the same bits in a stack of their own; a
+    # stack with a failing row raises the first one's error.
+    ok = list(t_alone)
+    if ok:
+        np.testing.assert_array_equal(_rank_coefficient(ranks[ok], nn[ok]), list(t_alone.values()))
+    if errors:
+        with pytest.raises(RuntimeError) as err:
+            _rank_coefficient(ranks, nn)
+        assert str(err.value) == errors[0]
