@@ -35,12 +35,18 @@ DEFAULT_LAMBDA_EXPONENT = 1.2
 
 
 def default_lambda(n: int, exponent: float = DEFAULT_LAMBDA_EXPONENT) -> float:
-    """Sample-size driven ridge penalty n**-exponent."""
+    """Sample-size driven ridge penalty n**-exponent, positive or an InputError."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
     if not exponent > 0.0:
         raise InputError(f"penalty exponent must be positive, got {exponent}")
-    return float(n) ** -exponent
+    lam = float(n) ** -exponent
+    if lam == 0.0:
+        raise InputError(
+            f"penalty exponent {exponent} makes the ridge penalty n**-{exponent} "
+            f"underflow to 0 at n = {n}; use a smaller exponent"
+        )
+    return lam
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,9 @@ def _rank_coefficient(ranks: np.ndarray, nn: np.ndarray) -> np.ndarray:
     of rank minima is exact in int64 and divided once, so the result
     carries a single rounding step per term of the formula. Finite-sample
     values below 0 are legitimate (n = 2 always yields -1 on distinct
-    responses), so nothing is clamped; every value goes through the same
-    sane-range check, and the first one outside it raises.
+    responses), so nothing is clamped. Distinct responses keep it within
+    [-(2n-1)/(n+1), 1], so only ties can leave the sane range [-3, 1.5];
+    the first value outside it raises an :class:`InputError`.
     """
     c, n = ranks.shape
     r_nn = ranks.ravel()[nn + n * np.arange(c)[:, None]]
@@ -97,9 +104,9 @@ def _rank_coefficient(ranks: np.ndarray, nn: np.ndarray) -> np.ndarray:
     value = (6 * s) / (n * n - 1) - (2 * n + 1) / (n - 1)
     bad = ~np.isfinite(value) | (value > 1.5) | (value < -3.0)
     if bad.any():
-        raise RuntimeError(
-            f"coefficient {float(value[bad].flat[0])} outside sane range; ranks and nn "
-            "graph are inconsistent or the response is pathologically tied"
+        raise InputError(
+            f"coefficient {float(value[bad].flat[0])} outside sane range; the response "
+            "is too heavily tied for the rank formula, which assumes distinct values"
         )
     return value
 

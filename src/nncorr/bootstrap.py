@@ -11,9 +11,11 @@ counter-derived random stream, so results do not depend on evaluation
 order or thread count.
 
 The replicates are computed together. The (B, m) block of index vectors
-comes from one vectorized pass that reproduces every replicate's stream,
-``derive_rng(seed, r)``, bit for bit without building its generator (see
-:func:`nncorr.rng._integers_block`; n is limited to 2**32 - 1). Each chunk
+reproduces every replicate's stream, ``derive_rng(seed, r)``, bit for bit:
+the seeds are hashed and the bounded integers drawn for all streams at
+once, and only each stream's NumPy ``PCG64`` is built, not its
+``Generator`` (see :func:`nncorr.rng._integers_block`; n is limited to
+2**32 - 1). Each chunk
 of subsamples runs through the stage function of
 :func:`nncorr.bias_correction.estimate` as (chunk, m, .) arrays, so every
 replicate's ``t_hat`` and ``t_bc`` are bit-identical to ``estimate`` on the
@@ -36,7 +38,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from .bias_correction import PipelineConfig, _stages, estimate
+from .bias_correction import PipelineConfig, _stages, default_lambda, estimate
 from .dataset import Sample
 from .errors import InputError
 from .nn_graph import _stacked_nn
@@ -94,7 +96,7 @@ def _replicates(
         try:
             parts.append(_stages(sample.x[block], sample.y[block], config, _stacked_nn))
             continue
-        except (ValueError, RuntimeError) as exc:
+        except InputError as exc:
             failure = exc
         # Replay one replicate at a time, so the first failing replicate
         # raises its own first failure, as a loop over replicates would.
@@ -145,6 +147,8 @@ def _check_run(
     _check_alpha(alpha)
     _check_path(seed, ())
     basis_index_set(d, config.degree)
+    # m <= n, so a penalty that is positive at n is positive in every replicate.
+    default_lambda(n, config.lambda_exponent)
     return m_eff
 
 

@@ -1,10 +1,10 @@
 """Command-line driver: estimate on a CSV, run a simulation grid, self-test.
 
-Exit codes are fixed: 0 for success, 2 for input or usage problems (with a
-one-line message on stderr), 1 for anything unexpected or a failed
-self-test. ``estimate`` and each ``simulate`` replication run one analysis,
-:func:`nncorr.bootstrap._analyze`, which checks every option before any
-work. Every file and stdout output is byte-stable for a given invocation
+Exit codes are fixed: 0 for success, 2 for input or usage problems and
+files that cannot be read or written (with a one-line message on stderr),
+1 for anything unexpected or a failed self-test. ``estimate`` and each
+``simulate`` replication run one analysis, :func:`nncorr.bootstrap._analyze`,
+which checks every option before any work. Every file and stdout output is byte-stable for a given invocation
 and seed; the one wall-clock figure, the study's run time, goes to stderr.
 """
 
@@ -85,7 +85,19 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+def _check_destination(option: str, path: Path, is_dir: bool) -> None:
+    """Refuse an output path that cannot be written, before any work."""
+    # A directory is made with its parents: its nearest existing ancestor counts.
+    parent = next(p for p in (path, *path.parents) if p.exists()) if is_dir else path.parent
+    if not parent.is_dir():
+        raise InputError(f"{option} {path}: {parent} is not an existing directory")
+    if not is_dir and path.is_dir():
+        raise InputError(f"{option} {path} is a directory")
+
+
 def _cmd_estimate(args) -> int:
+    if args.output != "-":
+        _check_destination("--output", Path(args.output), is_dir=False)
     sample = load_csv(args.input, y_column=args.y_column)
     config = PipelineConfig(
         degree=args.degree,
@@ -127,6 +139,8 @@ def _cmd_simulate(args) -> int:
     ds = args.d if args.d else list(DEFAULT_SIM_DS)
     ns = args.n if args.n else list(DEFAULT_SIM_NS)
     grid = [(rho, d, n) for rho in rhos for d in ds for n in ns]
+    out_dir = Path(args.out_dir)
+    _check_destination("--out-dir", out_dir, is_dir=True)
 
     records: list = []
     start = time.perf_counter()
@@ -134,7 +148,6 @@ def _cmd_simulate(args) -> int:
                       seed=args.seed, records=records)
     wall = time.perf_counter() - start
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {"alpha": args.alpha, "cells": [asdict(c) for c in cells]}
     (out_dir / "report.json").write_text(_dumps(report), encoding="utf-8")
@@ -167,7 +180,9 @@ def main(argv=None) -> int:
             if args.subcommand == "simulate":
                 return _cmd_simulate(args)
             return _cmd_selftest(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
+        # A file that cannot be read or written (a directory, permissions,
+        # a full disk) is a problem of the input or the environment.
         print(f"nncorr: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

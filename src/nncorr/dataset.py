@@ -98,7 +98,8 @@ def _is_finite_number(tok: str) -> bool:
 def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     """Read a comma-separated file into a Sample.
 
-    Blank lines are skipped. The first line is a header when none of its
+    Blank lines and a leading UTF-8 byte-order mark (which Excel's "CSV
+    UTF-8" writes) are skipped. The first line is a header when none of its
     cells parses as a number; otherwise it is data. Every cell is read with
     Python's ``float()`` after ``str.strip()``, so '.' is the decimal
     separator, quoting is not supported, and ``inf`` and ``nan`` are
@@ -111,7 +112,7 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     the covariates in file order.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise MissingFileError(f"no such file: {path}") from None

@@ -25,6 +25,7 @@ factors directly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -40,17 +41,6 @@ from .errors import (
 
 # Largest basis size K that basis_index_set builds.
 BASIS_CAP = 10_000
-
-
-def _compositions(total: int, parts: int):
-    # All nonnegative integer vectors of given length summing to total,
-    # in ascending lexicographic order.
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head, *tail)
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,7 +65,10 @@ def basis_index_set(d: int, degree: int) -> np.ndarray:
         )
     exps = []
     for total in range(degree + 1):
-        exps.extend(_compositions(total, d))
+        # Multisets of `total` variables, in lexicographic order, count into
+        # exponent vectors in descending lexicographic order.
+        combos = itertools.combinations_with_replacement(range(d), total)
+        exps.extend(reversed([np.bincount(c, minlength=d) for c in combos]))
     exponents = np.asarray(exps, dtype=np.int64)
     assert exponents.shape == (k, d)
     exponents.setflags(write=False)

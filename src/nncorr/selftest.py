@@ -195,8 +195,8 @@ def draws_suite(quick: bool = False, seed: int = 59) -> tuple[bool, str]:
     ``derive_rng(s, r).integers(0, n, size=m)`` exactly, for random seeds
     of one and two 32-bit words, n up to 2**32 - 1 and random block shapes.
     Case 0 takes n = 2**31 + 1, where about half of the 32-bit candidates
-    are rejected. A NumPy whose SeedSequence, PCG64 or ``integers`` stream
-    changes fails here.
+    are rejected. A NumPy whose SeedSequence hashing, PCG64 seeding or
+    ``integers`` method changes fails here.
     """
     cases = 20 if quick else 60
     rng = derive_rng(seed)

@@ -302,9 +302,9 @@ def test_binary_response_raises_like_a_replicate_loop():
     x = rng.uniform(size=(300, 3))
     y = (rng.uniform(size=300) < 0.5).astype(np.float64)
     s = Sample(x=x, y=y)
-    with pytest.raises(RuntimeError) as want:
+    with pytest.raises(InputError) as want:
         _loop_bootstrap(s, PipelineConfig(), _estimate_stat("t_bc"), b_reps=50, seed=1)
-    with pytest.raises(RuntimeError) as got:
+    with pytest.raises(InputError) as got:
         mn_bootstrap_pair(s, PipelineConfig(), b_reps=50, seed=1)
     assert str(got.value) == str(want.value)
     assert "outside sane range" in str(got.value)
@@ -314,7 +314,7 @@ def test_first_failing_replicate_decides_the_error():
     # Unscaled x = 1e200 makes the squared distances of every subsample
     # that draws row 0 overflow (an InputError in the neighbour search),
     # and the half-tied response puts some subsamples outside the sane
-    # range (a RuntimeError, raised after the search). In this draw the
+    # range (an InputError, raised after the search). In this draw the
     # first failing replicate is of the first kind and a later one of the
     # second, all in one chunk.
     rng = np.random.default_rng(5)

@@ -219,6 +219,11 @@ def test_estimate_options_are_checked_before_the_estimate(capsys, csv_file, monk
         (["--seed", "-1"], "seed path entries must be non-negative, got -1"),
         (["--degree", "40"],
          "basis would have 12341 functions, above the cap of 10000; lower the degree"),
+    ] + [
+        (["--lambda-exponent", text],
+         f"penalty exponent {value} makes the ridge penalty n**-{value} underflow to 0 "
+         "at n = 100; use a smaller exponent")
+        for text, value in (("200", "200.0"), ("inf", "inf"), ("1e308", "1e+308"))
     ]
     for extra, message in cases:
         code, out, err = _run(capsys, ["estimate", "--input", str(csv_file)] + extra)
@@ -320,6 +325,76 @@ def test_estimate_rejects_a_constant_response(capsys, tmp_path):
         )
 
 
+def test_estimate_rejects_a_tied_response(capsys, tmp_path):
+    # A binary y (n = 200, d = 3) puts the raw coefficient outside its sane
+    # range; so does a bootstrap replicate of seed 2 on an n = 30 copula
+    # sample, which draws one row several times. Ties are a property of the
+    # data: exit 2 with one line, not an internal error.
+    from nncorr import CopulaConfig, gen_gaussian_copula
+
+    rng = np.random.default_rng(1)
+    binary = np.column_stack([rng.uniform(size=(200, 3)), rng.uniform(size=200) < 0.5])
+    copula = gen_gaussian_copula(CopulaConfig(n=30, d=6, rho=0.9, seed=1))
+    cases = [(binary, []), (np.column_stack([copula.x, copula.y]), ["--seed", "2"])]
+    for data, extra in cases:
+        path = tmp_path / "tied.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",")
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)] + extra)
+        assert (code, out) == (2, ""), extra
+        assert err.count("\n") == 1 and err.startswith("nncorr: error: coefficient ")
+        assert "outside sane range; the response is too heavily tied" in err
+
+
+def test_estimate_rejects_an_unwritable_output_before_the_work(capsys, csv_file, monkeypatch):
+    import nncorr.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the input was read before the destination was checked")
+
+    monkeypatch.setattr(cli, "load_csv", forbidden)
+    root = csv_file.parent
+    before = sorted(root.rglob("*"))
+    missing = root / "no" / "such" / "out.json"
+    cases = [
+        (missing, f"--output {missing}: {missing.parent} is not an existing directory"),
+        (csv_file / "out.json", f"--output {csv_file / 'out.json'}: {csv_file} "
+         "is not an existing directory"),
+        (root, f"--output {root} is a directory"),
+    ]
+    for target, message in cases:
+        code, out, err = _run(capsys, ["estimate", "--input", str(csv_file),
+                                       "--output", str(target)])
+        assert (code, out) == (2, ""), target
+        assert err == f"nncorr: error: {message}\n"
+    assert sorted(root.rglob("*")) == before
+
+
+def test_an_unreadable_input_or_a_failed_write_is_an_input_error(capsys, csv_file, tmp_path,
+                                                                  monkeypatch):
+    # A directory given as --input, or a destination that passed the check
+    # but refuses the bytes (a full disk, permissions): exit 2 with the
+    # system's reason, not an internal error.
+    code, out, err = _run(capsys, ["estimate", "--input", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("nncorr: error: [Errno ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+    def full(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full)
+    runs = [
+        ["estimate", "--input", str(csv_file), "--bootstrap-reps", "2",
+         "--output", str(tmp_path / "out.json")],
+        ["simulate", "--rho", "0.5", "--d", "1", "--n", "20", "--reps", "1",
+         "--bootstrap-reps", "2", "--out-dir", str(tmp_path / "study")],
+    ]
+    for argv in runs:
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err == "nncorr: error: [Errno 28] No space left on device\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -394,6 +469,24 @@ def test_simulate_option_errors_are_input_errors(capsys, tmp_path, options, mess
     assert (code, out) == (2, "")
     assert err == f"nncorr: error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_rejects_an_out_dir_that_is_a_file_before_the_work(capsys, tmp_path,
+                                                                    monkeypatch):
+    import nncorr.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the study ran before the destination was checked")
+
+    monkeypatch.setattr(cli, "run_study", forbidden)
+    path = tmp_path / "taken"
+    path.write_text("keep me\n", encoding="utf-8")
+    for target in (path, path / "study"):
+        code, out, err = _run(capsys, ["simulate", "--reps", "1", "--out-dir", str(target)])
+        assert (code, out) == (2, ""), target
+        assert err == f"nncorr: error: --out-dir {target}: {path} is not an existing directory\n"
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text(encoding="utf-8") == "keep me\n"
 
 
 def test_simulate_data_error_in_a_replication_is_an_input_error(capsys, tmp_path):

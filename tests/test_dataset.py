@@ -49,6 +49,17 @@ def test_load_csv_without_header(tmp_path):
     np.testing.assert_array_equal(s.y, [2.0, 5.0])
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a BOM; in a headerless file
+    # it lands in the first data cell unless the reader drops it.
+    text = "0.5749,1.0,2.0\n3.0,4.0,5.0\n6.0,7.0,8.5\n"
+    plain = load_csv(_write(tmp_path, text, "plain.csv"))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    bom = load_csv(path)
+    assert bom.x.tobytes() == plain.x.tobytes() and bom.y.tobytes() == plain.y.tobytes()
+
+
 def test_load_csv_y_column_index(tmp_path):
     path = _write(tmp_path, "2.0,0.0,1.0\n5.0,3.0,4.0\n")
     s = load_csv(path, y_column=0)

@@ -5,6 +5,7 @@ import pytest
 
 from nncorr.bias_correction import _rank_coefficient
 from nncorr.dataset import _tie_groups
+from nncorr.errors import InputError
 from nncorr.nn_graph import build_nn
 
 
@@ -77,8 +78,9 @@ def test_tied_responses_are_handled():
 
 def test_constant_response_is_rejected():
     # Every rank equals n, so the raw formula blows past its upper bound and
-    # the sanity check refuses to return a value.
+    # the sanity check refuses to return a value: an input error, since only
+    # tied responses can leave the range.
     rng = np.random.default_rng(35)
     x = rng.standard_normal((10, 2))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(InputError, match="outside sane range"):
         _t(x, np.ones(10))

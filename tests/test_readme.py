@@ -1,13 +1,17 @@
 """The README stays true to the code: its Python examples run on the package
-in src/, and its package layout lists exactly the modules in src/nncorr/."""
+in src/, its command lines parse with the package's argument parser, and its
+package layout lists exactly the modules in src/nncorr/."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from nncorr.cli import _build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
@@ -25,6 +29,23 @@ def test_readme_python_block_runs(code, tmp_path):
         capture_output=True, text=True, timeout=600, cwd=tmp_path, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_commands_parse():
+    # Every `nncorr ...` or `python -m nncorr ...` line of the bash blocks;
+    # a renamed or removed flag fails here, not in a reader's shell.
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```$", README, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if "nncorr" in words:
+                i = words.index("nncorr")
+                if i == 0 or words[i - 1] == "-m":
+                    commands.append(words[i + 1 :])
+    assert {argv[0] for argv in commands} == {"estimate", "simulate", "selftest"}
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_package_layout_lists_every_module():

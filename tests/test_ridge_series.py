@@ -44,9 +44,11 @@ def test_basis_two_covariates_degree_two():
 
 
 def test_basis_ordering_is_degree_then_lexicographic():
-    exps = [tuple(int(v) for v in e) for e in basis_index_set(3, 3)]
-    assert exps == sorted(exps, key=lambda e: (sum(e), e))
-    assert len(exps) == len(set(exps)) == math.comb(3 + 3, 3)
+    for d, degree in [(1, 4), (2, 5), (3, 3), (4, 3), (6, 2), (8, 2)]:
+        exps = [tuple(int(v) for v in e) for e in basis_index_set(d, degree)]
+        assert exps == sorted(exps, key=lambda e: (sum(e), e)), (d, degree)
+        assert len(exps) == len(set(exps)) == math.comb(d + degree, degree)
+        assert max(map(sum, exps)) == degree
 
 
 def test_basis_size_matches_binomial():

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from nncorr.bias_correction import _l_hat, _rank_coefficient, default_lambda  # noqa: E402
 from nncorr.dataset import _tie_groups, minmax_scale  # noqa: E402
+from nncorr.errors import InputError  # noqa: E402
 from nncorr.ridge_series import (  # noqa: E402
     _ridge_solve,
     _threshold_rhs,
@@ -97,7 +98,7 @@ def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed):
         np.testing.assert_array_equal(l_hat[b], _l_hat(p[b][None], betas_b, nn[b][None])[0])
         try:
             t_alone[b] = _rank_coefficient(ranks_b, nn[b][None])[0]
-        except RuntimeError as exc:  # a constant or heavily tied row
+        except InputError as exc:  # a constant or heavily tied row
             errors.append(str(exc))
     # The rows that pass alone get the same bits in a stack of their own; a
     # stack with a failing row raises the first one's error.
@@ -105,6 +106,6 @@ def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed):
     if ok:
         np.testing.assert_array_equal(_rank_coefficient(ranks[ok], nn[ok]), list(t_alone.values()))
     if errors:
-        with pytest.raises(RuntimeError) as err:
+        with pytest.raises(InputError) as err:
             _rank_coefficient(ranks, nn)
         assert str(err.value) == errors[0]
