@@ -22,7 +22,7 @@ from ._threads import single_blas_thread
 from .dataset import Sample, _as_matrix, _tie_groups, minmax_scale
 from .errors import ConstantResponseError, InputError
 from .nn_graph import build_nn
-from .ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
+from .ridge_series import _ridge_betas, basis_index_set, design_matrix
 
 DEFAULT_DEGREE = 2
 # Exponent c in the penalty lambda = n**-c. Small c over-shrinks the fitted
@@ -165,7 +165,7 @@ def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig, search):
         p = design_matrix(xs, basis_index_set(d, config.degree))
         _as_matrix(p, name="design matrix", stacked=True)  # powers of unscaled x can overflow
         lam = default_lambda(m, config.lambda_exponent)
-        betas = _ridge_solve(p, _threshold_rhs(p, order, first), lam)
+        betas = _ridge_betas(p, order, first, ranks, lam)
         l_hat = _l_hat(p, betas, nn)
         t_bc = t_hat - 6.0 * l_hat
         for label, v in (("l_hat", l_hat), ("t_bc", t_bc)):

@@ -22,10 +22,13 @@ replicate's ``t_hat`` and ``t_bc`` are bit-identical to ``estimate`` on the
 same subsample. Ranks and ridge right-hand sides come from one stable sort
 per subsample, and nearest neighbours from the full (m, m) distance
 matrix, accumulated one coordinate at a time, so the neighbour search
-costs O(B m^2 d) in all. No block of a replicate exceeds max(m, K)^2
-floats: its distance matrix or its (K, K) Gram matrix. Chunks along the
-replicate axis keep that block within a fixed byte budget; the results do
-not depend on the chunk size.
+costs O(B m^2 d) in all. The ridge fit of a subsample smaller than the
+basis (m < K, as at the default m for n below K^2) solves the m x m dual
+system, not the K x K Gram system (:func:`nncorr.ridge_series._ridge_betas`).
+No block of a replicate exceeds max(m, K)^2 floats: its distance matrix, its
+dual matrix, its (K, m) coefficients or, when m >= K, its (K, K) Gram
+matrix. Chunks along the replicate axis keep that bound within a fixed byte
+budget; the results do not depend on the chunk size.
 
 :func:`_analyze` is the one checked analysis of the command line's
 ``estimate`` and of every study replication.
@@ -77,8 +80,9 @@ def _se(stats: np.ndarray, m: int, n: int) -> float:
     return math.sqrt(m * float(np.var(stats, ddof=1)) / n)
 
 
-# Byte budget of one chunk's largest block, max(m, K)^2 floats a replicate:
-# the (chunk, m, m) squared distances or the (chunk, K, K) Gram matrices.
+# Byte budget of one chunk's largest block, at most max(m, K)^2 floats a
+# replicate: the (chunk, m, m) squared distances and dual matrices, the
+# (chunk, K, m) coefficients, or the (chunk, K, K) Gram matrices of m >= K.
 # It bounds memory only: every stage is computed per replicate.
 _CHUNK_BYTES = 256 * 1024
 

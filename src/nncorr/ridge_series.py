@@ -1,25 +1,28 @@
 """Polynomial-basis ridge least squares for conditional survival estimation.
 
 For every threshold t in the observed responses, the indicator 1(Y >= t) is
-projected onto a total-degree power basis with an L2 penalty. The shifted
-Gram matrix does not depend on t, so one inverse serves all n right-hand
-sides: O(K^3) once plus O(n K^2) matrix products. Both run on NumPy's own
-LAPACK and BLAS, the library every other product in the package uses, so a
-process starts one BLAS thread pool, not two that compete for the cores.
-Inside the pipeline that pool stays idle: products with K of a few dozen
-are too small to split, so the pipeline runs BLAS on the calling thread
-(:func:`nncorr._threads.single_blas_thread`). The bits do not depend on the
-BLAS thread count.
+projected onto a total-degree power basis with an L2 penalty. With n rows
+and K basis functions the fit takes the smaller of two equivalent systems,
+chosen by shape alone in :func:`_ridge_betas`. When n >= K, the shifted
+K x K Gram matrix P'P + n*lam*I does not depend on t, so one inverse serves
+all n right-hand sides: O(K^3) once plus O(n K^2) matrix products. When
+n < K, as in a bootstrap subsample of size floor(sqrt(n)), the n x n dual
+matrix PP' + n*lam*I serves them instead: O(n^3) plus O(n^2 K). Both run on
+NumPy's own LAPACK and BLAS, the library every other product in the package
+uses, so a process starts one BLAS thread pool, not two that compete for
+the cores. Inside the pipeline that pool stays idle: products with K of a
+few dozen are too small to split, so the pipeline runs BLAS on the calling
+thread (:func:`nncorr._threads.single_blas_thread`). The bits do not depend
+on the BLAS thread count.
 
 Everything here is a plain array: :func:`basis_index_set` gives the (K, d)
-exponent array that :func:`design_matrix` takes; :func:`_threshold_rhs`
-gives the right-hand sides of every threshold and :func:`_ridge_solve` the
-(K, n) coefficients ``betas``, for a stack of samples at once. Column j of
-``betas`` solves (P'P + n*lam*I) beta = P' 1(y >= y_j), so entry (i, j) of
-g = P @ betas estimates P(Y >= y_j | X = x_i). This is a linear probability
-model: entries may fall outside [0, 1], and nothing clamps them. g is left
-in factored form; the bias term in :mod:`nncorr.bias_correction` reads the
-factors directly.
+exponent array that :func:`design_matrix` takes, and :func:`_ridge_betas`
+the (K, n) coefficients ``betas`` of every threshold, for a stack of
+samples at once. Column j of ``betas`` solves (P'P + n*lam*I) beta = P'
+1(y >= y_j), so entry (i, j) of g = P @ betas estimates P(Y >= y_j | X =
+x_i). This is a linear probability model: entries may fall outside [0, 1],
+and nothing clamps them. g is left in factored form; the bias term in
+:mod:`nncorr.bias_correction` reads the factors directly.
 """
 
 from __future__ import annotations
@@ -99,41 +102,50 @@ def design_matrix(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return p
 
 
-def _ridge_solve(p: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (P'P + n*lam*I) B = rhs with the inverse of the K x K matrix.
+def _solve_shifted(a: np.ndarray, rhs: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """Solve (a + n*lam*I) Z = rhs for a stack of unshifted Gram matrices ``a``.
 
-    Takes (n, K) and (K, J), or stacks (..., n, K) and (..., K, J); ``rhs``
-    is overwritten. K is at most a few hundred, J (n, or m in the bootstrap)
-    is of the order of K or larger, and the ridge shift keeps the matrix
-    positive definite, so one inverse and matrix products (GEMM) over all J
-    columns cost less than triangular solves; ``np.linalg.solve`` would also
-    copy ``rhs`` in and out. The inverse alone leaves a residual near
-    eps * cond * |rhs| (a few 1e-12 relative at K = 84, lambda = n**-2), so
-    one step of iterative refinement with the same inverse follows. Every
-    product is NumPy's, computed per matrix, so a stack gives each system
-    the bits it gets alone.
+    Both ``a`` and ``rhs`` are overwritten. On both paths of
+    :func:`_ridge_betas`, ``rhs`` has at least as many columns as ``a`` has
+    rows, and the shift keeps the matrix positive definite, so one inverse
+    and matrix products (GEMM) over all columns cost less than triangular
+    solves; ``np.linalg.solve`` would also copy ``rhs`` in and out. The
+    inverse alone leaves a residual near eps * cond * |rhs| (a few 1e-12
+    relative at K = 84, lambda = n**-2), so one step of iterative refinement
+    with the same inverse follows. Every product is NumPy's, computed per
+    matrix, so a stack gives each system the bits it gets alone.
     """
     if not lam > 0.0:
         raise InputError(f"ridge parameter must be positive, got {lam}")
-    n, k = p.shape[-2:]
-    with np.errstate(over="ignore"):
-        gram = np.swapaxes(p, -1, -2) @ p
-    if not np.isfinite(gram).all():
+    if not np.isfinite(a).all():
         raise NonFiniteInputError(
             "the ridge Gram matrix overflows; rescale x or lower the degree"
         )
-    diag = np.arange(k)
-    gram[..., diag, diag] += n * lam
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] += n * lam
     try:
-        inv = np.linalg.inv(gram)
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"the ridge matrix could not be inverted: {exc}; rescale x or lower the degree"
         ) from exc
-    betas = inv @ rhs
-    rhs -= gram @ betas
-    betas += inv @ rhs
-    return betas
+    z = inv @ rhs
+    rhs -= a @ z
+    z += inv @ rhs
+    return z
+
+
+def _ridge_solve(p: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """Solve the primal system (P'P + n*lam*I) B = rhs through the K x K inverse.
+
+    Takes (n, K) and (K, J), or stacks (..., n, K) and (..., K, J); ``rhs``
+    is overwritten. The pipeline takes this path when n >= K, so the J = n
+    right-hand sides share one K x K inverse: O(K^3) plus O(n K^2).
+    """
+    n = p.shape[-2]
+    with np.errstate(over="ignore"):
+        gram = np.swapaxes(p, -1, -2) @ p
+    return _solve_shifted(gram, rhs, n, lam)
 
 
 def _threshold_rhs(p: np.ndarray, order: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -154,3 +166,29 @@ def _threshold_rhs(p: np.ndarray, order: np.ndarray, first: np.ndarray) -> np.nd
     np.add.accumulate(acc, axis=0, out=acc)
     pick = (m - 1 - first) * c + np.arange(c)[:, None]
     return np.swapaxes(acc.reshape(m * c, k)[pick.ravel()].reshape(c, m, k), -1, -2)
+
+
+def _ridge_betas(
+    p: np.ndarray, order: np.ndarray, first: np.ndarray, ranks: np.ndarray, lam: float
+) -> np.ndarray:
+    """The (c, K, m) coefficients ``betas`` of every threshold of a (c, m, K) stack.
+
+    ``order``, ``first`` and ``ranks`` are those of
+    :func:`nncorr.dataset._tie_groups`. The solver is chosen by shape alone:
+    with m >= K, the primal K x K system of :func:`_ridge_solve` on the
+    suffix-sum right-hand sides of :func:`_threshold_rhs`. With m < K (a
+    sample smaller than the basis, as is every bootstrap subsample of the
+    default size floor(sqrt(n)) when n < K^2), the dual m x m system: since
+    (P'P + m*lam*I)^-1 P' = P' (PP' + m*lam*I)^-1, ``betas = P' Z`` with
+    (PP' + m*lam*I) Z = Y, where Y[i, j] = 1(y_i >= y_j) = 1(ranks_i >
+    first_j). The two agree in exact arithmetic, not in their rounding.
+    Both make the same checks with the same messages.
+    """
+    m, k = p.shape[-2:]
+    if m >= k:
+        return _ridge_solve(p, _threshold_rhs(p, order, first), lam)
+    pt = np.swapaxes(p, -1, -2)
+    with np.errstate(over="ignore"):
+        outer = p @ pt
+    ind = (ranks[..., :, None] > first[..., None, :]).astype(np.float64)
+    return pt @ _solve_shifted(outer, ind, m, lam)

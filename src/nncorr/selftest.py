@@ -1,7 +1,7 @@
 """Built-in oracle-equivalence suites, runnable from the command line.
 
 Each suite pits a function the pipeline itself runs (the neighbor searches,
-``_l_hat``, ``_threshold_rhs`` + ``_ridge_solve``, the bootstrap's index
+``_l_hat``, ``_ridge_betas``, the bootstrap's index
 block, the closed-form truth), on a stack of one sample where it checks
 one, against an independent reference implementation kept in this module
 (deliberately not shared with the production code, so a defect introduced
@@ -18,7 +18,7 @@ import numpy as np
 from .bias_correction import _l_hat, default_lambda
 from .dataset import _tie_groups
 from .nn_graph import _stacked_nn, build_nn
-from .ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
+from .ridge_series import _ridge_betas, basis_index_set, design_matrix
 from .rng import _integers_block, derive_rng
 from .simulation import true_t
 
@@ -144,13 +144,14 @@ def _normal_residual(p: np.ndarray, y: np.ndarray, lam: float, betas: np.ndarray
 
 
 def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
-    """Normal-equation residuals of the shared-factorization fit, <= 1e-8.
+    """Normal-equation residuals of the pipeline's ridge fit, <= 1e-8.
 
     The right-hand sides are rebuilt here from the explicit n x n indicator
-    matrix, independently of the suffix sums used by the fit. Each case
-    checks the fit of the whole sample at four penalties and a stacked
-    solve on five subsamples drawn with replacement, whose repeated rows
-    tie their responses.
+    matrix, independently of the suffix sums of the primal fit (n >= K) and
+    of the indicator comparisons of the dual one (n < K). Each case checks
+    the fit of the whole sample at four penalties and a stacked solve on
+    five subsamples drawn with replacement, whose repeated rows tie their
+    responses; subsamples smaller than the basis take the dual.
     """
     cases = 8 if quick else 20
     rng = derive_rng(seed)
@@ -164,9 +165,9 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
             y = np.round(y, 1)  # duplicated thresholds
         basis = basis_index_set(d, 2)
         p = design_matrix(x, basis)
-        order, first, _ = _tie_groups(y[None])
+        groups = _tie_groups(y[None])
         for lam in (1e-4, 1e-2, 1.0, default_lambda(n)):
-            betas = _ridge_solve(p[None], _threshold_rhs(p[None], order, first), lam)[0]
+            betas = _ridge_betas(p[None], *groups, lam)[0]
             rel = _normal_residual(p, y, lam, betas)
             worst = max(worst, rel)
             if rel > 1e-8:
@@ -178,8 +179,7 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
         ps, ys = p[idx], y[idx]
         m = ys.shape[1]
         lam = default_lambda(m)
-        order, first, _ = _tie_groups(ys)
-        betas = _ridge_solve(ps, _threshold_rhs(ps, order, first), lam)
+        betas = _ridge_betas(ps, *_tie_groups(ys), lam)
         for b in range(ys.shape[0]):
             rel = _normal_residual(ps[b], ys[b], lam, betas[b])
             worst = max(worst, rel)

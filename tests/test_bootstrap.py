@@ -261,6 +261,9 @@ def test_bootstrap_tracks_dependence_strength():
         (300, 66, 16, 1, True, "plain"),
         (300, 17, 6, 0, True, "plain"),
         (300, 17, 6, 3, True, "plain"),
+        # K = 45 > m = 17: estimate on the subsample and the chunk both fit
+        # through the dual m x m system.
+        (300, 17, 8, 2, True, "plain"),
         (300, 17, 6, 2, False, "plain"),
         # Duplicate-heavy draws: 17 out of 20 rows.
         (20, 17, 6, 2, True, "plain"),
@@ -345,14 +348,17 @@ def test_overflowing_distances_raise_in_every_replicate_engine():
 
 def test_overflowing_gram_matrix_raises_in_estimate_and_engine():
     # Unscaled x = k * 1e100: squared distances and the design matrix are
-    # finite, but the degree-2 Gram entries (~x^4) overflow.
-    x = np.arange(1.0, 21.0)[:, None] * 1e100
-    s = Sample(x=x, y=np.random.default_rng(0).standard_normal(20))
-    cfg = PipelineConfig(scale_covariates=False)
-    with pytest.raises(NonFiniteInputError, match="Gram matrix overflows"):
-        estimate(s, cfg)
-    with pytest.raises(NonFiniteInputError, match="Gram matrix overflows"):
-        mn_bootstrap_pair(s, cfg, b_reps=10, seed=0)
+    # finite, but the degree-2 Gram entries (~x^4) overflow. At d = 1 (K = 3)
+    # estimate (n = 20) and the m = 4 replicates solve the primal system; at
+    # d = 6 (K = 28) both solve the dual one.
+    wide = np.random.default_rng(6).uniform(1.0, 20.0, size=(20, 6)) * 1e100
+    for x in (np.arange(1.0, 21.0)[:, None] * 1e100, wide):
+        s = Sample(x=x, y=np.random.default_rng(0).standard_normal(20))
+        cfg = PipelineConfig(scale_covariates=False)
+        with pytest.raises(NonFiniteInputError, match="Gram matrix overflows"):
+            estimate(s, cfg)
+        with pytest.raises(NonFiniteInputError, match="Gram matrix overflows"):
+            mn_bootstrap_pair(s, cfg, b_reps=10, seed=0)
 
 
 def test_cholesky_failure_raises_factorization_error(monkeypatch):
@@ -360,8 +366,11 @@ def test_cholesky_failure_raises_factorization_error(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "inv", fail)
-    with pytest.raises(FactorizationError):
-        mn_bootstrap_pair(_sample(), PipelineConfig(), b_reps=10, seed=1)
+    # m = 10 replicates: at d = 2 (K = 6) the primal system is inverted, at
+    # d = 6 (K = 28) the dual one.
+    for d in (2, 6):
+        with pytest.raises(FactorizationError):
+            mn_bootstrap_pair(_sample(d=d), PipelineConfig(), b_reps=10, seed=1)
 
 
 def test_results_do_not_depend_on_chunk_size(monkeypatch):

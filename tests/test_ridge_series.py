@@ -5,16 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from nncorr import ridge_series
 from nncorr.bias_correction import default_lambda
 from nncorr.dataset import _tie_groups, minmax_scale
-from nncorr.errors import BasisSizeError, DimensionMismatchError, InputError
+from nncorr.errors import BasisSizeError, DimensionMismatchError, InputError, NonFiniteInputError
 from nncorr.ridge_series import (
     BASIS_CAP,
+    _ridge_betas,
     _ridge_solve,
     _threshold_rhs,
     basis_index_set,
     design_matrix,
 )
+
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:  # the property test below is skipped without it
+    given = None
 
 
 def _ridge_fit(p, y, lam):
@@ -242,3 +249,139 @@ def test_fit_validation():
         _ridge_solve(p, np.ones((1, 5)), 0.0)
     with pytest.raises(InputError):
         _ridge_solve(p, np.ones((1, 5)), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the dual m x m system of subsamples smaller than the basis
+
+
+def _dual_case(m, d, degree, kind, seed):
+    # One (1, m, K) design stack, its responses and their tie groups.
+    # "repeated" draws the rows, responses included, with replacement from
+    # m // 2 + 1 rows, as a bootstrap subsample does; "tied" puts the
+    # responses on 4 levels.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(m, d))
+    y = rng.integers(0, 4, m).astype(np.float64) if kind == "tied" else rng.standard_normal(m)
+    if kind == "repeated":
+        idx = rng.integers(0, m // 2 + 1, m)
+        x, y = x[idx], y[idx]
+    p = design_matrix(minmax_scale(x), basis_index_set(d, degree))[None]
+    return p, y, _tie_groups(y[None])
+
+
+def _assert_dual_matches_primal(m, d, degree, kind, seed):
+    # Both paths against the ridge fit as an augmented least-squares problem
+    # [P; sqrt(m*lam) I] beta = [Y; 0], solved by SVD, whose error grows
+    # with the square root of the condition number, not with it (1e-13 at
+    # K = 286). Near m = K with repeated rows the primal's own rounding
+    # reaches 1.1e-12 of max|betas|, the dual's 4e-13.
+    p, y, (order, first, ranks) = _dual_case(m, d, degree, kind, seed)
+    k = p.shape[-1]
+    assert m < k
+    lam = default_lambda(m)
+    dual = _ridge_betas(p, order, first, ranks, lam)[0]
+    primal = _ridge_solve(p, _threshold_rhs(p, order, first), lam)[0]  # K x K, any shape
+    ind = (y[:, None] >= y[None, :]).astype(np.float64)  # ind[i, j] = 1(y_i >= y_j)
+    aug = np.vstack([p[0], math.sqrt(m * lam) * np.eye(k)])
+    want = np.linalg.lstsq(aug, np.vstack([ind, np.zeros((k, m))]), rcond=None)[0]
+    scale = np.abs(want).max()
+    assert dual.shape == primal.shape == (k, m)
+    assert np.abs(dual - want).max() <= 1e-12 * scale
+    assert np.abs(primal - want).max() <= 2e-12 * scale
+
+
+if given is not None:
+
+    # Degree 0 has K = 1, so no subsample is smaller than its basis.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 3),
+        st.data(),
+        st.sampled_from(("distinct", "tied", "repeated")),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_dual_betas_match_the_primal_drawn(d, degree, data, kind, seed):
+        k = math.comb(d + degree, degree)
+        assume(k > 2)
+        m = data.draw(st.integers(2, k - 1), label="m")
+        _assert_dual_matches_primal(m, d, degree, kind, seed)
+
+else:
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_dual_betas_match_the_primal_drawn():
+        pass
+
+
+@pytest.mark.parametrize("d, degree", [(1, 2), (6, 2), (8, 2), (10, 3)])
+@pytest.mark.parametrize("kind", ["distinct", "tied", "repeated"])
+def test_dual_betas_match_the_primal_at_both_ends(d, degree, kind):
+    k = math.comb(d + degree, degree)
+    for m in (2, k - 1):
+        _assert_dual_matches_primal(m, d, degree, kind, seed=k + m)
+
+
+def test_stacked_dual_solve_matches_each_system_alone():
+    # The bootstrap's m = 17 chunks at K = 28, and K = 45 at m = 24: each
+    # subsample gets the bits it gets alone, as estimate() fits it.
+    rng = np.random.default_rng(48)
+    for c, m, d, degree in ((41, 17, 6, 2), (16, 24, 8, 2)):
+        x = rng.uniform(size=(c, m, d))
+        y = np.round(rng.standard_normal((c, m)), 1)
+        p = design_matrix(minmax_scale(x), basis_index_set(d, degree))
+        assert m < p.shape[-1]
+        lam = default_lambda(m)
+        stacked = _ridge_betas(p, *_tie_groups(y), lam)
+        for i in range(c):
+            alone = _ridge_betas(p[i][None], *_tie_groups(y[i][None]), lam)
+            np.testing.assert_array_equal(stacked[i], alone[0])
+
+
+def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
+    # m = K - 1 inverts (m, m) dual matrices and never builds the primal
+    # system; m = K solves the K x K primal system, bit for bit.
+    inverted, primal_calls = [], []
+    inv, solve = np.linalg.inv, ridge_series._ridge_solve
+
+    def spy_inv(a):
+        inverted.append(a.shape)
+        return inv(a)
+
+    def spy_solve(*args):
+        primal_calls.append(args[0].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "inv", spy_inv)
+    monkeypatch.setattr(ridge_series, "_ridge_solve", spy_solve)
+    rng = np.random.default_rng(49)
+    for d, degree in ((2, 2), (6, 2), (3, 3)):
+        k = math.comb(d + degree, degree)
+        for m in (k - 1, k):
+            inverted.clear()
+            primal_calls.clear()
+            x = rng.uniform(size=(3, m, d))
+            y = rng.standard_normal((3, m))
+            p = design_matrix(x, basis_index_set(d, degree))
+            order, first, ranks = _tie_groups(y)
+            lam = default_lambda(m)
+            betas = _ridge_betas(p, order, first, ranks, lam)
+            assert betas.shape == (3, k, m)
+            if m < k:
+                assert inverted == [(3, m, m)] and primal_calls == []
+            else:
+                assert inverted == [(3, k, k)] and primal_calls == [(3, m, k)]
+                want = solve(p, _threshold_rhs(p, order, first), lam)
+                np.testing.assert_array_equal(betas, want)
+
+
+def test_dual_path_keeps_the_primal_checks():
+    x = np.random.default_rng(50).uniform(size=(1, 5, 6))
+    y = np.arange(5.0)[None]
+    p = design_matrix(x, basis_index_set(6, 2))  # m = 5 < K = 28
+    for lam in (0.0, -1.0):
+        with pytest.raises(InputError, match="ridge parameter must be positive"):
+            _ridge_betas(p, *_tie_groups(y), lam)
+    with pytest.raises(NonFiniteInputError, match="Gram matrix overflows"):
+        _ridge_betas(p * 1e200, *_tie_groups(y), 0.1)

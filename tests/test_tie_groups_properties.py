@@ -17,7 +17,7 @@ from nncorr.bias_correction import _l_hat, _rank_coefficient, default_lambda  # 
 from nncorr.dataset import _tie_groups, minmax_scale  # noqa: E402
 from nncorr.errors import InputError  # noqa: E402
 from nncorr.ridge_series import (  # noqa: E402
-    _ridge_solve,
+    _ridge_betas,
     _threshold_rhs,
     basis_index_set,
     design_matrix,
@@ -87,13 +87,13 @@ def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed):
     nn[nn >= np.arange(m)] += 1  # any j != i is a valid neighbor map
     order, first, ranks = _tie_groups(y)
     lam = default_lambda(m)
-    betas = _ridge_solve(p, _threshold_rhs(p, order, first), lam)
+    betas = _ridge_betas(p, order, first, ranks, lam)  # K = 10: dual below m = 10
     l_hat = _l_hat(p, betas, nn)
     t_alone, errors = {}, []
     for b in range(c):
         order_b, first_b, ranks_b = _tie_groups(y[b][None])
         np.testing.assert_array_equal(ranks[b], ranks_b[0])
-        betas_b = _ridge_solve(p[b][None], _threshold_rhs(p[b][None], order_b, first_b), lam)
+        betas_b = _ridge_betas(p[b][None], order_b, first_b, ranks_b, lam)
         np.testing.assert_array_equal(betas[b], betas_b[0])
         np.testing.assert_array_equal(l_hat[b], _l_hat(p[b][None], betas_b, nn[b][None])[0])
         try:
