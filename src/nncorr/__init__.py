@@ -28,17 +28,7 @@ from .bootstrap import (
     mn_bootstrap_pair,
 )
 from .dataset import Sample, load_csv, minmax_scale
-from .errors import (
-    BasisSizeError,
-    DimensionMismatchError,
-    FactorizationError,
-    InputError,
-    InsufficientRowsError,
-    MissingFileError,
-    NoCovariateColumnsError,
-    NonFiniteInputError,
-    NonNumericCellError,
-)
+from .errors import InputError
 from .nn_graph import build_nn
 from .ridge_series import basis_index_set, design_matrix
 from .rng import derive_rng, derive_seed
@@ -58,18 +48,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RAW_CSV_HEADER",
-    "BasisSizeError",
     "CellSummary",
     "CopulaConfig",
-    "DimensionMismatchError",
     "EstimateResult",
-    "FactorizationError",
     "InputError",
-    "InsufficientRowsError",
-    "MissingFileError",
-    "NoCovariateColumnsError",
-    "NonFiniteInputError",
-    "NonNumericCellError",
     "PipelineConfig",
     "RawRecord",
     "Sample",

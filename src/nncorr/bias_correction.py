@@ -20,8 +20,8 @@ import numpy as np
 
 from ._threads import single_blas_thread
 from .dataset import Sample, _as_matrix, _tie_groups, minmax_scale
-from .errors import ConstantResponseError, InputError
-from .nn_graph import build_nn
+from .errors import InputError
+from .nn_graph import _search_stack
 from .ridge_series import _ridge_betas, basis_index_set, design_matrix
 
 DEFAULT_DEGREE = 2
@@ -139,11 +139,11 @@ def _l_hat(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(r) for r in rows]) / (n * (n - 1))
 
 
-def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig, search):
+def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig):
     """``t_hat``, ``l_hat`` and ``t_bc`` of every sample in a stack, shape (c,) each.
 
-    ``x`` is (c, m, d) and ``y`` is (c, m); ``search`` maps the (scaled)
-    covariate stack to (c, m) nearest-neighbor indices. One stable sort
+    ``x`` is (c, m, d) and ``y`` is (c, m); the neighbor search is chosen by
+    m in :func:`nncorr.nn_graph._search_stack`. One stable sort
     per sample gives both the ranks and the ridge right-hand sides, every
     product is computed per matrix, and the first failing check raises, so
     a sample gets the same bits and errors in any stack. The products are
@@ -155,11 +155,11 @@ def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig, search):
         order, first, ranks = _tie_groups(y)
         if (ranks.min(axis=-1) == m).any():
             # Every rank is m only when all m responses are equal.
-            raise ConstantResponseError(
+            raise InputError(
                 f"the response is constant over all {m} rows; there is nothing to rank"
             )
         xs = minmax_scale(x) if config.scale_covariates else x
-        nn = search(xs)
+        nn = _search_stack(xs)
         t_hat = _rank_coefficient(ranks, nn)
 
         p = design_matrix(xs, basis_index_set(d, config.degree))
@@ -187,6 +187,6 @@ def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateRe
     """
     if config is None:
         config = PipelineConfig()
-    stats = _stages(sample.x[None], sample.y[None], config, lambda xs: build_nn(xs[0])[None])
+    stats = _stages(sample.x[None], sample.y[None], config)
     t_hat, l_hat, t_bc = (float(v[0]) for v in stats)
     return EstimateResult(t_hat=t_hat, l_hat=l_hat, t_bc=t_bc)

@@ -20,9 +20,11 @@ of subsamples runs through the stage function of
 :func:`nncorr.bias_correction.estimate` as (chunk, m, .) arrays, so every
 replicate's ``t_hat`` and ``t_bc`` are bit-identical to ``estimate`` on the
 same subsample. Ranks and ridge right-hand sides come from one stable sort
-per subsample, and nearest neighbours from the full (m, m) distance
-matrix, accumulated one coordinate at a time, so the neighbour search
-costs O(B m^2 d) in all. The ridge fit of a subsample smaller than the
+per subsample. The neighbour search is chosen by m alone
+(:func:`nncorr.nn_graph._search_stack`): up to m = 200, which the default
+m exceeds only from n = 40 401, the full (m, m) distance matrix, accumulated
+one coordinate at a time, at O(B m^2 d) in all; above it a kd-tree per
+subsample. The ridge fit of a subsample smaller than the
 basis (m < K, as at the default m for n below K^2) solves the m x m dual
 system, not the K x K Gram system (:func:`nncorr.ridge_series._ridge_betas`).
 No block of a replicate exceeds max(m, K)^2 floats: its distance matrix, its
@@ -44,7 +46,6 @@ from scipy.special import ndtri
 from .bias_correction import PipelineConfig, _stages, default_lambda, estimate
 from .dataset import Sample
 from .errors import InputError
-from .nn_graph import _stacked_nn
 from .ridge_series import basis_index_set
 from .rng import _check_path, _integers_block
 
@@ -98,14 +99,14 @@ def _replicates(
     for lo in range(0, b_reps, chunk):
         block = draws[lo : lo + chunk]
         try:
-            parts.append(_stages(sample.x[block], sample.y[block], config, _stacked_nn))
+            parts.append(_stages(sample.x[block], sample.y[block], config))
             continue
         except InputError as exc:
             failure = exc
         # Replay one replicate at a time, so the first failing replicate
         # raises its own first failure, as a loop over replicates would.
         for idx in block:
-            _stages(sample.x[idx][None], sample.y[idx][None], config, _stacked_nn)
+            _stages(sample.x[idx][None], sample.y[idx][None], config)
         raise failure
     t_hat, _, t_bc = (np.concatenate(v) for v in zip(*parts))
     return t_hat, t_bc

@@ -16,33 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    InsufficientRowsError,
-    MissingFileError,
-    NoCovariateColumnsError,
-    NonFiniteInputError,
-    NonNumericCellError,
-)
+from .errors import InputError
 
 
 def _as_matrix(x, name: str = "x", stacked: bool = False) -> np.ndarray:
     # ``stacked`` also admits a stack of matrices, shape (..., n, d).
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 and not (stacked and arr.ndim > 2):
-        raise DimensionMismatchError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
+        raise InputError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
-        raise NonFiniteInputError(f"{name} contains NaN or infinite entries")
+        raise InputError(f"{name} contains NaN or infinite entries")
     return arr
 
 
 def _as_vector(y, name: str = "y") -> np.ndarray:
     arr = np.asarray(y, dtype=np.float64)
     if arr.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
+        raise InputError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
-        raise NonFiniteInputError(f"{name} contains NaN or infinite entries")
+        raise InputError(f"{name} contains NaN or infinite entries")
     return arr
 
 
@@ -61,13 +53,11 @@ class Sample:
         x = _as_matrix(self.x)
         y = _as_vector(self.y)
         if x.shape[0] != y.shape[0]:
-            raise DimensionMismatchError(
-                f"x has {x.shape[0]} rows but y has {y.shape[0]} entries"
-            )
+            raise InputError(f"x has {x.shape[0]} rows but y has {y.shape[0]} entries")
         if x.shape[0] < 2:
-            raise InsufficientRowsError(f"need at least 2 rows, got {x.shape[0]}")
+            raise InputError(f"need at least 2 rows, got {x.shape[0]}")
         if x.shape[1] < 1:
-            raise NoCovariateColumnsError("need at least one covariate column")
+            raise InputError("need at least one covariate column")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -104,22 +94,20 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     Python's ``float()`` after ``str.strip()``, so '.' is the decimal
     separator, quoting is not supported, and ``inf`` and ``nan`` are
     rejected. The cells are parsed in one pass; the first failure in row
-    order is reported: a cell that is not a finite number raises
-    :class:`NonNumericCellError` naming it (in the first row as in any
-    other), a row whose cell count differs from the first data row's raises
-    :class:`InputError`. ``y_column`` selects the response column by
-    0-based index or the literal ``"last"``; the remaining columns become
-    the covariates in file order.
+    order is reported as an :class:`InputError`: a cell that is not a finite
+    number is named (in the first row as in any other), and so is a row
+    whose cell count differs from the first data row's. ``y_column`` selects
+    the response column by 0-based index or the literal ``"last"``; the
+    remaining columns become the covariates in file order. A path that
+    cannot be read (missing, a directory, no permission) raises the
+    :class:`OSError` that ``open`` gives, which names the path.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise MissingFileError(f"no such file: {path}") from None
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        text = fh.read()
 
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:
-        raise InsufficientRowsError(f"{path} is empty")
+        raise InputError(f"{path} is empty")
 
     rows = [ln.split(",") for ln in lines]
 
@@ -147,14 +135,14 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
             for j, tok in enumerate(tokens)
             if not _is_finite_number(tok)
         )
-        raise NonNumericCellError(f"non-numeric cell at ({i},{j}): {tok!r}")
+        raise InputError(f"non-numeric cell at ({i},{j}): {tok!r}")
     if ragged < len(rows):
         raise InputError(
             f"row {ragged} has {len(rows[ragged])} cells, expected {arity} (ragged file)"
         )
 
     if len(rows) < 2:
-        raise InsufficientRowsError(f"need at least 2 data rows, got {len(rows)}")
+        raise InputError(f"need at least 2 data rows, got {len(rows)}")
     mat = flat.reshape(len(rows), arity)
     ncols = mat.shape[1]
 
@@ -169,7 +157,7 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
             raise InputError(f"y_column {y_idx} out of range for {ncols} columns")
 
     if ncols < 2:
-        raise NoCovariateColumnsError("file has no covariate columns besides the response")
+        raise InputError("file has no covariate columns besides the response")
     y = mat[:, y_idx]
     x = np.delete(mat, y_idx, axis=1)
     return Sample(x=x, y=y)

@@ -64,8 +64,8 @@ def _ref_bias(g: np.ndarray, nn: np.ndarray) -> float:
 def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
     """Both neighbor searches against the in-module double loop, random and tied data.
 
-    build_nn and the bootstrap's _stacked_nn, on a stack of one matrix, see
-    every case, with d up to 20.
+    Both kernels, build_nn and _stacked_nn on a stack of one matrix, see
+    every case, with d up to 20, whichever of them the pipeline would pick.
 
     Every fifth case also gets copies of random rows of its own, so the
     suite covers duplicate rows as well as lattice ties. The copies come

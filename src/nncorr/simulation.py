@@ -147,6 +147,13 @@ def _summarize(rho, d, n, rows) -> CellSummary:
     )
 
 
+def _whole(name: str, v) -> int:
+    """``v`` as an int, or an InputError unless it is a whole number."""
+    if not float(v).is_integer():
+        raise InputError(f"need a whole number {name}, got {v}")
+    return int(v)
+
+
 def run_study(
     grid,
     reps: int,
@@ -163,10 +170,12 @@ def run_study(
     :class:`RawRecord`. Each cell's summary is computed from its records.
     Replication streams derive from (seed, cell_index, rep_index), so any
     execution order reproduces the same numbers. Pass a list as ``records``
-    to capture every record for the raw CSV sidecar. Every option is checked
-    before any replication runs; a failing replication raises with the cell
-    coordinates attached, an :class:`InputError` when the drawn data is at
-    fault.
+    to capture every record for the raw CSV sidecar. Each cell is read once
+    as (float, int, int), so d and n may be given as whole floats such as
+    30.0. Every option is checked before any replication runs; a failing
+    replication raises with the cell coordinates attached, an
+    :class:`InputError` when the drawn data is at fault and a
+    :class:`RuntimeError` otherwise.
     """
     grid = list(grid)
     if not grid:
@@ -174,11 +183,12 @@ def run_study(
     if reps < 1:
         raise InputError(f"need reps >= 1, got {reps}")
     config = PipelineConfig()
+    grid = [(float(rho), _whole("d", d), _whole("n", n)) for rho, d, n in grid]
     for rho, d, n in grid:
         # Every cell's options are checked as each replication checks them,
         # so a bad one fails before any replication runs.
-        CopulaConfig(n=int(n), d=int(d), rho=float(rho))
-        _check_run(int(n), int(d), config, b_reps, None, alpha, seed)
+        CopulaConfig(n=n, d=d, rho=rho)
+        _check_run(n, d, config, b_reps, None, alpha, seed)
 
     cells = []
     for ci, (rho, d, n) in enumerate(grid):
@@ -192,7 +202,7 @@ def run_study(
                 res, _, _, (ci_t, ci_bc) = _analyze(sample, config, b_reps, None, alpha, boot_seed)
             except Exception as exc:
                 # A property of the drawn data stays an input error.
-                wrap = type(exc) if isinstance(exc, InputError) else RuntimeError
+                wrap = InputError if isinstance(exc, InputError) else RuntimeError
                 raise wrap(
                     f"replication {r} of cell (rho={rho}, d={d}, n={n}) failed: {exc}"
                 ) from exc

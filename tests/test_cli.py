@@ -29,10 +29,8 @@ def _reset_workers():
     _threads.set_workers(None)
 
 
-@pytest.fixture()
-def csv_file(tmp_path):
+def _write_csv(tmp_path, n):
     rng = np.random.default_rng(71)
-    n = 100
     x = rng.uniform(size=(n, 3))
     y = x[:, 0] + 0.4 * rng.standard_normal(n)
     path = tmp_path / "data.csv"
@@ -40,6 +38,18 @@ def csv_file(tmp_path):
     rows = [",".join(format(v, ".12g") for v in row) for row in np.column_stack([x, y])]
     path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture()
+def csv_file(tmp_path):
+    return _write_csv(tmp_path, 100)
+
+
+@pytest.fixture()
+def tree_csv_file(tmp_path):
+    # Above nn_graph._BRUTE_MAX_M rows, so estimate's search runs the
+    # kd-tree and its --threads workers.
+    return _write_csv(tmp_path, 300)
 
 
 def _run(capsys, argv):
@@ -85,8 +95,8 @@ def test_estimate_output_file_matches_stdout(capsys, csv_file, tmp_path):
     assert dest.read_text(encoding="utf-8") == out
 
 
-def test_estimate_byte_identical_across_thread_counts(capsys, csv_file):
-    base = ["estimate", "--input", str(csv_file), "--bootstrap-reps", "30"]
+def test_estimate_byte_identical_across_thread_counts(capsys, tree_csv_file):
+    base = ["estimate", "--input", str(tree_csv_file), "--bootstrap-reps", "30"]
     outs = []
     for workers in ("1", "4"):
         code, out, _ = _run(capsys, base + ["--threads", workers])
@@ -96,7 +106,7 @@ def test_estimate_byte_identical_across_thread_counts(capsys, csv_file):
 
 
 @pytest.mark.parametrize("reps", ["30", "1"], ids=["success", "input-error"])
-def test_threads_option_does_not_outlive_the_call(capsys, csv_file, monkeypatch, reps):
+def test_threads_option_does_not_outlive_the_call(capsys, tree_csv_file, monkeypatch, reps):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     _threads.set_workers(3)
     seen = []
@@ -108,7 +118,7 @@ def test_threads_option_does_not_outlive_the_call(capsys, csv_file, monkeypatch,
 
     monkeypatch.setattr(_threads, "get_workers", spy)
     code, _, _ = _run(capsys, [
-        "estimate", "--input", str(csv_file), "--bootstrap-reps", reps, "--threads", "1",
+        "estimate", "--input", str(tree_csv_file), "--bootstrap-reps", reps, "--threads", "1",
     ])
     assert code == (0 if reps == "30" else 2)
     assert set(seen) == ({1} if reps == "30" else set())
@@ -259,9 +269,12 @@ def test_estimate_cli_agrees_with_the_api(tmp_path):
 
 
 def test_estimate_missing_file(capsys, tmp_path):
-    code, _, err = _run(capsys, ["estimate", "--input", str(tmp_path / "nope.csv")])
-    assert code == 2
-    assert "nope.csv" in err
+    # A missing file and a directory: one line with the system's reason and the path.
+    for path in (tmp_path / "nope.csv", tmp_path):
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("nncorr: error: [Errno ")
+        assert err.endswith(f": {str(path)!r}\n") and err.count("\n") == 1
 
 
 def test_estimate_rejects_a_first_row_with_a_typo(capsys, tmp_path):

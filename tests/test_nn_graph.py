@@ -17,8 +17,9 @@ import pytest
 from scipy.special import ndtr
 
 from nncorr import _threads
-from nncorr.errors import InsufficientRowsError, NonFiniteInputError
-from nncorr.nn_graph import _stacked_nn, build_nn
+from nncorr.errors import InputError
+from nncorr import nn_graph
+from nncorr.nn_graph import _search_stack, _stacked_nn, build_nn
 
 
 def _ref_nn(x):
@@ -68,6 +69,21 @@ def test_duplicate_rows_give_zero_distance():
     under = np.array([[0.0], [1e-200], [0.0]])
     assert build_nn(under).tolist() == [1, 0, 0]
     assert _stacked_nn(under[None]).tolist() == [[1, 0, 0]]
+
+
+def test_search_stack_equals_both_kernels_around_the_switch(monkeypatch):
+    # Tied lattice rows and continuous rows, at m just below and just above
+    # the size where the stacked search leaves brute force for the kd-tree.
+    calls = []
+    monkeypatch.setattr(nn_graph, "build_nn", lambda x: calls.append(1) or build_nn(x))
+    rng = np.random.default_rng(81)
+    for m in (nn_graph._BRUTE_MAX_M, nn_graph._BRUTE_MAX_M + 1):
+        xs = np.stack([rng.integers(0, 3, size=(m, 3)).astype(float), rng.random((m, 3))])
+        calls.clear()
+        got = _search_stack(xs)
+        assert len(calls) == (0 if m <= nn_graph._BRUTE_MAX_M else 2)
+        np.testing.assert_array_equal(got, _stacked_nn(xs))
+        np.testing.assert_array_equal(got, np.stack([build_nn(x) for x in xs]))
 
 
 def _check_both_searches(x):
@@ -202,9 +218,9 @@ def test_in_degree_bound():
 
 
 def test_rejects_bad_input():
-    with pytest.raises(InsufficientRowsError):
+    with pytest.raises(InputError, match="^need at least 2 points, got 1$"):
         build_nn(np.zeros((1, 2)))
-    with pytest.raises(NonFiniteInputError):
+    with pytest.raises(InputError, match="^x contains NaN or infinite entries$"):
         build_nn(np.array([[0.0], [np.nan]]))
 
 
@@ -219,7 +235,7 @@ def test_rejects_ranges_whose_squared_distances_overflow(x):
     x = np.array(x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteInputError, match="overflow"):
+        with pytest.raises(InputError, match="squared distances overflow"):
             build_nn(x)
-        with pytest.raises(NonFiniteInputError, match="overflow"):
+        with pytest.raises(InputError, match="squared distances overflow"):
             _stacked_nn(np.stack([x / 1e300, x]))

@@ -149,6 +149,20 @@ def test_study_options_are_checked_before_any_replication(monkeypatch, options, 
     assert str(exc.value) == message
 
 
+def test_study_runs_the_cell_it_checked():
+    # A whole-number float d or n runs as the int it equals; any other
+    # float is refused before a replication runs.
+    rec_int, rec_float = [], []
+    as_int = run_study([(0.5, 3, 30)], reps=1, b_reps=10, records=rec_int)
+    as_float = run_study([(0.5, 3.0, 30.0)], reps=1, b_reps=10, records=rec_float)
+    assert as_float == as_int and rec_float == rec_int
+    assert (as_float[0].d, as_float[0].n) == (3, 30)
+    with pytest.raises(InputError, match="^need a whole number n, got 30.7$"):
+        run_study([(0.5, 3, 30.7)], reps=1, b_reps=10)
+    with pytest.raises(InputError, match="^need a whole number d, got 2.5$"):
+        run_study([(0.5, 2.5, 30)], reps=1, b_reps=10)
+
+
 def test_study_summaries_match_raw_records():
     records = []
     grid = [(0.0, 2, 80), (0.5, 2, 80)]
