@@ -3,37 +3,27 @@
 The estimators converge at root-n rate but their limiting variance has no
 usable closed form, so intervals come from subsampling: draw m = floor(
 sqrt(n)) rows with replacement, recompute the statistic, and rescale the
-replicate variance back to the full sample size. Everything is seeded, so
-results reproduce bit-for-bit.
+replicate variance back to the full sample size. One call, analyze, does
+all of it and returns both estimates with their standard errors and
+intervals. Everything is seeded, so results reproduce bit-for-bit.
 
 Run:  python3 demos/03_bootstrap_confidence.py
 """
 
-from nncorr import (
-    CopulaConfig,
-    PipelineConfig,
-    confidence_interval,
-    default_m,
-    estimate,
-    gen_gaussian_copula,
-    mn_bootstrap_pair,
-    true_t,
-)
+from nncorr import CopulaConfig, analyze, gen_gaussian_copula, true_t
 
 rho, d, n = 0.5, 6, 300
-m, B = default_m(n), 200
+B = 200
 truth = true_t(rho)
-config = PipelineConfig()
 
 sample = gen_gaussian_copula(CopulaConfig(n=n, d=d, rho=rho, seed=42))
-res = estimate(sample, config)
-se_raw, se_corr = mn_bootstrap_pair(sample, config, b_reps=B, m=m, seed=0)
+res = analyze(sample, b_reps=B, alpha=0.05, seed=0)  # m defaults to floor(sqrt(n))
 
 print(f"Cell rho={rho}, d={d}, n={n}; population value T = {truth:.4f}")
-print(f"Subsample size m = {m}, bootstrap replicates = {B}\n")
+print(f"Subsample size m = {res.m}, bootstrap replicates = {B}\n")
 
-for label, point, se in (("raw", res.t_hat, se_raw), ("corrected", res.t_bc, se_corr)):
-    lo, hi = confidence_interval(point, se, alpha=0.05)
+for label, point, se, (lo, hi) in (("raw", res.t_hat, res.se_t, res.ci_t),
+                                   ("corrected", res.t_bc, res.se_tbc, res.ci_tbc)):
     hit = "covers" if lo <= truth <= hi else "misses"
     print(f"  {label:<9} point = {point:.4f}   se = {se:.4f}   "
           f"95% CI = [{lo:.4f}, {hi:.4f}]   ({hit} the truth)")
@@ -44,12 +34,9 @@ reps = 40
 hits_raw = hits_corr = 0
 for r in range(reps):
     s = gen_gaussian_copula(CopulaConfig(n=n, d=d, rho=rho, seed=1000 + r))
-    e = estimate(s, config)
-    se_r, se_c = mn_bootstrap_pair(s, config, b_reps=100, seed=r)
-    lo, hi = confidence_interval(e.t_hat, se_r, 0.05)
-    hits_raw += lo <= truth <= hi
-    lo, hi = confidence_interval(e.t_bc, se_c, 0.05)
-    hits_corr += lo <= truth <= hi
+    a = analyze(s, b_reps=100, seed=r)
+    hits_raw += a.ci_t[0] <= truth <= a.ci_t[1]
+    hits_corr += a.ci_tbc[0] <= truth <= a.ci_tbc[1]
 
 print(f"\nEmpirical coverage over {reps} replications: "
       f"raw {hits_raw}/{reps}, corrected {hits_corr}/{reps}")

@@ -18,7 +18,8 @@ its run time on stderr.
 Run:  python3 demos/04_simulation_study.py   (about a minute)
 """
 
-from nncorr import format_report, raw_csv_lines, run_study, true_t
+from nncorr import run_study, true_t
+from nncorr.cli import format_report, raw_csv_lines  # the CLI's report formats
 
 grid = [(0.0, 6, 100), (0.5, 6, 100), (0.9, 6, 100)]
 alpha = 0.05

@@ -11,9 +11,12 @@ toolkit.
 
 Typical use::
 
-    from nncorr import Sample, estimate
-    result = estimate(Sample(x=x, y=y))
-    print(result.t_hat, result.t_bc)
+    from nncorr import Sample, analyze
+    res = analyze(Sample(x=x, y=y), seed=0)
+    print(res.t_hat, res.t_bc, res.ci_tbc)
+
+The bootstrap steps, the random streams and the study's file formats are in
+:mod:`nncorr.bootstrap`, :mod:`nncorr.rng` and :mod:`nncorr.cli`.
 """
 
 from .bias_correction import (
@@ -22,24 +25,16 @@ from .bias_correction import (
     default_lambda,
     estimate,
 )
-from .bootstrap import (
-    confidence_interval,
-    default_m,
-    mn_bootstrap_pair,
-)
+from .bootstrap import Analysis, analyze
 from .dataset import Sample, load_csv, minmax_scale
 from .errors import InputError
 from .nn_graph import build_nn
 from .ridge_series import basis_index_set, design_matrix
-from .rng import derive_rng, derive_seed
 from .simulation import (
-    RAW_CSV_HEADER,
     CellSummary,
     CopulaConfig,
     RawRecord,
-    format_report,
     gen_gaussian_copula,
-    raw_csv_lines,
     run_study,
     true_t,
 )
@@ -47,7 +42,7 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "RAW_CSV_HEADER",
+    "Analysis",
     "CellSummary",
     "CopulaConfig",
     "EstimateResult",
@@ -55,21 +50,15 @@ __all__ = [
     "PipelineConfig",
     "RawRecord",
     "Sample",
+    "analyze",
     "basis_index_set",
     "build_nn",
-    "confidence_interval",
     "default_lambda",
-    "default_m",
-    "derive_rng",
-    "derive_seed",
     "design_matrix",
     "estimate",
-    "format_report",
     "gen_gaussian_copula",
     "load_csv",
     "minmax_scale",
-    "mn_bootstrap_pair",
-    "raw_csv_lines",
     "run_study",
     "true_t",
 ]

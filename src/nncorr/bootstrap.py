@@ -3,42 +3,41 @@
 Subsamples of size m (default floor(sqrt(n))) are drawn with replacement,
 the statistic is recomputed in full on each subsample (including the ridge
 refit, whose penalty tracks the subsample size), and the limiting variance
-is estimated by m times the bootstrap sample variance.
-:func:`mn_bootstrap_pair` returns the standard errors this gives at the
-original sample size n, as two floats ``(se_t, se_tbc)``, and
-:func:`confidence_interval` takes one of them. Each replicate owns a
-counter-derived random stream, so results do not depend on evaluation
-order or thread count.
+is estimated by m times the bootstrap sample variance. :func:`analyze`, the
+entry point, checks every option, then runs
+:func:`~nncorr.bias_correction.estimate`, the bootstrap and both intervals
+and returns an :class:`Analysis`; the command line's ``estimate`` and every
+study replication call it. Its private bootstrap step,
+:func:`mn_bootstrap_pair`, returns the root-n standard errors
+``(se_t, se_tbc)``. Each replicate owns a counter-derived random stream, so
+results do not depend on evaluation order or thread count.
 
 The replicates are computed together. The (B, m) block of index vectors
 reproduces every replicate's stream, ``derive_rng(seed, r)``, bit for bit:
-the seeds are hashed and the bounded integers drawn for all streams at
-once, and only each stream's NumPy ``PCG64`` is built, not its
-``Generator`` (see :func:`nncorr.rng._integers_block`; n is limited to
-2**32 - 1). Each chunk
+the seeds are hashed and the bounded integers drawn for all streams at once,
+and only each stream's NumPy ``PCG64`` is built, not its ``Generator`` (see
+:func:`nncorr.rng._integers_block`; n is limited to 2**32 - 1). Each chunk
 of subsamples runs through the stage function of
 :func:`nncorr.bias_correction.estimate` as (chunk, m, .) arrays, so every
 replicate's ``t_hat`` and ``t_bc`` are bit-identical to ``estimate`` on the
 same subsample. Ranks and ridge right-hand sides come from one stable sort
 per subsample. The neighbour search is chosen by m alone
-(:func:`nncorr.nn_graph._search_stack`): up to m = 200, which the default
-m exceeds only from n = 40 401, the full (m, m) distance matrix, accumulated
+(:func:`nncorr.nn_graph._search_stack`): up to m = 200, which the default m
+exceeds only from n = 40 401, the full (m, m) distance matrix, accumulated
 one coordinate at a time, at O(B m^2 d) in all; above it a kd-tree per
-subsample. The ridge fit of a subsample smaller than the
-basis (m < K, as at the default m for n below K^2) solves the m x m dual
-system, not the K x K Gram system (:func:`nncorr.ridge_series._ridge_betas`).
-No block of a replicate exceeds max(m, K)^2 floats: its distance matrix, its
-dual matrix, its (K, m) coefficients or, when m >= K, its (K, K) Gram
-matrix. Chunks along the replicate axis keep that bound within a fixed byte
-budget; the results do not depend on the chunk size.
-
-:func:`_analyze` is the one checked analysis of the command line's
-``estimate`` and of every study replication.
+subsample. The ridge fit of a subsample smaller than the basis (m < K, as at
+the default m for n below K^2) solves the m x m dual system, not the K x K
+Gram system (:func:`nncorr.ridge_series._ridge_betas`). No block of a
+replicate exceeds max(m, K)^2 floats: its distance matrix, its dual matrix,
+its (K, m) coefficients or, when m >= K, its (K, K) Gram matrix. Chunks
+along the replicate axis keep that bound within a fixed byte budget; the
+results do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -57,8 +56,15 @@ def default_m(n: int) -> int:
     return int(math.isqrt(n))
 
 
+def _whole(name: str, v) -> int:
+    """``v`` as an int, or an InputError unless it is a whole number."""
+    if not isinstance(v, int) and not float(v).is_integer():
+        raise InputError(f"need a whole number {name}, got {v}")
+    return int(v)
+
+
 def _resolve_m(n: int, m: int | None) -> int:
-    m_eff = default_m(n) if m is None else int(m)
+    m_eff = default_m(n) if m is None else _whole("m", m)
     if m_eff < 2:
         raise InputError(f"need subsample size m >= 2, got {m_eff}")
     if m_eff > n:
@@ -66,9 +72,11 @@ def _resolve_m(n: int, m: int | None) -> int:
     return m_eff
 
 
-def _check_b_reps(b_reps: int) -> None:
+def _check_b_reps(b_reps: int) -> int:
+    b_reps = _whole("b_reps", b_reps)
     if b_reps < 2:
         raise InputError(f"need b_reps >= 2, got {b_reps}")
+    return b_reps
 
 
 def _check_alpha(alpha: float) -> None:
@@ -119,17 +127,15 @@ def mn_bootstrap_pair(
     m: int | None = None,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Bootstrap standard errors ``(se_t, se_tbc)`` of ``t_hat`` and ``t_bc``.
+    """Bootstrap standard errors ``(se_t, se_tbc)``, the private step of :func:`analyze`.
 
-    Both come from one set of subsamples. Each replicate records both
-    statistics, computed by the stages of
-    :func:`nncorr.bias_correction.estimate`: both are bit-identical to
-    ``estimate`` on the same subsample. The draws depend only on
-    ``(seed, replicate)``. Each standard error is sqrt(m * s^2 / n), with
-    s^2 the sample variance of the replicate values, so n * se^2 estimates
-    the limiting variance of the root-n statistic.
+    Both come from one set of subsamples, whose draws depend only on
+    ``(seed, replicate)``; each replicate's ``t_hat`` and ``t_bc`` are
+    bit-identical to ``estimate`` on its subsample. Each standard error is
+    sqrt(m * s^2 / n), s^2 the sample variance of the replicate values, so
+    n * se^2 estimates the limiting variance of the root-n statistic.
     """
-    _check_b_reps(b_reps)
+    b_reps = _check_b_reps(b_reps)
     n = sample.n
     m_eff = _resolve_m(n, m)
     t_hat, t_bc = _replicates(sample, config, _integers_block(seed, n, m_eff, b_reps))
@@ -145,28 +151,48 @@ def confidence_interval(point: float, se: float, alpha: float) -> tuple[float, f
 
 def _check_run(
     n: int, d: int, config: PipelineConfig, b_reps: int, m: int | None, alpha: float, seed: int
-) -> int:
-    """Run every check of one analysis before its work; return the subsample size."""
-    _check_b_reps(b_reps)
+) -> tuple[int, int, int]:
+    """Run every check of one analysis before its work; return its ``(b_reps, m, seed)``."""
+    b_reps = _check_b_reps(b_reps)
     m_eff = _resolve_m(n, m)
     _check_alpha(alpha)
+    seed = _whole("seed", seed)
     _check_path(seed, ())
     basis_index_set(d, config.degree)
     # m <= n, so a penalty that is positive at n is positive in every replicate.
     default_lambda(n, config.lambda_exponent)
-    return m_eff
+    return b_reps, m_eff, seed
 
 
-def _analyze(
-    sample: Sample, config: PipelineConfig, b_reps: int, m: int | None, alpha: float, seed: int
-):
-    """Check the options, then estimate, bootstrap and build both intervals.
+@dataclass(frozen=True)
+class Analysis:
+    """Both estimates, the subsample size m, root-n standard errors and (lo, hi) intervals."""
 
-    Returns ``(result, m, (se_t, se_tbc), (ci_t, ci_tbc))``, m the subsample size.
+    t_hat: float
+    l_hat: float
+    t_bc: float
+    m: int
+    se_t: float
+    se_tbc: float
+    ci_t: tuple[float, float]
+    ci_tbc: tuple[float, float]
+
+
+def analyze(
+    sample: Sample, config: PipelineConfig | None = None, *, b_reps: int = DEFAULT_B_REPS,
+    m: int | None = None, alpha: float = 0.05, seed: int = 0,
+) -> Analysis:
+    """Check every option, then estimate, bootstrap and build both intervals.
+
+    Every option is checked before any work, with the message the work
+    itself would give. ``b_reps``, ``m`` (default floor(sqrt(n))) and
+    ``seed`` must be whole numbers: 20.0 runs as 20, 2.7 raises.
     """
-    m_eff = _check_run(sample.n, sample.d, config, b_reps, m, alpha, seed)
+    if config is None:
+        config = PipelineConfig()
+    b_reps, m_eff, seed = _check_run(sample.n, sample.d, config, b_reps, m, alpha, seed)
     res = estimate(sample, config)
     se_t, se_tbc = mn_bootstrap_pair(sample, config, b_reps=b_reps, m=m_eff, seed=seed)
     ci_t = confidence_interval(res.t_hat, se_t, alpha)
     ci_tbc = confidence_interval(res.t_bc, se_tbc, alpha)
-    return res, m_eff, (se_t, se_tbc), (ci_t, ci_tbc)
+    return Analysis(res.t_hat, res.l_hat, res.t_bc, m_eff, se_t, se_tbc, ci_t, ci_tbc)

@@ -3,8 +3,9 @@
 Exit codes are fixed: 0 for success, 2 for input or usage problems and
 files that cannot be read or written (with a one-line message on stderr),
 1 for anything unexpected or a failed self-test. ``estimate`` and each
-``simulate`` replication run one analysis, :func:`nncorr.bootstrap._analyze`,
-which checks every option before any work. Every file and stdout output is byte-stable for a given invocation
+``simulate`` replication run one analysis, :func:`nncorr.bootstrap.analyze`,
+which checks every option before any work. Every output format is decided
+here, and every file and stdout output is byte-stable for a given invocation
 and seed; the one wall-clock figure, the study's run time, goes to stderr.
 """
 
@@ -14,20 +15,57 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import _threads
 from .bias_correction import DEFAULT_DEGREE, DEFAULT_LAMBDA_EXPONENT, PipelineConfig
-from .bootstrap import DEFAULT_B_REPS, _analyze
+from .bootstrap import DEFAULT_B_REPS, analyze
 from .dataset import load_csv
 from .errors import InputError
 from .selftest import run_selftest
-from .simulation import format_report, raw_csv_lines, run_study
+from .simulation import RawRecord, run_study
 
 DEFAULT_SIM_RHOS = (0.0, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_SIM_DS = (6,)
 DEFAULT_SIM_NS = (300,)
+
+
+def _g17(v: float) -> str:
+    return format(v, ".17g")
+
+
+# The raw.csv columns, RawRecord's fields in order, each with its format:
+# ints as they are, floats to 17 significant digits. The annotations are
+# strings, since the simulation module imports ``annotations`` from __future__.
+_RAW_COLUMNS = tuple(
+    (f.name, str if f.type == "int" else _g17) for f in fields(RawRecord)
+)
+RAW_CSV_HEADER = ",".join(name for name, _ in _RAW_COLUMNS)
+
+
+def format_report(cells, alpha: float) -> str:
+    """Aligned plain-text table of the study, one row per cell, then the level."""
+    header = (
+        f"{'rho':>5} {'d':>3} {'n':>6} {'reps':>5} "
+        f"{'rmse_t':>9} {'rmse_tbc':>9} {'ecp_t':>6} {'ecp_tbc':>7} "
+        f"{'mean_t':>9} {'mean_tbc':>9}"
+    )
+    lines = [header, "-" * len(header)]
+    for c in cells:
+        lines.append(
+            f"{c.rho:>5.2f} {c.d:>3d} {c.n:>6d} {c.reps:>5d} "
+            f"{c.rmse_t:>9.4f} {c.rmse_tbc:>9.4f} {c.ecp_t:>6.3f} {c.ecp_tbc:>7.3f} "
+            f"{c.mean_t:>9.4f} {c.mean_tbc:>9.4f}"
+        )
+    lines.append(f"alpha = {alpha:g}")
+    return "\n".join(lines) + "\n"
+
+
+def raw_csv_lines(records) -> list:
+    """Raw per-replication rows as CSV lines, the header first (17 significant digits)."""
+    rows = (",".join(fmt(getattr(rec, name)) for name, fmt in _RAW_COLUMNS) for rec in records)
+    return [RAW_CSV_HEADER, *rows]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,9 +142,8 @@ def _cmd_estimate(args) -> int:
         lambda_exponent=args.lambda_exponent,
         scale_covariates=not args.no_scale,
     )
-    res, m_eff, (se_t, se_bc), (ci_t, ci_bc) = _analyze(
-        sample, config, args.bootstrap_reps, args.m, args.alpha, args.seed
-    )
+    res = analyze(sample, config, b_reps=args.bootstrap_reps, m=args.m,
+                  alpha=args.alpha, seed=args.seed)
 
     payload = {
         "n": sample.n,
@@ -114,13 +151,13 @@ def _cmd_estimate(args) -> int:
         "t_hat": res.t_hat,
         "l_hat": res.l_hat,
         "t_bc": res.t_bc,
-        "se_t": se_t,
-        "se_tbc": se_bc,
-        "ci_t": [ci_t[0], ci_t[1]],
-        "ci_tbc": [ci_bc[0], ci_bc[1]],
+        "se_t": res.se_t,
+        "se_tbc": res.se_tbc,
+        "ci_t": list(res.ci_t),
+        "ci_tbc": list(res.ci_tbc),
         "config": {
             **asdict(config),
-            "m": m_eff,
+            "m": res.m,
             "bootstrap_reps": args.bootstrap_reps,
             "alpha": args.alpha,
             "seed": args.seed,

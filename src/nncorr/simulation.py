@@ -8,19 +8,20 @@ RMSE and interval-coverage summaries exact rather than estimated.
 
 The study returns one :class:`CellSummary` per grid cell, each computed from
 that cell's :class:`RawRecord` rows. It reads no clock, so its outputs are
-a pure function of its arguments.
+a pure function of its arguments. The study's file formats, ``report.txt``
+and ``raw.csv``, are written by :mod:`nncorr.cli`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .bias_correction import PipelineConfig
-from .bootstrap import DEFAULT_B_REPS, _analyze, _check_run
+from .bootstrap import DEFAULT_B_REPS, _check_run, _whole, analyze
 from .dataset import Sample
 from .errors import InputError
 from .rng import derive_rng, derive_seed
@@ -82,19 +83,6 @@ class RawRecord:
     true_t: float
 
 
-def _g17(v: float) -> str:
-    return format(v, ".17g")
-
-
-# The raw.csv columns, RawRecord's fields in order, each with its format:
-# ints as they are, floats to 17 significant digits. The annotations are
-# strings, since this module imports ``annotations`` from __future__.
-_RAW_COLUMNS = tuple(
-    (f.name, str if f.type == "int" else _g17) for f in fields(RawRecord)
-)
-RAW_CSV_HEADER = ",".join(name for name, _ in _RAW_COLUMNS)
-
-
 def gen_gaussian_copula(cfg: CopulaConfig) -> Sample:
     """Draw one dataset: X = Phi(latent normals), Y mixes the first column.
 
@@ -147,13 +135,6 @@ def _summarize(rho, d, n, rows) -> CellSummary:
     )
 
 
-def _whole(name: str, v) -> int:
-    """``v`` as an int, or an InputError unless it is a whole number."""
-    if not float(v).is_integer():
-        raise InputError(f"need a whole number {name}, got {v}")
-    return int(v)
-
-
 def run_study(
     grid,
     reps: int,
@@ -171,8 +152,9 @@ def run_study(
     Replication streams derive from (seed, cell_index, rep_index), so any
     execution order reproduces the same numbers. Pass a list as ``records``
     to capture every record for the raw CSV sidecar. Each cell is read once
-    as (float, int, int), so d and n may be given as whole floats such as
-    30.0. Every option is checked before any replication runs; a failing
+    as (float, int, int). ``reps``, ``b_reps``, ``seed`` and each cell's d
+    and n are read by one rule: a whole float such as 30.0 runs as 30, and
+    30.7 raises. Every option is checked before any replication runs; a failing
     replication raises with the cell coordinates attached, an
     :class:`InputError` when the drawn data is at fault and a
     :class:`RuntimeError` otherwise.
@@ -180,6 +162,7 @@ def run_study(
     grid = list(grid)
     if not grid:
         raise InputError("empty simulation grid")
+    reps = _whole("reps", reps)
     if reps < 1:
         raise InputError(f"need reps >= 1, got {reps}")
     config = PipelineConfig()
@@ -188,7 +171,7 @@ def run_study(
         # Every cell's options are checked as each replication checks them,
         # so a bad one fails before any replication runs.
         CopulaConfig(n=n, d=d, rho=rho)
-        _check_run(n, d, config, b_reps, None, alpha, seed)
+        b_reps, _, seed = _check_run(n, d, config, b_reps, None, alpha, seed)
 
     cells = []
     for ci, (rho, d, n) in enumerate(grid):
@@ -199,51 +182,16 @@ def run_study(
                 data_seed = derive_seed(seed, ci, r, _TAG_DATA)
                 boot_seed = derive_seed(seed, ci, r, _TAG_BOOT)
                 sample = gen_gaussian_copula(CopulaConfig(n=n, d=d, rho=rho, seed=data_seed))
-                res, _, _, (ci_t, ci_bc) = _analyze(sample, config, b_reps, None, alpha, boot_seed)
+                res = analyze(sample, config, b_reps=b_reps, alpha=alpha, seed=boot_seed)
             except Exception as exc:
                 # A property of the drawn data stays an input error.
                 wrap = InputError if isinstance(exc, InputError) else RuntimeError
                 raise wrap(
                     f"replication {r} of cell (rho={rho}, d={d}, n={n}) failed: {exc}"
                 ) from exc
-            rows.append(
-                RawRecord(
-                    cell_id=ci,
-                    rep=r,
-                    t_hat=res.t_hat,
-                    t_bc=res.t_bc,
-                    ci_lo_t=ci_t[0],
-                    ci_hi_t=ci_t[1],
-                    ci_lo_tbc=ci_bc[0],
-                    ci_hi_tbc=ci_bc[1],
-                    true_t=truth,
-                )
-            )
+            rows.append(RawRecord(ci, r, res.t_hat, res.t_bc, *res.ci_t, *res.ci_tbc, truth))
         cells.append(_summarize(rho, d, n, rows))
         if records is not None:
             records.extend(rows)
     return tuple(cells)
 
-
-def format_report(cells, alpha: float) -> str:
-    """Aligned plain-text table of the study, one row per cell, then the level."""
-    header = (
-        f"{'rho':>5} {'d':>3} {'n':>6} {'reps':>5} "
-        f"{'rmse_t':>9} {'rmse_tbc':>9} {'ecp_t':>6} {'ecp_tbc':>7} "
-        f"{'mean_t':>9} {'mean_tbc':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for c in cells:
-        lines.append(
-            f"{c.rho:>5.2f} {c.d:>3d} {c.n:>6d} {c.reps:>5d} "
-            f"{c.rmse_t:>9.4f} {c.rmse_tbc:>9.4f} {c.ecp_t:>6.3f} {c.ecp_tbc:>7.3f} "
-            f"{c.mean_t:>9.4f} {c.mean_tbc:>9.4f}"
-        )
-    lines.append(f"alpha = {alpha:g}")
-    return "\n".join(lines) + "\n"
-
-
-def raw_csv_lines(records) -> list:
-    """Raw per-replication rows as CSV lines, the header first (17 significant digits)."""
-    rows = (",".join(fmt(getattr(rec, name)) for name, fmt in _RAW_COLUMNS) for rec in records)
-    return [RAW_CSV_HEADER, *rows]

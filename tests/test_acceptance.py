@@ -262,9 +262,11 @@ def test_criterion_7_root_n_behavior():
 
 def test_criterion_8_cli_byte_determinism(tmp_path):
     # Identical seed and flags must give byte-identical machine outputs at
-    # thread counts 1, 4, and max, for both CLI commands.
+    # thread counts 1, 4, and max, for both CLI commands. Both run at n = 300,
+    # above the 200 rows searched by brute force, so the full sample's
+    # neighbours come from the kd-tree whose workers --threads sets.
     rng = np.random.default_rng(800)
-    n = 120
+    n = 300
     x = rng.uniform(size=(n, 3))
     y = x[:, 0] + 0.4 * rng.standard_normal(n)
     csv_path = tmp_path / "data.csv"
@@ -297,7 +299,7 @@ def test_criterion_8_cli_byte_determinism(tmp_path):
         out_dir = tmp_path / f"sim{k}"
         proc = subprocess.run(
             cli + ["simulate", "--rho", "0.0", "--rho", "0.5", "--d", "2",
-                   "--n", "60", "--reps", "2", "--bootstrap-reps", "20", "--seed", "9",
+                   "--n", "300", "--reps", "2", "--bootstrap-reps", "20", "--seed", "9",
                    "--threads", t, "--out-dir", str(out_dir)],
             capture_output=True, text=True, timeout=600, env=env,
         )

@@ -1,5 +1,6 @@
 """Tests for m-out-of-n bootstrap standard errors and intervals."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from nncorr import bootstrap
 from nncorr.bias_correction import PipelineConfig, estimate
 from nncorr.bootstrap import (
+    Analysis,
     _replicates,
     _se,
+    analyze,
     confidence_interval,
     default_m,
     mn_bootstrap_pair,
@@ -227,6 +230,67 @@ def test_confidence_interval_alpha_validation():
     for alpha in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(InputError):
             confidence_interval(0.0, 0.05, alpha)
+
+
+def _bits(a):
+    floats = (a.t_hat, a.l_hat, a.t_bc, a.se_t, a.se_tbc, *a.ci_t, *a.ci_tbc)
+    return a.m, [float.hex(v) for v in floats]
+
+
+@pytest.mark.parametrize("n, m, b_reps, seed", [
+    (2, 2, 3, 1), (3, 2, 3, 0), (17, None, 20, 0), (300, None, 50, 6),
+], ids=["n2", "n3", "n17", "n300"])
+def test_analyze_is_its_steps_bit_for_bit(n, m, b_reps, seed):
+    # One call, the same bits as estimate, the bootstrap and both intervals
+    # chained by hand; m defaults to default_m(n).
+    s = _sample(n=n)
+    cfg = PipelineConfig()
+    got = analyze(s, cfg, b_reps=b_reps, m=m, alpha=0.1, seed=seed)
+    res = estimate(s, cfg)
+    se_t, se_tbc = mn_bootstrap_pair(s, cfg, b_reps=b_reps, m=m, seed=seed)
+    want = Analysis(
+        res.t_hat, res.l_hat, res.t_bc, default_m(n) if m is None else m, se_t, se_tbc,
+        confidence_interval(res.t_hat, se_t, 0.1), confidence_interval(res.t_bc, se_tbc, 0.1),
+    )
+    assert _bits(got) == _bits(want)
+    assert analyze(s, b_reps=b_reps, m=m, alpha=0.1, seed=seed) == got  # config defaults
+
+
+def test_analysis_is_frozen():
+    a = analyze(_sample(n=40), b_reps=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.t_bc = 0.0
+
+
+@pytest.mark.parametrize("option, whole, as_int", [
+    ("b_reps", 20.0, 20), ("m", 9.0, 9), ("seed", 3.0, 3), ("seed", np.int64(3), 3),
+], ids=["b_reps", "m", "seed", "seed_int64"])
+def test_analyze_runs_a_whole_float_as_its_int(option, whole, as_int):
+    s = _sample()
+    options = {"b_reps": 20, "m": 9, "seed": 3}
+    got = analyze(s, **{**options, option: whole})
+    assert got == analyze(s, **{**options, option: as_int})
+    assert type(got.m) is int
+
+
+@pytest.mark.parametrize("option, value", [
+    ("b_reps", 2.5), ("m", 2.7), ("seed", 1.5), ("m", float("nan")), ("b_reps", float("inf")),
+], ids=["b_reps", "m", "seed", "m_nan", "b_reps_inf"])
+def test_analyze_refuses_a_fractional_count_before_any_work(monkeypatch, option, value):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the analysis ran before the options were checked")
+
+    monkeypatch.setattr(bootstrap, "estimate", forbidden)
+    monkeypatch.setattr(bootstrap, "mn_bootstrap_pair", forbidden)
+    with pytest.raises(InputError) as exc:
+        analyze(_sample(), **{option: value})
+    assert str(exc.value) == f"need a whole number {option}, got {value}"
+
+
+def test_analyze_keeps_a_seed_beyond_the_float_range():
+    # A Python int seed is taken as it is, never through a float.
+    s = _sample(n=40)
+    assert analyze(s, b_reps=5, seed=10**400).se_t != analyze(s, b_reps=5, seed=0).se_t
 
 
 def test_bootstrap_tracks_dependence_strength():

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from nncorr import _threads
-from nncorr.cli import main
-from nncorr.simulation import RAW_CSV_HEADER
+from nncorr.cli import RAW_CSV_HEADER, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from nncorr.cli import main
+from nncorr.cli import RAW_CSV_HEADER, format_report, main, raw_csv_lines
 from nncorr.errors import InputError
 from nncorr.simulation import (
-    RAW_CSV_HEADER,
     CellSummary,
     CopulaConfig,
-    format_report,
     gen_gaussian_copula,
-    raw_csv_lines,
     run_study,
     true_t,
 )
@@ -161,6 +158,32 @@ def test_study_runs_the_cell_it_checked():
         run_study([(0.5, 3, 30.7)], reps=1, b_reps=10)
     with pytest.raises(InputError, match="^need a whole number d, got 2.5$"):
         run_study([(0.5, 2.5, 30)], reps=1, b_reps=10)
+
+
+@pytest.mark.parametrize("option, whole, as_int", [
+    ("reps", 2.0, 2), ("b_reps", 20.0, 20), ("seed", 3.0, 3),
+], ids=["reps", "b_reps", "seed"])
+def test_study_runs_whole_float_options_as_ints(option, whole, as_int):
+    options = {"reps": 2, "b_reps": 20, "seed": 3}
+    rec_int, rec_float = [], []
+    as_ints = run_study([(0.5, 2, 40)], **{**options, option: as_int}, records=rec_int)
+    as_floats = run_study([(0.5, 2, 40)], **{**options, option: whole}, records=rec_float)
+    assert as_floats == as_ints and rec_float == rec_int
+
+
+@pytest.mark.parametrize("option, value", [
+    ("reps", 1.5), ("b_reps", 20.5), ("seed", 1.5),
+], ids=["reps", "b_reps", "seed"])
+def test_study_refuses_fractional_options_before_any_replication(monkeypatch, option, value):
+    import nncorr.bootstrap as bootstrap
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a replication ran before the options were checked")
+
+    monkeypatch.setattr(bootstrap, "estimate", forbidden)
+    with pytest.raises(InputError) as exc:
+        run_study(**{"grid": [(0.5, 2, 40)], "reps": 2, option: value})
+    assert str(exc.value) == f"need a whole number {option}, got {value}"
 
 
 def test_study_summaries_match_raw_records():
