@@ -4,7 +4,10 @@ All randomness in the package flows through :func:`derive_rng`, which maps a
 master seed plus an integer path (for example ``(cell, replication)``) to an
 independent generator. Streams depend only on the seed and path, never on
 execution order or thread count, so any parallel schedule reproduces the
-same results bit for bit.
+same results bit for bit. Every seed, path entry and count option of the
+package is read by one rule, :func:`_whole`: an int (Python or NumPy) is
+taken as it is, a float only when whole (3.0 runs as 3), and anything
+else, a fraction, nan, inf, a string or None, raises an ``InputError``.
 
 The bootstrap's index block, :func:`_integers_block`, reproduces the draws
 of the streams ``derive_rng(seed, r)`` for every replicate r. NumPy's
@@ -21,8 +24,19 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import InputError
 
 
+def _whole(name: str, v) -> int:
+    """``v`` as an int, or an InputError unless it is a whole real number."""
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if not isinstance(v, (float, np.floating)):
+        raise InputError(f"need a whole number {name}, got {v!r}")
+    if not float(v).is_integer():
+        raise InputError(f"need a whole number {name}, got {v}")
+    return int(v)
+
+
 def _check_path(seed: int, path: tuple[int, ...]) -> list[int]:
-    parts = [int(p) for p in (seed, *path)]
+    parts = [_whole("seed", seed)] + [_whole("seed path entry", p) for p in path]
     for q in parts:
         if q < 0:
             raise InputError(f"seed path entries must be non-negative, got {q}")

@@ -21,10 +21,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bias_correction import PipelineConfig
-from .bootstrap import DEFAULT_B_REPS, _check_run, _whole, analyze
+from .bootstrap import DEFAULT_B_REPS, _check_run, analyze
 from .dataset import Sample
 from .errors import InputError
-from .rng import derive_rng, derive_seed
+from .rng import _whole, derive_rng, derive_seed
 
 # Stream tags separating the data draw from the bootstrap draws within one
 # replication; both hang off (seed, cell_index, rep_index).

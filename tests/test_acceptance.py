@@ -24,7 +24,7 @@ import scipy.stats
 import conftest
 
 from nncorr.bias_correction import PipelineConfig, _rank_coefficient, estimate
-from nncorr.bootstrap import mn_bootstrap_pair
+from nncorr.bootstrap import analyze
 from nncorr.dataset import Sample, _tie_groups
 from nncorr.nn_graph import build_nn
 from nncorr.ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
@@ -244,9 +244,8 @@ def test_criterion_7_root_n_behavior():
             data_seed = derive_seed(500 + batch, r, 0)
             boot_seed = derive_seed(500 + batch, r, 1)
             s = gen_gaussian_copula(CopulaConfig(n=300, d=6, rho=0.5, seed=data_seed))
-            res = estimate(s, cfg)
-            _, se_bc = mn_bootstrap_pair(s, cfg, b_reps=200, seed=boot_seed)
-            z[r] = (res.t_bc - truth) / se_bc
+            a = analyze(s, cfg, b_reps=200, seed=boot_seed)
+            z[r] = (a.t_bc - truth) / a.se_tbc
         pval = scipy.stats.kstest(z, "norm").pvalue
         passes += int(pval > 0.01)
     ok_ks = passes >= 8

@@ -1,25 +1,19 @@
 """Tests for m-out-of-n bootstrap standard errors and intervals."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from nncorr import bootstrap
 from nncorr.bias_correction import PipelineConfig, estimate
-from nncorr.bootstrap import (
-    Analysis,
-    _replicates,
-    _se,
-    analyze,
-    confidence_interval,
-    default_m,
-    mn_bootstrap_pair,
-)
+from nncorr.bootstrap import Analysis, _replicates, _se, analyze
 from nncorr.dataset import Sample
 from nncorr.errors import InputError
-from nncorr.rng import _integers_block, derive_rng
+from nncorr.rng import _integers_block, derive_rng, derive_seed
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -38,14 +32,24 @@ def _sample(seed=61, n=120, d=2):
 
 def _loop_bootstrap(sample, config, statistic, b_reps, m=None, seed=0):
     # The oracle of the replicate engine: ``statistic(x, y, config)`` on each
-    # subsample of the same draws, one at a time.
-    m_eff = default_m(sample.n) if m is None else m
-    stats = np.array(
-        [statistic(sample.x[idx], sample.y[idx], config)
-         for idx in _integers_block(seed, sample.n, m_eff, b_reps)],
-        dtype=np.float64,
-    )
-    return _se(stats, m_eff, sample.n)
+    # subsample of the same draws, one at a time; a failing replicate is
+    # named as the engine names it.
+    m_eff = math.isqrt(sample.n) if m is None else m
+    stats = []
+    for r, idx in enumerate(_integers_block(seed, sample.n, m_eff, b_reps)):
+        try:
+            stats.append(statistic(sample.x[idx], sample.y[idx], config))
+        except InputError as exc:
+            raise InputError(f"bootstrap replicate {r} of {b_reps} (m = {m_eff}): {exc}") from exc
+    return _se(np.array(stats, dtype=np.float64), m_eff, sample.n)
+
+
+def _engine_se(sample, config, b_reps, m=None, seed=0):
+    # The engine alone, without the full-sample estimate: both standard
+    # errors from ``_replicates`` on the index block.
+    m_eff = math.isqrt(sample.n) if m is None else m
+    draws = _integers_block(seed, sample.n, m_eff, b_reps)
+    return tuple(_se(v, m_eff, sample.n) for v in _replicates(sample, config, draws))
 
 
 def _estimate_stat(field):
@@ -114,10 +118,9 @@ else:
 
 
 def test_default_m_is_root_n():
-    assert default_m(300) == 17
-    assert default_m(4) == 2
-    assert default_m(2000) == 44
-    assert default_m(99) == 9
+    # Seed 1's two n = 4 replicates each draw two distinct rows.
+    for n, m in ((4, 2), (99, 9), (300, 17), (2000, 44)):
+        assert analyze(_sample(n=n), b_reps=2, seed=1).m == m == math.isqrt(n)
 
 
 def test_constant_statistic_has_zero_variance():
@@ -130,45 +133,45 @@ def test_constant_statistic_has_zero_variance():
     s = _sample()
     se = _loop_bootstrap(s, PipelineConfig(), constant, b_reps=25, seed=1)
     assert se == 0.0
-    assert calls == [default_m(s.n)] * 25
+    assert calls == [math.isqrt(s.n)] * 25
 
 
 def test_bootstrap_is_deterministic():
     s = _sample()
-    a = mn_bootstrap_pair(s, PipelineConfig(), b_reps=40, seed=7)
-    b = mn_bootstrap_pair(s, PipelineConfig(), b_reps=40, seed=7)
-    assert a == b
-    c = mn_bootstrap_pair(s, PipelineConfig(), b_reps=40, seed=8)
-    assert c[0] != a[0]
+    a = analyze(s, b_reps=40, seed=7)
+    assert _bits(analyze(s, b_reps=40, seed=7)) == _bits(a)
+    c = analyze(s, b_reps=40, seed=8)
+    assert c.se_t != a.se_t
 
 
 def test_subsample_draws_do_not_depend_on_statistic_choice():
     # The same seed must feed identical subsamples whatever the correction
     # does, so t_hat, which ignores the ridge fit, sees no difference.
     s = _sample()
-    a, _ = mn_bootstrap_pair(s, PipelineConfig(degree=2), b_reps=30, seed=5)
-    b, _ = mn_bootstrap_pair(s, PipelineConfig(degree=0, lambda_exponent=0.5), b_reps=30, seed=5)
-    assert a == b
+    a = analyze(s, PipelineConfig(degree=2), b_reps=30, seed=5)
+    b = analyze(s, PipelineConfig(degree=0, lambda_exponent=0.5), b_reps=30, seed=5)
+    assert a.se_t == b.se_t
 
 
 def test_pair_matches_separate_runs():
     s = _sample(seed=62, n=150)
     cfg = PipelineConfig()
-    se_t, se_bc = mn_bootstrap_pair(s, cfg, b_reps=35, seed=11)
-    assert se_t == _loop_bootstrap(s, cfg, _estimate_stat("t_hat"), b_reps=35, seed=11)
-    assert se_bc == _loop_bootstrap(s, cfg, _estimate_stat("t_bc"), b_reps=35, seed=11)
+    got = analyze(s, cfg, b_reps=35, seed=11)
+    assert got.se_t == _loop_bootstrap(s, cfg, _estimate_stat("t_hat"), b_reps=35, seed=11)
+    assert got.se_tbc == _loop_bootstrap(s, cfg, _estimate_stat("t_bc"), b_reps=35, seed=11)
 
 
 def test_explicit_m_is_respected():
     s = _sample()
     cfg = PipelineConfig()
     t_hat = _estimate_stat("t_hat")
-    se, _ = mn_bootstrap_pair(s, cfg, b_reps=20, m=25, seed=2)
-    assert se == _loop_bootstrap(s, cfg, t_hat, b_reps=20, m=25, seed=2)
-    se_default, _ = mn_bootstrap_pair(s, cfg, b_reps=20, seed=2)
-    assert default_m(s.n) == 10
-    assert se_default == _loop_bootstrap(s, cfg, t_hat, b_reps=20, m=10, seed=2)
-    assert se_default != se
+    explicit = analyze(s, cfg, b_reps=20, m=25, seed=2)
+    assert explicit.m == 25
+    assert explicit.se_t == _loop_bootstrap(s, cfg, t_hat, b_reps=20, m=25, seed=2)
+    default = analyze(s, cfg, b_reps=20, seed=2)
+    assert default.m == 10
+    assert default.se_t == _loop_bootstrap(s, cfg, t_hat, b_reps=20, m=10, seed=2)
+    assert default.se_t != explicit.se_t
 
 
 def test_sigma2_scales_variance_by_m():
@@ -182,15 +185,32 @@ def test_sigma2_scales_variance_by_m():
     assert abs(se - np.sqrt(expected / 100)) < 1e-15
 
 
-def test_bootstrap_argument_validation():
-    s = _sample()
-    cfg = PipelineConfig()
-    with pytest.raises(InputError):
-        mn_bootstrap_pair(s, cfg, b_reps=1)
-    with pytest.raises(InputError):
-        mn_bootstrap_pair(s, cfg, b_reps=10, m=1)
-    with pytest.raises(InputError):
-        mn_bootstrap_pair(s, cfg, b_reps=10, m=s.n + 1)
+def _forbid_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the analysis ran before the options were checked")
+
+    monkeypatch.setattr(bootstrap, "estimate", forbidden)
+    monkeypatch.setattr(bootstrap, "_integers_block", forbidden)
+
+
+def _assert_refused(options, message):
+    with pytest.raises(InputError) as exc:
+        analyze(_sample(), **options)
+    assert str(exc.value) == message
+
+
+def test_bootstrap_argument_validation(monkeypatch):
+    # Checked in the order b_reps, m, alpha, seed, before any work.
+    _forbid_work(monkeypatch)
+    for options, message in (
+        ({"b_reps": 1}, "need b_reps >= 2, got 1"),
+        ({"m": 1}, "need subsample size m >= 2, got 1"),
+        ({"m": 121}, "subsample size 121 exceeds sample size 120"),
+        ({"b_reps": 1, "m": 1, "alpha": 2.0}, "need b_reps >= 2, got 1"),
+        ({"m": 1, "alpha": 2.0, "seed": -1}, "need subsample size m >= 2, got 1"),
+        ({"alpha": 2.0, "seed": -1}, "alpha must lie strictly between 0 and 1, got 2.0"),
+    ):
+        _assert_refused(options, message)
 
 
 def test_variance_estimate_is_stable_across_seeds():
@@ -200,7 +220,7 @@ def test_variance_estimate_is_stable_across_seeds():
     rng = np.random.default_rng(64)
     s = Sample(x=rng.uniform(size=(2000, 2)), y=rng.uniform(size=2000))
     sig = [
-        s.n * mn_bootstrap_pair(s, PipelineConfig(), b_reps=200, seed=k)[0] ** 2
+        s.n * analyze(s, b_reps=200, seed=k).se_t ** 2
         for k in range(20)
     ]
     sig = np.asarray(sig)
@@ -208,28 +228,35 @@ def test_variance_estimate_is_stable_across_seeds():
 
 
 def test_confidence_interval_normal_quantiles():
-    lo, hi = confidence_interval(0.5, 0.1, 0.05)
-    assert lo == 0.5 - Z975 * 0.1
-    assert hi == 0.5 + Z975 * 0.1
+    # Each interval is the estimate +- ndtri(1 - alpha/2) * se, bit for bit.
+    for alpha in (0.05, 0.1, 0.32, 0.01):
+        a = analyze(_sample(), b_reps=30, alpha=alpha, seed=4)
+        z = float(ndtri(1.0 - alpha / 2.0))
+        assert alpha != 0.05 or abs(z - Z975) < 1e-15
+        assert a.ci_t == (a.t_hat - z * a.se_t, a.t_hat + z * a.se_t)
+        assert a.ci_tbc == (a.t_bc - z * a.se_tbc, a.t_bc + z * a.se_tbc)
 
 
 def test_confidence_interval_zero_se_degenerates():
-    assert confidence_interval(0.25, 0.0, 0.05) == (0.25, 0.25)
+    # Every m = 2 subsample of two distinct rows has the same t_hat; seed
+    # 1's three replicates each draw two distinct rows.
+    a = analyze(_sample(n=2), m=2, b_reps=3, seed=1)
+    assert a.se_t == 0.0
+    assert a.ci_t == (a.t_hat, a.t_hat)
 
 
 def test_confidence_interval_width_grows_with_confidence():
     widths = []
     for alpha in (0.32, 0.05, 0.01):
-        lo, hi = confidence_interval(0.0, 0.05, alpha)
-        assert lo == -hi
+        lo, hi = analyze(_sample(), b_reps=30, alpha=alpha, seed=4).ci_t
         widths.append(hi - lo)
     assert widths[0] < widths[1] < widths[2]
 
 
-def test_confidence_interval_alpha_validation():
-    for alpha in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(InputError):
-            confidence_interval(0.0, 0.05, alpha)
+def test_confidence_interval_alpha_validation(monkeypatch):
+    _forbid_work(monkeypatch)
+    for alpha in (0.0, 1.0, -0.5, 2.0, float("nan")):
+        _assert_refused({"alpha": alpha}, f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
 def _bits(a):
@@ -241,16 +268,21 @@ def _bits(a):
     (2, 2, 3, 1), (3, 2, 3, 0), (17, None, 20, 0), (300, None, 50, 6),
 ], ids=["n2", "n3", "n17", "n300"])
 def test_analyze_is_its_steps_bit_for_bit(n, m, b_reps, seed):
-    # One call, the same bits as estimate, the bootstrap and both intervals
-    # chained by hand; m defaults to default_m(n).
+    # One call, the same bits as estimate, the index block, the replicates,
+    # sqrt(m * var / n) and both intervals chained by hand; m defaults to
+    # floor(sqrt(n)).
     s = _sample(n=n)
     cfg = PipelineConfig()
     got = analyze(s, cfg, b_reps=b_reps, m=m, alpha=0.1, seed=seed)
     res = estimate(s, cfg)
-    se_t, se_tbc = mn_bootstrap_pair(s, cfg, b_reps=b_reps, m=m, seed=seed)
+    m = math.isqrt(n) if m is None else m
+    t_hat, t_bc = _replicates(s, cfg, _integers_block(seed, n, m, b_reps))
+    se_t, se_tbc = (math.sqrt(m * float(np.var(v, ddof=1)) / n) for v in (t_hat, t_bc))
+    z = float(ndtri(0.95))
     want = Analysis(
-        res.t_hat, res.l_hat, res.t_bc, default_m(n) if m is None else m, se_t, se_tbc,
-        confidence_interval(res.t_hat, se_t, 0.1), confidence_interval(res.t_bc, se_tbc, 0.1),
+        res.t_hat, res.l_hat, res.t_bc, m, se_t, se_tbc,
+        (res.t_hat - z * se_t, res.t_hat + z * se_t),
+        (res.t_bc - z * se_tbc, res.t_bc + z * se_tbc),
     )
     assert _bits(got) == _bits(want)
     assert analyze(s, b_reps=b_reps, m=m, alpha=0.1, seed=seed) == got  # config defaults
@@ -273,18 +305,42 @@ def test_analyze_runs_a_whole_float_as_its_int(option, whole, as_int):
     assert type(got.m) is int
 
 
+# Strings, None and other non-numbers are refused too, not parsed or
+# truncated; each is shown by its repr, which for a Python float is its str.
 @pytest.mark.parametrize("option, value", [
     ("b_reps", 2.5), ("m", 2.7), ("seed", 1.5), ("m", float("nan")), ("b_reps", float("inf")),
-], ids=["b_reps", "m", "seed", "m_nan", "b_reps_inf"])
+    ("b_reps", "20"), ("m", "2.0"), ("seed", None), ("seed", "3"), ("b_reps", [20]),
+    ("m", complex(2, 0)),
+], ids=["b_reps", "m", "seed", "m_nan", "b_reps_inf",
+        "b_reps_str", "m_str", "seed_none", "seed_str", "b_reps_list", "m_complex"])
 def test_analyze_refuses_a_fractional_count_before_any_work(monkeypatch, option, value):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the analysis ran before the options were checked")
-
-    monkeypatch.setattr(bootstrap, "estimate", forbidden)
-    monkeypatch.setattr(bootstrap, "mn_bootstrap_pair", forbidden)
+    _forbid_work(monkeypatch)
     with pytest.raises(InputError) as exc:
         analyze(_sample(), **{option: value})
-    assert str(exc.value) == f"need a whole number {option}, got {value}"
+    assert str(exc.value) == f"need a whole number {option}, got {value!r}"
+
+
+@pytest.mark.parametrize("seed, path, message", [
+    (2.9, (), "need a whole number seed, got 2.9"),
+    (1.5, (0,), "need a whole number seed, got 1.5"),
+    (None, (), "need a whole number seed, got None"),
+    (2, (1.5,), "need a whole number seed path entry, got 1.5"),
+    (2, ("1",), "need a whole number seed path entry, got '1'"),
+    (2, (0, -1), "seed path entries must be non-negative, got -1"),
+], ids=["seed_frac", "seed_frac_with_path", "seed_none", "path_frac", "path_str", "path_neg"])
+def test_streams_refuse_a_seed_path_that_is_not_whole(seed, path, message):
+    for derive in (derive_rng, derive_seed):
+        with pytest.raises(InputError) as exc:
+            derive(seed, *path)
+        assert str(exc.value) == message
+
+
+def test_streams_run_a_whole_float_seed_as_its_int():
+    assert derive_seed(3.0, 1.0) == derive_seed(3, 1) == derive_seed(np.int64(3), np.uint8(1))
+    np.testing.assert_array_equal(
+        _integers_block(np.float64(7.0), 300, 17, 5), _integers_block(7, 300, 17, 5)
+    )
+    assert derive_seed(10**400, 1) != derive_seed(0, 1)
 
 
 def test_analyze_keeps_a_seed_beyond_the_float_range():
@@ -298,11 +354,10 @@ def test_bootstrap_tracks_dependence_strength():
     # standard error is comfortably positive and the interval has positive
     # width.
     s = _sample(seed=65, n=200)
-    point = estimate(s)
-    se, _ = mn_bootstrap_pair(s, PipelineConfig(), b_reps=100, seed=9)
-    assert se > 0.0
-    lo, hi = confidence_interval(point.t_hat, se, 0.05)
-    assert lo < point.t_hat < hi
+    a = analyze(s, b_reps=100, seed=9)
+    assert a.se_t > 0.0
+    lo, hi = a.ci_t
+    assert lo < a.t_hat < hi
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +413,8 @@ def test_engine_matches_estimate_per_replicate(n, m, d, degree, scale, kind):
 
     # The loop over estimate() sees the same draws, so both standard errors
     # are equal.
-    assert mn_bootstrap_pair(s, cfg, b_reps=b_reps, m=m, seed=3) == tuple(
+    a = analyze(s, cfg, b_reps=b_reps, m=m, seed=3)
+    assert (a.se_t, a.se_tbc) == tuple(
         _loop_bootstrap(s, cfg, _estimate_stat(f), b_reps=b_reps, m=m, seed=3)
         for f in ("t_hat", "t_bc")
     )
@@ -372,8 +428,9 @@ def test_binary_response_raises_like_a_replicate_loop():
     with pytest.raises(InputError) as want:
         _loop_bootstrap(s, PipelineConfig(), _estimate_stat("t_bc"), b_reps=50, seed=1)
     with pytest.raises(InputError) as got:
-        mn_bootstrap_pair(s, PipelineConfig(), b_reps=50, seed=1)
+        _engine_se(s, PipelineConfig(), b_reps=50, seed=1)
     assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("bootstrap replicate 3 of 50 (m = 17): coefficient ")
     assert "outside sane range" in str(got.value)
 
 
@@ -394,7 +451,7 @@ def test_first_failing_replicate_decides_the_error():
     with pytest.raises(InputError, match="squared distances overflow") as want:
         _loop_bootstrap(s, cfg, _estimate_stat("t_bc"), **kw)
     with pytest.raises(InputError) as got:
-        mn_bootstrap_pair(s, cfg, **kw)
+        _engine_se(s, cfg, **kw)
     assert str(got.value) == str(want.value)
 
 
@@ -407,7 +464,7 @@ def test_overflowing_distances_raise_in_every_replicate_engine():
     with pytest.raises(InputError, match="squared distances overflow"):
         _loop_bootstrap(s, cfg, _estimate_stat("t_bc"), b_reps=10, m=3, seed=0)
     with pytest.raises(InputError, match="squared distances overflow"):
-        mn_bootstrap_pair(s, cfg, b_reps=10, m=3, seed=0)
+        _engine_se(s, cfg, b_reps=10, m=3, seed=0)
 
 
 def test_overflowing_gram_matrix_raises_in_estimate_and_engine():
@@ -421,8 +478,9 @@ def test_overflowing_gram_matrix_raises_in_estimate_and_engine():
         cfg = PipelineConfig(scale_covariates=False)
         with pytest.raises(InputError, match="Gram matrix overflows"):
             estimate(s, cfg)
-        with pytest.raises(InputError, match="Gram matrix overflows"):
-            mn_bootstrap_pair(s, cfg, b_reps=10, seed=0)
+        first = r"^bootstrap replicate 0 of 10 \(m = 4\): .*Gram matrix overflows"
+        with pytest.raises(InputError, match=first):
+            _engine_se(s, cfg, b_reps=10, seed=0)
 
 
 def test_cholesky_failure_raises_factorization_error(monkeypatch):
@@ -433,8 +491,9 @@ def test_cholesky_failure_raises_factorization_error(monkeypatch):
     # m = 10 replicates: at d = 2 (K = 6) the primal system is inverted, at
     # d = 6 (K = 28) the dual one.
     for d in (2, 6):
-        with pytest.raises(InputError, match="^the ridge matrix could not be inverted: Singular matrix;"):
-            mn_bootstrap_pair(_sample(d=d), PipelineConfig(), b_reps=10, seed=1)
+        with pytest.raises(InputError, match=r"^bootstrap replicate 0 of 10 \(m = 10\): "
+                           "the ridge matrix could not be inverted: Singular matrix;"):
+            _engine_se(_sample(d=d), PipelineConfig(), b_reps=10, seed=1)
 
 
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
@@ -447,7 +506,7 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
         results = []
         for budget in budgets:
             monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", budget)
-            draws = _integers_block(2, n, default_m(n), 60)
+            draws = _integers_block(2, n, math.isqrt(n), 60)
             results.append(_replicates(s, PipelineConfig(), draws))
         for t_hat, t_bc in results[1:]:
             np.testing.assert_array_equal(t_hat, results[0][0])
@@ -468,7 +527,7 @@ def test_chunks_are_sized_by_the_distance_matrix(monkeypatch):
     rng = np.random.default_rng(68)
     x = rng.uniform(size=(3000, 6))
     s = Sample(x=x, y=x[:, 0] + rng.standard_normal(3000))
-    mn_bootstrap_pair(s, PipelineConfig(degree=2), b_reps=200, seed=1)
+    _engine_se(s, PipelineConfig(degree=2), b_reps=200, seed=1)
     assert sum(calls) == 200
     assert len(calls) <= 20
 
@@ -483,7 +542,7 @@ def test_bootstrap_memory_stays_small(n, degree, b_reps):
     s = Sample(x=x, y=x[:, 0] + rng.standard_normal(n))
     tracemalloc.start()
     try:
-        mn_bootstrap_pair(s, PipelineConfig(degree=degree), b_reps=b_reps, seed=1)
+        _engine_se(s, PipelineConfig(degree=degree), b_reps=b_reps, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

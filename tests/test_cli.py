@@ -219,7 +219,7 @@ def test_estimate_options_are_checked_before_the_estimate(capsys, csv_file, monk
         raise AssertionError("the estimate ran before the options were checked")
 
     monkeypatch.setattr(bootstrap, "estimate", forbidden)
-    monkeypatch.setattr(bootstrap, "mn_bootstrap_pair", forbidden)
+    monkeypatch.setattr(bootstrap, "_integers_block", forbidden)
     cases = [
         (["--alpha", "1.5"], "alpha must lie strictly between 0 and 1, got 1.5"),
         (["--bootstrap-reps", "1"], "need b_reps >= 2, got 1"),
@@ -324,16 +324,20 @@ def test_estimate_rejects_a_singular_ridge_matrix(capsys, tmp_path, n, big):
 
 def test_estimate_rejects_a_constant_response(capsys, tmp_path):
     # A constant y, and an n = 2 file whose m = 2 replicates draw one row
-    # twice half the time: input errors, not an out-of-range crash.
+    # twice half the time: input errors, not an out-of-range crash. The
+    # replicate's error names the replicate, so its "2 rows" are not read as
+    # the file's.
     flat = "x1,x2,y\n" + "".join(f"{0.1 * i},{(3 * i) % 7},2.5\n" for i in range(30))
-    cases = [(flat, [], 30), ("x1,y\n0.0,1.0\n1.0,2.0\n", ["--m", "2"], 2)]
-    for text, extra, m in cases:
+    n2 = "x1,y\n0.0,1.0\n1.0,2.0\n"
+    cases = [(flat, [], "", 30), (n2, ["--m", "2"], "bootstrap replicate 0 of 200 (m = 2): ", 2)]
+    for text, extra, where, m in cases:
         path = tmp_path / "data.csv"
         path.write_text(text, encoding="utf-8")
         code, out, err = _run(capsys, ["estimate", "--input", str(path)] + extra)
         assert code == 2 and out == "", extra
         assert err == (
-            f"nncorr: error: the response is constant over all {m} rows; there is nothing to rank\n"
+            f"nncorr: error: {where}the response is constant over all {m} rows; "
+            "there is nothing to rank\n"
         )
 
 
@@ -347,13 +351,15 @@ def test_estimate_rejects_a_tied_response(capsys, tmp_path):
     rng = np.random.default_rng(1)
     binary = np.column_stack([rng.uniform(size=(200, 3)), rng.uniform(size=200) < 0.5])
     copula = gen_gaussian_copula(CopulaConfig(n=30, d=6, rho=0.9, seed=1))
-    cases = [(binary, []), (np.column_stack([copula.x, copula.y]), ["--seed", "2"])]
-    for data, extra in cases:
+    cases = [(binary, [], ""),
+             (np.column_stack([copula.x, copula.y]), ["--seed", "2"],
+              "bootstrap replicate 20 of 200 (m = 5): ")]
+    for data, extra, where in cases:
         path = tmp_path / "tied.csv"
         np.savetxt(path, data, fmt="%.17g", delimiter=",")
         code, out, err = _run(capsys, ["estimate", "--input", str(path)] + extra)
         assert (code, out) == (2, ""), extra
-        assert err.count("\n") == 1 and err.startswith("nncorr: error: coefficient ")
+        assert err.count("\n") == 1 and err.startswith(f"nncorr: error: {where}coefficient ")
         assert "outside sane range; the response is too heavily tied" in err
 
 
@@ -512,6 +518,7 @@ def test_simulate_data_error_in_a_replication_is_an_input_error(capsys, tmp_path
     assert (code, out) == (2, "")
     assert err == (
         "nncorr: error: replication 0 of cell (rho=0.5, d=1, n=4) failed: "
+        "bootstrap replicate 0 of 50 (m = 2): "
         "the response is constant over all 2 rows; there is nothing to rank\n"
     )
     assert list(tmp_path.iterdir()) == []

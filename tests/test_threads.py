@@ -9,9 +9,10 @@ import pytest
 
 from nncorr import _threads, bias_correction
 from nncorr.bias_correction import PipelineConfig, estimate
-from nncorr.bootstrap import mn_bootstrap_pair
+from nncorr.bootstrap import _replicates, analyze
 from nncorr.dataset import Sample
 from nncorr.errors import InputError
+from nncorr.rng import _integers_block
 
 
 @pytest.fixture(autouse=True)
@@ -105,8 +106,7 @@ def test_stages_run_on_one_blas_thread_and_restore(fake_setter, monkeypatch):
 
     monkeypatch.setattr(bias_correction, "_l_hat", spy)
     s = _sample()
-    estimate(s)
-    mn_bootstrap_pair(s, PipelineConfig(), b_reps=20, seed=0)
+    analyze(s, b_reps=20, seed=0)
     assert seen and set(seen) == {1}
     assert fake_setter.count == 4
     assert fake_setter.calls == [1, 4] * (len(fake_setter.calls) // 2)
@@ -120,8 +120,9 @@ def test_blas_count_is_restored_when_a_stage_raises(fake_setter):
     with pytest.raises(InputError, match="Gram matrix overflows"):
         estimate(s, cfg)
     assert fake_setter.calls == [1, 4]
+    # The replicate engine alone: analyze would fail in estimate first.
     with pytest.raises(InputError, match="Gram matrix overflows"):
-        mn_bootstrap_pair(s, cfg, b_reps=10, seed=0)
+        _replicates(s, cfg, _integers_block(0, 20, 4, 10))
     assert fake_setter.count == 4 and fake_setter.calls[-1] == 4
 
 
@@ -209,9 +210,8 @@ def test_concurrent_calls_give_the_sequential_bits():
         samples.append(Sample(x=x, y=x[:, 0] * x[:, 1] + 0.3 * rng.standard_normal(n)))
 
     def run(s):
-        res = estimate(s)
-        se = mn_bootstrap_pair(s, PipelineConfig(), b_reps=40, seed=3)
-        return [v.hex() for v in (res.t_hat, res.l_hat, res.t_bc, *se)]
+        a = analyze(s, b_reps=40, seed=3)
+        return [v.hex() for v in (a.t_hat, a.l_hat, a.t_bc, a.se_t, a.se_tbc)]
 
     setter = _threads._blas_setter()
     before = None if setter is None else _blas_count(setter)
