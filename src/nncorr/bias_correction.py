@@ -22,7 +22,13 @@ from ._threads import single_blas_thread
 from .dataset import Sample, _as_matrix, _tie_groups, minmax_scale
 from .errors import InputError
 from .nn_graph import _search_stack
-from .ridge_series import _ridge_betas, basis_index_set, design_matrix
+from .ridge_series import (
+    _dual_solve,
+    _ridge_solve,
+    _threshold_rhs,
+    basis_index_set,
+    design_matrix,
+)
 
 DEFAULT_DEGREE = 2
 # Exponent c in the penalty lambda = n**-c. Small c over-shrinks the fitted
@@ -111,6 +117,24 @@ def _rank_coefficient(ranks: np.ndarray, nn: np.ndarray) -> np.ndarray:
     return value
 
 
+def _neighbor_diff(a: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """Row differences ``a[nn[i]] - a[i]`` of every sample of a (c, n, w) stack.
+
+    The neighbor rows are gathered through a flat (c * n, w) view, then the
+    rows themselves subtracted in place, so only one temporary exists.
+    """
+    c, n, w = a.shape
+    d = a.reshape(c * n, w)[(nn + n * np.arange(c)[:, None]).ravel()].reshape(c, n, w)
+    d -= a
+    return d
+
+
+def _pair_mean(rows: np.ndarray) -> np.ndarray:
+    """Each sample's (c, n) row terms combined with ``math.fsum``, over n*(n-1) pairs."""
+    n = rows.shape[-1]
+    return np.array([math.fsum(r) for r in rows.tolist()]) / (n * (n - 1))
+
+
 def _l_hat(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
     """Average pair discrepancy of the fitted curves g = p @ betas, per sample.
 
@@ -122,33 +146,63 @@ def _l_hat(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
     the j = i term exactly. The differences d are formed before any product,
     so rows whose fitted curves agree contribute exactly zero. Each sample's
     n row terms are combined with ``math.fsum``. O(n K^2) time and O(n K)
-    memory per sample.
+    memory per sample; :func:`_bias_term` takes this form when n >= K.
     """
-    c, n, k = p.shape
-    # Neighbor rows gathered through a flat (c * n, K) view, then the row
-    # itself subtracted in place, so only one (c, n, K) temporary exists.
-    d = p.reshape(c * n, k)[(nn + n * np.arange(c)[:, None]).ravel()].reshape(c, n, k)
-    d -= p
+    d = _neighbor_diff(p, nn)
     # einsum sums every entry of M in the same order, so equal rows of betas
     # give bit-equal entries and curves that agree cancel exactly; BLAS
     # (syrk or gemm) rounds edge and diagonal blocks differently.
     m = np.einsum("...kj,...lj->...kl", betas, betas)
     pairs = np.einsum("...ik,...ik->...i", p, d @ m)
     diag = np.einsum("...ik,...ki->...i", p, betas) * np.einsum("...ik,...ki->...i", d, betas)
-    rows = (pairs - diag).tolist()
-    return np.array([math.fsum(r) for r in rows]) / (n * (n - 1))
+    return _pair_mean(pairs - diag)
+
+
+def _bias_term(
+    p: np.ndarray, order: np.ndarray, first: np.ndarray, ranks: np.ndarray, lam: float,
+    nn: np.ndarray,
+) -> np.ndarray:
+    """``l_hat`` of every sample of a (c, m, K) design stack, shape (c,).
+
+    ``order``, ``first`` and ``ranks`` are those of
+    :func:`nncorr.dataset._tie_groups`, ``nn`` the (c, m) neighbor indices.
+    The ridge system is chosen by shape alone. With m >= K, the primal K x K
+    system (:func:`nncorr.ridge_series._ridge_solve` on the right-hand sides
+    of :func:`nncorr.ridge_series._threshold_rhs`) gives ``betas``, and
+    :func:`_l_hat` reads g in factored form. With m < K (a sample smaller
+    than the basis, as is every bootstrap subsample of the default size
+    floor(sqrt(n)) when n < K^2), the m x m dual system of
+    :func:`nncorr.ridge_series._dual_solve` gives Y and Z, and the ridge
+    hat-matrix identity PP'(PP' + m*lam*I)^-1 = I - m*lam*(PP' +
+    m*lam*I)^-1 gives g = Y - m*lam*Z itself. Then ``l_hat`` costs O(m^2)
+    after the solve. Each neighbor difference is ``Y[nn] - Y``, exactly 0
+    on a row whose neighbor ties its response, minus ``m*lam * (Z[nn] -
+    Z)``. The two forms agree in exact arithmetic, not in their rounding.
+    """
+    m, k = p.shape[-2:]
+    if m >= k:
+        return _l_hat(p, _ridge_solve(p, _threshold_rhs(p, order, first), lam), nn)
+    ind, z = _dual_solve(p, first, ranks, lam)
+    shift = m * lam
+    d = _neighbor_diff(ind, nn)
+    d -= shift * _neighbor_diff(z, nn)
+    diag = np.arange(m)
+    d[:, diag, diag] = 0.0  # drops the j = i term
+    g = ind - shift * z
+    return _pair_mean(np.einsum("...ij,...ij->...i", g, d))
 
 
 def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig):
     """``t_hat``, ``l_hat`` and ``t_bc`` of every sample in a stack, shape (c,) each.
 
     ``x`` is (c, m, d) and ``y`` is (c, m); the neighbor search is chosen by
-    m in :func:`nncorr.nn_graph._search_stack`. One stable sort
-    per sample gives both the ranks and the ridge right-hand sides, every
-    product is computed per matrix, and the first failing check raises, so
-    a sample gets the same bits and errors in any stack. The products are
-    too small to share across threads, so NumPy's BLAS runs on one thread
-    here (:func:`nncorr._threads.single_blas_thread`).
+    m in :func:`nncorr.nn_graph._search_stack`, and the ridge system by m
+    and K in :func:`_bias_term`, the one call that gives ``l_hat``. One
+    stable sort per sample gives the ranks and the ridge right-hand sides
+    of either system, every product is computed per matrix, and the first
+    failing check raises, so a sample gets the same bits and errors in any
+    stack. The products are too small to share across threads, so NumPy's
+    BLAS runs on one thread here (:func:`nncorr._threads.single_blas_thread`).
     """
     with single_blas_thread():
         _, m, d = x.shape
@@ -165,8 +219,7 @@ def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig):
         p = design_matrix(xs, basis_index_set(d, config.degree))
         _as_matrix(p, name="design matrix", stacked=True)  # powers of unscaled x can overflow
         lam = default_lambda(m, config.lambda_exponent)
-        betas = _ridge_betas(p, order, first, ranks, lam)
-        l_hat = _l_hat(p, betas, nn)
+        l_hat = _bias_term(p, order, first, ranks, lam, nn)
         t_bc = t_hat - 6.0 * l_hat
         for label, v in (("l_hat", l_hat), ("t_bc", t_bc)):
             bad = ~np.isfinite(v)

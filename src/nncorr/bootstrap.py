@@ -18,10 +18,11 @@ nor on thread count. Chunks of subsamples run through the stage function of
 in a replicate names it. The neighbour search is chosen by m
 (:func:`nncorr.nn_graph._search_stack`: the full distance matrix up to
 m = 200, a kd-tree above), and a subsample smaller than the basis solves
-the m x m dual ridge system (:func:`nncorr.ridge_series._ridge_betas`).
-No block of a replicate exceeds max(m, K)^2 floats, and chunks along the
-replicate axis keep that within a fixed byte budget; the results do not
-depend on the chunk size.
+the m x m dual ridge system (:func:`nncorr.ridge_series._dual_solve`) and
+reads the bias term from the m x m fitted curves
+(:func:`nncorr.bias_correction._bias_term`). No block of a replicate
+exceeds max(m, K)^2 floats, and chunks along the replicate axis keep that
+within a fixed byte budget; the results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ def _se(stats: np.ndarray, m: int, n: int) -> float:
 
 
 # Byte budget of one chunk's largest block, at most max(m, K)^2 floats a
-# replicate: the (chunk, m, m) squared distances and dual matrices, the
-# (chunk, K, m) coefficients, or the (chunk, K, K) Gram matrices of m >= K.
+# replicate: the (chunk, m, m) squared distances, dual matrices and fitted
+# curves, the (chunk, m, K) design matrices, or the (chunk, K, K) Gram
+# matrices and (chunk, K, m) coefficients of m >= K.
 # It bounds memory only: every stage is computed per replicate.
 _CHUNK_BYTES = 256 * 1024
 
@@ -92,6 +94,8 @@ def _check_run(
         raise InputError(f"need subsample size m >= 2, got {m}")
     if m > n:
         raise InputError(f"subsample size {m} exceeds sample size {n}")
+    if not isinstance(alpha, (int, float, np.integer, np.floating)):
+        raise InputError(f"need a number alpha, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     seed = _check_path(seed, ())[0]

@@ -3,26 +3,30 @@
 For every threshold t in the observed responses, the indicator 1(Y >= t) is
 projected onto a total-degree power basis with an L2 penalty. With n rows
 and K basis functions the fit takes the smaller of two equivalent systems,
-chosen by shape alone in :func:`_ridge_betas`. When n >= K, the shifted
-K x K Gram matrix P'P + n*lam*I does not depend on t, so one inverse serves
-all n right-hand sides: O(K^3) once plus O(n K^2) matrix products. When
-n < K, as in a bootstrap subsample of size floor(sqrt(n)), the n x n dual
-matrix PP' + n*lam*I serves them instead: O(n^3) plus O(n^2 K). Both run on
-NumPy's own LAPACK and BLAS, the library every other product in the package
-uses, so a process starts one BLAS thread pool, not two that compete for
-the cores. Inside the pipeline that pool stays idle: products with K of a
-few dozen are too small to split, so the pipeline runs BLAS on the calling
-thread (:func:`nncorr._threads.single_blas_thread`). The bits do not depend
-on the BLAS thread count.
+chosen by shape alone in :func:`nncorr.bias_correction._bias_term`. When
+n >= K, the shifted K x K Gram matrix P'P + n*lam*I does not depend on t,
+so one inverse serves all n right-hand sides: O(K^3) once plus O(n K^2)
+matrix products. When n < K, as in a bootstrap subsample of size
+floor(sqrt(n)), the n x n dual matrix PP' + n*lam*I serves them instead:
+O(n^3) plus O(n^2 K). Both run on NumPy's own LAPACK and BLAS, the library
+every other product in the package uses, so a process starts one BLAS
+thread pool, not two that compete for the cores. Inside the pipeline that
+pool stays idle: products with K of a few dozen are too small to split, so
+the pipeline runs BLAS on the calling thread
+(:func:`nncorr._threads.single_blas_thread`). The bits do not depend on
+the BLAS thread count.
 
-Everything here is a plain array: :func:`basis_index_set` gives the (K, d)
-exponent array that :func:`design_matrix` takes, and :func:`_ridge_betas`
-the (K, n) coefficients ``betas`` of every threshold, for a stack of
-samples at once. Column j of ``betas`` solves (P'P + n*lam*I) beta = P'
-1(y >= y_j), so entry (i, j) of g = P @ betas estimates P(Y >= y_j | X =
-x_i). This is a linear probability model: entries may fall outside [0, 1],
-and nothing clamps them. g is left in factored form; the bias term in
-:mod:`nncorr.bias_correction` reads the factors directly.
+Everything here is a plain array, for a stack of samples at once:
+:func:`basis_index_set` gives the (K, d) exponent array that
+:func:`design_matrix` takes. Entry (i, j) of the fitted curves g estimates
+P(Y >= y_j | X = x_i). This is a linear probability model: entries may
+fall outside [0, 1], and nothing clamps them. The two paths leave g in
+different forms. With n >= K, :func:`_ridge_solve` on the suffix-sum
+right-hand sides of :func:`_threshold_rhs` gives the (K, n) coefficients
+``betas``, column j solving (P'P + n*lam*I) beta = P' 1(y >= y_j), and g =
+P @ betas stays in factored form. With n < K, :func:`_dual_solve` gives
+the n x n indicators Y and dual solution Z, and g = Y - n*lam*Z is n x n.
+The bias term in :mod:`nncorr.bias_correction` reads either form directly.
 """
 
 from __future__ import annotations
@@ -97,8 +101,8 @@ def design_matrix(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 def _solve_shifted(a: np.ndarray, rhs: np.ndarray, n: int, lam: float) -> np.ndarray:
     """Solve (a + n*lam*I) Z = rhs for a stack of unshifted Gram matrices ``a``.
 
-    Both ``a`` and ``rhs`` are overwritten. On both paths of
-    :func:`_ridge_betas`, ``rhs`` has at least as many columns as ``a`` has
+    Both ``a`` and ``rhs`` are overwritten. In :func:`_ridge_solve` and
+    :func:`_dual_solve`, ``rhs`` has at least as many columns as ``a`` has
     rows, and the shift keeps the matrix positive definite, so one inverse
     and matrix products (GEMM) over all columns cost less than triangular
     solves; ``np.linalg.solve`` would also copy ``rhs`` in and out. The
@@ -161,27 +165,19 @@ def _threshold_rhs(p: np.ndarray, order: np.ndarray, first: np.ndarray) -> np.nd
     return np.swapaxes(acc.reshape(m * c, k)[pick.ravel()].reshape(c, m, k), -1, -2)
 
 
-def _ridge_betas(
-    p: np.ndarray, order: np.ndarray, first: np.ndarray, ranks: np.ndarray, lam: float
-) -> np.ndarray:
-    """The (c, K, m) coefficients ``betas`` of every threshold of a (c, m, K) stack.
+def _dual_solve(
+    p: np.ndarray, first: np.ndarray, ranks: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The indicators Y and the dual solution Z of every threshold of a (c, m, K) stack.
 
-    ``order``, ``first`` and ``ranks`` are those of
-    :func:`nncorr.dataset._tie_groups`. The solver is chosen by shape alone:
-    with m >= K, the primal K x K system of :func:`_ridge_solve` on the
-    suffix-sum right-hand sides of :func:`_threshold_rhs`. With m < K (a
-    sample smaller than the basis, as is every bootstrap subsample of the
-    default size floor(sqrt(n)) when n < K^2), the dual m x m system: since
-    (P'P + m*lam*I)^-1 P' = P' (PP' + m*lam*I)^-1, ``betas = P' Z`` with
-    (PP' + m*lam*I) Z = Y, where Y[i, j] = 1(y_i >= y_j) = 1(ranks_i >
-    first_j). The two agree in exact arithmetic, not in their rounding.
-    Both make the same checks with the same messages.
+    ``first`` and ``ranks`` are those of :func:`nncorr.dataset._tie_groups`.
+    Y[i, j] = 1(y_i >= y_j) = 1(ranks_i > first_j), and Z solves (PP' +
+    m*lam*I) Z = Y, both (c, m, m). Since (P'P + m*lam*I)^-1 P' = P' (PP' +
+    m*lam*I)^-1, the primal coefficients are betas = P' Z, and the fitted
+    curves are g = P betas = PP' Z = Y - m*lam*Z without them. The solve
+    makes the checks of :func:`_ridge_solve` with the same messages.
     """
-    m, k = p.shape[-2:]
-    if m >= k:
-        return _ridge_solve(p, _threshold_rhs(p, order, first), lam)
-    pt = np.swapaxes(p, -1, -2)
     with np.errstate(over="ignore"):
-        outer = p @ pt
+        outer = p @ np.swapaxes(p, -1, -2)
     ind = (ranks[..., :, None] > first[..., None, :]).astype(np.float64)
-    return pt @ _solve_shifted(outer, ind, m, lam)
+    return ind, _solve_shifted(outer, ind.copy(), p.shape[-2], lam)

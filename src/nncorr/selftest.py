@@ -1,7 +1,7 @@
 """Built-in oracle-equivalence suites, runnable from the command line.
 
 Each suite pits a function the pipeline itself runs (the neighbor searches,
-``_l_hat``, ``_ridge_betas``, the bootstrap's index
+``_l_hat``, ``_bias_term``, both ridge solves, the bootstrap's index
 block, the closed-form truth), on a stack of one sample where it checks
 one, against an independent reference implementation kept in this module
 (deliberately not shared with the production code, so a defect introduced
@@ -15,10 +15,16 @@ import time
 
 import numpy as np
 
-from .bias_correction import _l_hat, default_lambda
+from .bias_correction import _bias_term, _l_hat, default_lambda
 from .dataset import _tie_groups
 from .nn_graph import _stacked_nn, build_nn
-from .ridge_series import _ridge_betas, basis_index_set, design_matrix
+from .ridge_series import (
+    _dual_solve,
+    _ridge_solve,
+    _threshold_rhs,
+    basis_index_set,
+    design_matrix,
+)
 from .rng import _integers_block, derive_rng
 from .simulation import true_t
 
@@ -104,11 +110,20 @@ def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
 
 
 def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
-    """``_l_hat`` on random factors against the double loop over g, to 1e-12.
+    """``_l_hat`` and ``_bias_term`` against the double loop over g, to 1e-12.
 
-    Cases cycle through rank one (K = 1), low rank (1 < K < n), K >= n, and
-    p = I with betas an arbitrary explicit g. The factors are scaled so that
-    g has standard normal entries whatever K is.
+    ``_l_hat`` takes random factors. Cases cycle through rank one (K = 1),
+    low rank (1 < K < n), K >= n, and p = I with betas an arbitrary
+    explicit g. The factors are scaled so that g has standard normal
+    entries whatever K is.
+
+    ``_bias_term`` takes random designs smaller than their basis (m < K,
+    the m x m dual path), whose oracle g = P (P'P + m*lam*I)^-1 P' Y is
+    solved here from the explicit indicator matrix Y. Their rows are drawn
+    with replacement, so many rows have a copy of their own as nearest
+    neighbor, and every other case rounds the responses into ties. These
+    cases come from a stream of their own, leaving the other draws
+    unchanged.
     """
     cases = 20 if quick else 50
     rng = derive_rng(seed)
@@ -130,28 +145,62 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
         worst = max(worst, err)
         if err > 1e-12:
             return False, f"case {case}: n={n} K={p.shape[1]} |diff|={err:.3e}"
-    return True, f"{cases} instances, worst |diff| {worst:.2e}"
+    dual = derive_rng(seed, 1)
+    for case in range(cases):
+        k = int(dual.integers(3, 60))
+        m = int(dual.integers(2, k))
+        idx = dual.integers(0, m, size=m)
+        p = dual.standard_normal((m, k))[idx]
+        y = dual.standard_normal(m)[idx]
+        if case % 2:
+            y = np.round(y)
+        nn_idx = _ref_nn(p)  # a repeated row's nearest neighbor is a copy
+        lam = default_lambda(m)
+        got = float(_bias_term(p[None], *_tie_groups(y[None]), lam, nn_idx[None])[0])
+        ind = (y[:, None] >= y[None, :]).astype(np.float64)
+        g = p @ np.linalg.solve(p.T @ p + m * lam * np.eye(k), p.T @ ind)
+        err = abs(got - _ref_bias(g, nn_idx))
+        worst = max(worst, err)
+        if err > 1e-12:
+            return False, f"dual case {case}: m={m} K={k} |diff|={err:.3e}"
+    return True, f"{cases} factored + {cases} dual instances, worst |diff| {worst:.2e}"
 
 
-def _normal_residual(p: np.ndarray, y: np.ndarray, lam: float, betas: np.ndarray) -> float:
-    # Relative residual of (P'P + n*lam*I) betas = P' 1(y >= y_j), with the
-    # right-hand sides taken from the explicit n x n indicator matrix.
+def _fit_residual(p: np.ndarray, y: np.ndarray, lam: float, fit: np.ndarray) -> float:
+    # Relative residual of the system the pipeline solves for (p, y), with
+    # Y[i, j] = 1(y_i >= y_j) built here as an explicit n x n indicator
+    # matrix: the primal (P'P + n*lam*I) betas = P'Y when n >= K, the dual
+    # (PP' + n*lam*I) Z = Y when n < K.
     n, k = p.shape
-    a = p.T @ p + n * lam * np.eye(k)
-    rhs = p.T @ (y[:, None] >= y[None, :]).astype(np.float64)
-    resid = a @ betas - rhs
+    ind = (y[:, None] >= y[None, :]).astype(np.float64)
+    if n >= k:
+        a, rhs = p.T @ p, p.T @ ind
+    else:
+        a, rhs = p @ p.T, ind
+    resid = (a + n * lam * np.eye(a.shape[0])) @ fit - rhs
     return float((np.linalg.norm(resid, axis=0) / (1.0 + np.linalg.norm(rhs, axis=0))).max())
 
 
+def _ridge_fit(p: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    # The pipeline's solve of a (c, n, K) stack: the (c, K, n) betas when
+    # n >= K, the (c, n, n) dual solution Z when n < K.
+    order, first, ranks = _tie_groups(y)
+    n, k = p.shape[-2:]
+    if n >= k:
+        return _ridge_solve(p, _threshold_rhs(p, order, first), lam)
+    return _dual_solve(p, first, ranks, lam)[1]
+
+
 def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
-    """Normal-equation residuals of the pipeline's ridge fit, <= 1e-8.
+    """Residuals of the pipeline's ridge systems, <= 1e-8.
 
     The right-hand sides are rebuilt here from the explicit n x n indicator
     matrix, independently of the suffix sums of the primal fit (n >= K) and
-    of the indicator comparisons of the dual one (n < K). Each case checks
-    the fit of the whole sample at four penalties and a stacked solve on
-    five subsamples drawn with replacement, whose repeated rows tie their
-    responses; subsamples smaller than the basis take the dual.
+    of the rank comparisons of the dual one (n < K). Each case checks the
+    fit of the whole sample at four penalties and a stacked solve on five
+    subsamples drawn with replacement, whose repeated rows tie their
+    responses; samples smaller than the basis take the dual, whose residual
+    is that of (PP' + n*lam*I) Z = Y.
     """
     cases = 8 if quick else 20
     rng = derive_rng(seed)
@@ -165,10 +214,8 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
             y = np.round(y, 1)  # duplicated thresholds
         basis = basis_index_set(d, 2)
         p = design_matrix(x, basis)
-        groups = _tie_groups(y[None])
         for lam in (1e-4, 1e-2, 1.0, default_lambda(n)):
-            betas = _ridge_betas(p[None], *groups, lam)[0]
-            rel = _normal_residual(p, y, lam, betas)
+            rel = _fit_residual(p, y, lam, _ridge_fit(p[None], y[None], lam)[0])
             worst = max(worst, rel)
             if rel > 1e-8:
                 return False, f"case {case}: n={n} d={d} lam={lam:g} residual {rel:.3e}"
@@ -179,9 +226,9 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
         ps, ys = p[idx], y[idx]
         m = ys.shape[1]
         lam = default_lambda(m)
-        betas = _ridge_betas(ps, *_tie_groups(ys), lam)
+        fits = _ridge_fit(ps, ys, lam)
         for b in range(ys.shape[0]):
-            rel = _normal_residual(ps[b], ys[b], lam, betas[b])
+            rel = _fit_residual(ps[b], ys[b], lam, fits[b])
             worst = max(worst, rel)
             if rel > 1e-8:
                 return False, f"case {case}: subsample {b} m={m} d={d} residual {rel:.3e}"

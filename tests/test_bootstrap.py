@@ -257,6 +257,9 @@ def test_confidence_interval_alpha_validation(monkeypatch):
     _forbid_work(monkeypatch)
     for alpha in (0.0, 1.0, -0.5, 2.0, float("nan")):
         _assert_refused({"alpha": alpha}, f"alpha must lie strictly between 0 and 1, got {alpha}")
+    # Anything but a real number is refused as such, not compared.
+    for alpha in ("0.1", None, [0.1], 0.1j):
+        _assert_refused({"alpha": alpha}, f"need a number alpha, got {alpha!r}")
 
 
 def _bits(a):

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from nncorr import ridge_series
-from nncorr.bias_correction import default_lambda
+from nncorr import bias_correction
+from nncorr.bias_correction import _bias_term, _l_hat, _neighbor_diff, default_lambda
 from nncorr.dataset import _tie_groups, minmax_scale
 from nncorr.errors import InputError
+from nncorr.nn_graph import _search_stack
 from nncorr.ridge_series import (
     BASIS_CAP,
-    _ridge_betas,
+    _dual_solve,
     _ridge_solve,
     _threshold_rhs,
     basis_index_set,
@@ -271,22 +272,25 @@ def _dual_case(m, d, degree, kind, seed):
 
 
 def _assert_dual_matches_primal(m, d, degree, kind, seed):
-    # Both paths against the ridge fit as an augmented least-squares problem
-    # [P; sqrt(m*lam) I] beta = [Y; 0], solved by SVD, whose error grows
-    # with the square root of the condition number, not with it (1e-13 at
-    # K = 286). Near m = K with repeated rows the primal's own rounding
-    # reaches 1.1e-12 of max|betas|, the dual's 4e-13.
+    # The fitted curves g of both paths against the ridge fit as an
+    # augmented least-squares problem [P; sqrt(m*lam) I] beta = [Y; 0],
+    # solved by SVD, whose error grows with the square root of the
+    # condition number, not with it. The dual path gives g = Y - m*lam*Z
+    # itself, the primal g = P @ betas. At K = 286, m = 285 the dual's own
+    # rounding reaches 5.9e-13 of max|g|, the primal's 1.4e-13.
     p, y, (order, first, ranks) = _dual_case(m, d, degree, kind, seed)
     k = p.shape[-1]
     assert m < k
     lam = default_lambda(m)
-    dual = _ridge_betas(p, order, first, ranks, lam)[0]
-    primal = _ridge_solve(p, _threshold_rhs(p, order, first), lam)[0]  # K x K, any shape
-    ind = (y[:, None] >= y[None, :]).astype(np.float64)  # ind[i, j] = 1(y_i >= y_j)
+    ind, z = _dual_solve(p, first, ranks, lam)
+    dual = (ind - m * lam * z)[0]
+    primal = p[0] @ _ridge_solve(p, _threshold_rhs(p, order, first), lam)[0]  # K x K, any shape
+    want_ind = (y[:, None] >= y[None, :]).astype(np.float64)  # ind[i, j] = 1(y_i >= y_j)
+    np.testing.assert_array_equal(ind[0], want_ind)
     aug = np.vstack([p[0], math.sqrt(m * lam) * np.eye(k)])
-    want = np.linalg.lstsq(aug, np.vstack([ind, np.zeros((k, m))]), rcond=None)[0]
+    want = p[0] @ np.linalg.lstsq(aug, np.vstack([want_ind, np.zeros((k, m))]), rcond=None)[0]
     scale = np.abs(want).max()
-    assert dual.shape == primal.shape == (k, m)
+    assert dual.shape == primal.shape == (m, m)
     assert np.abs(dual - want).max() <= 1e-12 * scale
     assert np.abs(primal - want).max() <= 2e-12 * scale
 
@@ -333,17 +337,21 @@ def test_stacked_dual_solve_matches_each_system_alone():
         p = design_matrix(minmax_scale(x), basis_index_set(d, degree))
         assert m < p.shape[-1]
         lam = default_lambda(m)
-        stacked = _ridge_betas(p, *_tie_groups(y), lam)
+        _, first, ranks = _tie_groups(y)
+        ind, z = _dual_solve(p, first, ranks, lam)
         for i in range(c):
-            alone = _ridge_betas(p[i][None], *_tie_groups(y[i][None]), lam)
-            np.testing.assert_array_equal(stacked[i], alone[0])
+            _, first_i, ranks_i = _tie_groups(y[i][None])
+            ind_i, z_i = _dual_solve(p[i][None], first_i, ranks_i, lam)
+            np.testing.assert_array_equal(ind[i], ind_i[0])
+            np.testing.assert_array_equal(z[i], z_i[0])
 
 
 def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
     # m = K - 1 inverts (m, m) dual matrices and never builds the primal
-    # system; m = K solves the K x K primal system, bit for bit.
+    # system; m = K solves the K x K primal system and reads l_hat from its
+    # betas, bit for bit.
     inverted, primal_calls = [], []
-    inv, solve = np.linalg.inv, ridge_series._ridge_solve
+    inv, solve = np.linalg.inv, bias_correction._ridge_solve
 
     def spy_inv(a):
         inverted.append(a.shape)
@@ -354,7 +362,7 @@ def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "inv", spy_inv)
-    monkeypatch.setattr(ridge_series, "_ridge_solve", spy_solve)
+    monkeypatch.setattr(bias_correction, "_ridge_solve", spy_solve)
     rng = np.random.default_rng(49)
     for d, degree in ((2, 2), (6, 2), (3, 3)):
         k = math.comb(d + degree, degree)
@@ -365,23 +373,47 @@ def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
             y = rng.standard_normal((3, m))
             p = design_matrix(x, basis_index_set(d, degree))
             order, first, ranks = _tie_groups(y)
+            nn = rng.integers(0, m - 1, size=(3, m))
+            nn[nn >= np.arange(m)] += 1  # any j != i is a valid neighbor map
             lam = default_lambda(m)
-            betas = _ridge_betas(p, order, first, ranks, lam)
-            assert betas.shape == (3, k, m)
+            l_hat = _bias_term(p, order, first, ranks, lam, nn)
+            assert l_hat.shape == (3,)
             if m < k:
                 assert inverted == [(3, m, m)] and primal_calls == []
             else:
                 assert inverted == [(3, k, k)] and primal_calls == [(3, m, k)]
-                want = solve(p, _threshold_rhs(p, order, first), lam)
-                np.testing.assert_array_equal(betas, want)
+                want = _l_hat(p, solve(p, _threshold_rhs(p, order, first), lam), nn)
+                np.testing.assert_array_equal(l_hat, want)
+
+
+def test_a_row_whose_neighbor_is_its_copy_has_no_indicator_difference():
+    # A subsample that draws row 0 twice: the copy is row 0's nearest
+    # neighbor, so Y[nn] - Y is exactly 0 on row 0, and only the rounding
+    # of m*lam*(Z[nn] - Z), which is 0 in exact arithmetic, is left there.
+    rng = np.random.default_rng(51)
+    m, d = 17, 6
+    x = rng.uniform(size=(m, d))
+    y = rng.standard_normal(m)
+    x[5], y[5] = x[0], y[0]
+    xs = minmax_scale(x[None])
+    nn = _search_stack(xs)
+    assert nn[0, 0] == 5 and nn[0, 5] == 0
+    p = design_matrix(xs, basis_index_set(d, 2))
+    _, first, ranks = _tie_groups(y[None])
+    ind, z = _dual_solve(p, first, ranks, default_lambda(m))
+    dy = _neighbor_diff(ind, nn)
+    assert not dy[0, 0].any() and not dy[0, 5].any()
+    assert dy[0].any(axis=-1).sum() == m - 2
+    assert np.abs(_neighbor_diff(z, nn)[0, 0]).max() <= 1e-12 * np.abs(z).max()
 
 
 def test_dual_path_keeps_the_primal_checks():
     x = np.random.default_rng(50).uniform(size=(1, 5, 6))
     y = np.arange(5.0)[None]
     p = design_matrix(x, basis_index_set(6, 2))  # m = 5 < K = 28
+    nn = np.array([[1, 0, 1, 2, 3]])
     for lam in (0.0, -1.0):
         with pytest.raises(InputError, match="ridge parameter must be positive"):
-            _ridge_betas(p, *_tie_groups(y), lam)
+            _bias_term(p, *_tie_groups(y), lam, nn)
     with pytest.raises(InputError, match="Gram matrix overflows"):
-        _ridge_betas(p * 1e200, *_tie_groups(y), 0.1)
+        _bias_term(p * 1e200, *_tie_groups(y), 0.1, nn)

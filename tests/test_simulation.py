@@ -133,7 +133,9 @@ def test_study_validation_happens_up_front():
     (dict(seed=-1), "seed path entries must be non-negative, got -1"),
     (dict(grid=[(0.5, 2, 40), (0.5, 200, 40)]),
      "basis would have 20301 functions, above the cap of 10000; lower the degree"),
-], ids=["b_reps", "alpha", "seed", "basis"])
+    (dict(alpha="0.1"), "need a number alpha, got '0.1'"),
+    (dict(alpha=None), "need a number alpha, got None"),
+], ids=["b_reps", "alpha", "seed", "basis", "alpha-string", "alpha-none"])
 def test_study_options_are_checked_before_any_replication(monkeypatch, options, message):
     import nncorr.bootstrap as bootstrap
 

@@ -98,16 +98,18 @@ def _sample(seed=5, n=120, d=3):
 
 def test_stages_run_on_one_blas_thread_and_restore(fake_setter, monkeypatch):
     seen = []
-    real = bias_correction._l_hat
+    real = bias_correction._bias_term
 
     def spy(*args):
         seen.append(fake_setter.count)
         return real(*args)
 
-    monkeypatch.setattr(bias_correction, "_l_hat", spy)
-    s = _sample()
+    monkeypatch.setattr(bias_correction, "_bias_term", spy)
+    # d = 4 gives K = 15: estimate at n = 120 takes the primal system, the
+    # one chunk of m = 10 replicates the dual one.
+    s = _sample(d=4)
     analyze(s, b_reps=20, seed=0)
-    assert seen and set(seen) == {1}
+    assert len(seen) == 2 and set(seen) == {1}
     assert fake_setter.count == 4
     assert fake_setter.calls == [1, 4] * (len(fake_setter.calls) // 2)
 

@@ -13,15 +13,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from nncorr.bias_correction import _l_hat, _rank_coefficient, default_lambda  # noqa: E402
+from nncorr.bias_correction import _bias_term, _rank_coefficient, default_lambda  # noqa: E402
 from nncorr.dataset import _tie_groups, minmax_scale  # noqa: E402
 from nncorr.errors import InputError  # noqa: E402
-from nncorr.ridge_series import (  # noqa: E402
-    _ridge_betas,
-    _threshold_rhs,
-    basis_index_set,
-    design_matrix,
-)
+from nncorr.ridge_series import _threshold_rhs, basis_index_set, design_matrix  # noqa: E402
 
 _PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -87,15 +82,13 @@ def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed):
     nn[nn >= np.arange(m)] += 1  # any j != i is a valid neighbor map
     order, first, ranks = _tie_groups(y)
     lam = default_lambda(m)
-    betas = _ridge_betas(p, order, first, ranks, lam)  # K = 10: dual below m = 10
-    l_hat = _l_hat(p, betas, nn)
+    l_hat = _bias_term(p, order, first, ranks, lam, nn)  # K = 10: dual below m = 10
     t_alone, errors = {}, []
     for b in range(c):
         order_b, first_b, ranks_b = _tie_groups(y[b][None])
         np.testing.assert_array_equal(ranks[b], ranks_b[0])
-        betas_b = _ridge_betas(p[b][None], order_b, first_b, ranks_b, lam)
-        np.testing.assert_array_equal(betas[b], betas_b[0])
-        np.testing.assert_array_equal(l_hat[b], _l_hat(p[b][None], betas_b, nn[b][None])[0])
+        alone = _bias_term(p[b][None], order_b, first_b, ranks_b, lam, nn[b][None])
+        np.testing.assert_array_equal(l_hat[b], alone[0])
         try:
             t_alone[b] = _rank_coefficient(ranks_b, nn[b][None])[0]
         except InputError as exc:  # a constant or heavily tied row
