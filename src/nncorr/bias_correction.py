@@ -23,12 +23,13 @@ from .dataset import Sample, _as_matrix, _tie_groups, minmax_scale
 from .errors import InputError
 from .nn_graph import _search_stack
 from .ridge_series import (
+    _block_rows,
     _dual_solve,
-    _ridge_solve,
-    _threshold_rhs,
+    _threshold_betas,
     basis_index_set,
     design_matrix,
 )
+from .rng import _number, _whole
 
 DEFAULT_DEGREE = 2
 # Exponent c in the penalty lambda = n**-c. Small c over-shrinks the fitted
@@ -44,7 +45,7 @@ def default_lambda(n: int, exponent: float = DEFAULT_LAMBDA_EXPONENT) -> float:
     """Sample-size driven ridge penalty n**-exponent, positive or an InputError."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    if not exponent > 0.0:
+    if not _number("penalty exponent", exponent) > 0.0:
         raise InputError(f"penalty exponent must be positive, got {exponent}")
     lam = float(n) ** -exponent
     if lam == 0.0:
@@ -64,6 +65,8 @@ class PipelineConfig:
     accordingly. ``scale_covariates`` applies min-max rescaling before both
     the neighbor search and the polynomial basis. Fitted survival values are
     never clamped into [0, 1]: the raw linear estimator is the analyzed one.
+    ``degree`` must be a whole number (2.0 is stored as 2) and
+    ``lambda_exponent`` a number; anything else raises an InputError.
     """
 
     degree: int = DEFAULT_DEGREE
@@ -71,9 +74,10 @@ class PipelineConfig:
     scale_covariates: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", _whole("degree", self.degree))
         if self.degree < 0:
             raise InputError(f"degree must be nonnegative, got {self.degree}")
-        if not self.lambda_exponent > 0.0:
+        if not _number("lambda_exponent", self.lambda_exponent) > 0.0:
             raise InputError(
                 f"lambda_exponent must be positive, got {self.lambda_exponent}"
             )
@@ -135,27 +139,53 @@ def _pair_mean(rows: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(r) for r in rows.tolist()]) / (n * (n - 1))
 
 
-def _l_hat(p: np.ndarray, betas: np.ndarray, nn: np.ndarray) -> np.ndarray:
+def _l_hat(p: np.ndarray, blocks, nn: np.ndarray) -> np.ndarray:
     """Average pair discrepancy of the fitted curves g = p @ betas, per sample.
 
-    Takes factors (c, n, K) and (c, K, n) with neighbor indices (c, n) and
-    returns, shape (c,), ``sum_{i != j} g[i,j] * (g[nn[i],j] - g[i,j]) /
-    (n*(n-1))`` without forming the n x n matrix g. Since g has rank K, row
-    i of the sum is ``p_i M d_i' - g[i,i] * (d_i @ betas[:, i])`` with ``M =
-    betas @ betas.T`` and ``d_i = p[nn[i]] - p_i``; the second part removes
-    the j = i term exactly. The differences d are formed before any product,
-    so rows whose fitted curves agree contribute exactly zero. Each sample's
-    n row terms are combined with ``math.fsum``. O(n K^2) time and O(n K)
-    memory per sample; :func:`_bias_term` takes this form when n >= K.
+    Takes the (c, n, K) factor ``p``, the (c, n) neighbor indices and the
+    other factor in blocks of columns, as
+    :func:`nncorr.ridge_series._threshold_betas` yields them: pairs of (c,
+    b) column indices j and the (c, K, b) columns ``betas[:, j]``, every
+    column once. Returns, shape (c,), ``sum_{i != j} g[i,j] * (g[nn[i],j] -
+    g[i,j]) / (n*(n-1))`` without forming the n x n matrix g. Since g has
+    rank K, row i of the sum is ``p_i M d_i' - g[i,i] * (d_i @ betas[:,
+    i])`` with ``M = betas @ betas.T`` and ``d_i = p[nn[i]] - p_i``; the
+    second part removes the j = i term exactly. M and the second part are
+    accumulated block by block; the first part follows the last block, over
+    the rows of the same blocks. So no (n, K) array but ``p`` exists. The differences d are formed before any
+    product, so rows whose fitted curves agree contribute exactly zero.
+    Each sample's n row terms are combined with ``math.fsum``. O(n K^2)
+    time and O(block K) memory beyond ``p``; :func:`_bias_term` takes this
+    form when n >= K.
     """
-    d = _neighbor_diff(p, nn)
-    # einsum sums every entry of M in the same order, so equal rows of betas
-    # give bit-equal entries and curves that agree cancel exactly; BLAS
-    # (syrk or gemm) rounds edge and diagonal blocks differently.
-    m = np.einsum("...kj,...lj->...kl", betas, betas)
-    pairs = np.einsum("...ik,...ik->...i", p, d @ m)
-    diag = np.einsum("...ik,...ki->...i", p, betas) * np.einsum("...ik,...ki->...i", d, betas)
-    return _pair_mean(pairs - diag)
+    c, n, k = p.shape
+    # Rows are gathered through a flat (c * n, K) view by flat indices.
+    flat = p.reshape(c * n, k)
+    base = n * np.arange(c)[:, None]
+    nn_flat = (nn + base).ravel()
+    m = np.zeros((c, k, k))
+    terms = np.empty(c * n)  # g[i,i] * (d_i @ betas[:, i]) until the row pass
+    seen = []
+    for j, betas in blocks:
+        j = j + base
+        seen.append(j)
+        pj = flat[j]
+        dj = flat[nn_flat[j]]
+        dj -= pj
+        # einsum sums every entry of M in the same order, so equal rows of
+        # betas give bit-equal entries and curves that agree cancel exactly;
+        # BLAS (syrk or gemm) rounds edge and diagonal blocks differently.
+        m += np.einsum("...kj,...lj->...kl", betas, betas)
+        g_jj = np.einsum("...ik,...ki->...i", pj, betas)
+        terms[j] = g_jj * np.einsum("...ik,...ki->...i", dj, betas)
+    # The rows of p M d' in the same blocks, the last block's rows at hand.
+    for j in reversed(seen):
+        if j is not seen[-1]:
+            pj = flat[j]
+            dj = flat[nn_flat[j]]
+            dj -= pj
+        terms[j] = np.einsum("...ik,...ik->...i", pj, dj @ m) - terms[j]
+    return _pair_mean(terms.reshape(c, n))
 
 
 def _bias_term(
@@ -167,9 +197,9 @@ def _bias_term(
     ``order``, ``first`` and ``ranks`` are those of
     :func:`nncorr.dataset._tie_groups`, ``nn`` the (c, m) neighbor indices.
     The ridge system is chosen by shape alone. With m >= K, the primal K x K
-    system (:func:`nncorr.ridge_series._ridge_solve` on the right-hand sides
-    of :func:`nncorr.ridge_series._threshold_rhs`) gives ``betas``, and
-    :func:`_l_hat` reads g in factored form. With m < K (a sample smaller
+    system gives ``betas`` one block of thresholds at a time
+    (:func:`nncorr.ridge_series._threshold_betas`), and :func:`_l_hat` reads
+    g in factored form from the blocks. With m < K (a sample smaller
     than the basis, as is every bootstrap subsample of the default size
     floor(sqrt(n)) when n < K^2), the m x m dual system of
     :func:`nncorr.ridge_series._dual_solve` gives Y and Z, and the ridge
@@ -181,7 +211,7 @@ def _bias_term(
     """
     m, k = p.shape[-2:]
     if m >= k:
-        return _l_hat(p, _ridge_solve(p, _threshold_rhs(p, order, first), lam), nn)
+        return _l_hat(p, _threshold_betas(p, order, first, lam, _block_rows(k)), nn)
     ind, z = _dual_solve(p, first, ranks, lam)
     shift = m * lam
     d = _neighbor_diff(ind, nn)

@@ -36,8 +36,8 @@ from scipy.special import ndtri
 from .bias_correction import PipelineConfig, _stages, default_lambda, estimate
 from .dataset import Sample
 from .errors import InputError
-from .ridge_series import basis_index_set
-from .rng import _check_path, _integers_block, _whole
+from .ridge_series import _CHUNK_BYTES, basis_index_set
+from .rng import _check_path, _integers_block, _number, _whole
 
 DEFAULT_B_REPS = 200
 
@@ -47,20 +47,17 @@ def _se(stats: np.ndarray, m: int, n: int) -> float:
     return math.sqrt(m * float(np.var(stats, ddof=1)) / n)
 
 
-# Byte budget of one chunk's largest block, at most max(m, K)^2 floats a
-# replicate: the (chunk, m, m) squared distances, dual matrices and fitted
-# curves, the (chunk, m, K) design matrices, or the (chunk, K, K) Gram
-# matrices and (chunk, K, m) coefficients of m >= K.
-# It bounds memory only: every stage is computed per replicate.
-_CHUNK_BYTES = 256 * 1024
-
-
 def _replicates(
     sample: Sample, config: PipelineConfig, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replicate values of ``t_hat`` and ``t_bc`` over the index block."""
     b_reps, m = draws.shape
     k = len(basis_index_set(sample.d, config.degree))
+    # The byte budget bounds one chunk's largest block, at most max(m, K)^2
+    # floats a replicate: the (chunk, m, m) squared distances, dual matrices
+    # and fitted curves, the (chunk, m, K) design matrices and threshold
+    # blocks, or the (chunk, K, K) Gram matrices. Every stage is computed
+    # per replicate, so it bounds memory only.
     chunk = max(1, _CHUNK_BYTES // (8 * max(m, k) ** 2))
     parts = []
     for lo in range(0, b_reps, chunk):
@@ -94,9 +91,7 @@ def _check_run(
         raise InputError(f"need subsample size m >= 2, got {m}")
     if m > n:
         raise InputError(f"subsample size {m} exceeds sample size {n}")
-    if not isinstance(alpha, (int, float, np.integer, np.floating)):
-        raise InputError(f"need a number alpha, got {alpha!r}")
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _number("alpha", alpha) < 1.0:
         raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     seed = _check_path(seed, ())[0]
     basis_index_set(d, config.degree)

@@ -19,9 +19,16 @@ import numpy as np
 from .errors import InputError
 
 
+def _as_floats(v, name: str) -> np.ndarray:
+    try:
+        return np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must hold numbers: {exc}") from None
+
+
 def _as_matrix(x, name: str = "x", stacked: bool = False) -> np.ndarray:
     # ``stacked`` also admits a stack of matrices, shape (..., n, d).
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _as_floats(x, name)
     if arr.ndim != 2 and not (stacked and arr.ndim > 2):
         raise InputError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
@@ -30,7 +37,7 @@ def _as_matrix(x, name: str = "x", stacked: bool = False) -> np.ndarray:
 
 
 def _as_vector(y, name: str = "y") -> np.ndarray:
-    arr = np.asarray(y, dtype=np.float64)
+    arr = _as_floats(y, name)
     if arr.ndim != 1:
         raise InputError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():

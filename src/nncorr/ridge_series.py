@@ -21,12 +21,14 @@ Everything here is a plain array, for a stack of samples at once:
 :func:`design_matrix` takes. Entry (i, j) of the fitted curves g estimates
 P(Y >= y_j | X = x_i). This is a linear probability model: entries may
 fall outside [0, 1], and nothing clamps them. The two paths leave g in
-different forms. With n >= K, :func:`_ridge_solve` on the suffix-sum
-right-hand sides of :func:`_threshold_rhs` gives the (K, n) coefficients
-``betas``, column j solving (P'P + n*lam*I) beta = P' 1(y >= y_j), and g =
-P @ betas stays in factored form. With n < K, :func:`_dual_solve` gives
-the n x n indicators Y and dual solution Z, and g = Y - n*lam*Z is n x n.
-The bias term in :mod:`nncorr.bias_correction` reads either form directly.
+different forms. With n >= K, :func:`_threshold_betas` gives the (K, n)
+coefficients ``betas``, column j solving (P'P + n*lam*I) beta = P' 1(y >=
+y_j), one block of thresholds at a time from the suffix-sum right-hand
+sides of :func:`_threshold_rhs`, so g = P @ betas stays in factored form
+and the coefficients never exist in full. With n < K, :func:`_dual_solve`
+gives the n x n indicators Y and dual solution Z, and g = Y - n*lam*Z is
+n x n. The bias term in :mod:`nncorr.bias_correction` reads either form
+directly.
 """
 
 from __future__ import annotations
@@ -42,6 +44,19 @@ from .errors import InputError
 
 # Largest basis size K that basis_index_set builds.
 BASIS_CAP = 10_000
+
+# Byte budget of one block of work. Here it sizes the row blocks of the
+# design matrix and the threshold blocks of the primal fit, (block, K)
+# floats a sample (:func:`_block_rows`); the bootstrap sizes its chunks of
+# replicates with it. The design matrix keeps its bits at any budget, and
+# a replicate at any chunk size; the primal bias term sums over its
+# threshold blocks, so there the budget moves ``l_hat`` by rounding.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _block_rows(k: int) -> int:
+    """Rows of K floats in one block of :data:`_CHUNK_BYTES`, at least one."""
+    return max(1, _CHUNK_BYTES // (8 * k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,27 +104,29 @@ def design_matrix(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     if arr.shape[-1] != d:
         raise InputError(f"matrix has {arr.shape[-1]} columns but basis expects {d}")
     # One power table per covariate, then gather-and-multiply per monomial;
-    # much cheaper than broadcasting x ** E over an (n, K, d) block.
-    p = np.ones(arr.shape[:-1] + (k,), dtype=np.float64)
+    # much cheaper than broadcasting x ** E over an (n, K, d) block. Blocks
+    # of rows keep each gathered table to one block.
+    rows = arr.reshape(-1, d)
+    p = np.empty((rows.shape[0], k))
     powers = np.arange(exponents.max() + 1)
-    for m in range(d):
-        col_powers = arr[..., m, None] ** powers
-        p *= col_powers[..., exponents[:, m]]
-    return p
+    step = _block_rows(k)
+    for lo in range(0, rows.shape[0], step):
+        block = p[lo : lo + step]
+        block[...] = 1.0
+        for m in range(d):
+            col_powers = rows[lo : lo + step, m, None] ** powers
+            block *= col_powers[:, exponents[:, m]]
+    return p.reshape(arr.shape[:-1] + (k,))
 
 
-def _solve_shifted(a: np.ndarray, rhs: np.ndarray, n: int, lam: float) -> np.ndarray:
-    """Solve (a + n*lam*I) Z = rhs for a stack of unshifted Gram matrices ``a``.
+def _invert_shifted(a: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """Shift a stack of Gram matrices ``a`` in place to a + n*lam*I and invert it.
 
-    Both ``a`` and ``rhs`` are overwritten. In :func:`_ridge_solve` and
-    :func:`_dual_solve`, ``rhs`` has at least as many columns as ``a`` has
-    rows, and the shift keeps the matrix positive definite, so one inverse
-    and matrix products (GEMM) over all columns cost less than triangular
-    solves; ``np.linalg.solve`` would also copy ``rhs`` in and out. The
-    inverse alone leaves a residual near eps * cond * |rhs| (a few 1e-12
-    relative at K = 84, lambda = n**-2), so one step of iterative refinement
-    with the same inverse follows. Every product is NumPy's, computed per
-    matrix, so a stack gives each system the bits it gets alone.
+    The shift keeps the matrix positive definite. Every system here has,
+    in all, at least as many right-hand sides as rows, so one inverse and
+    matrix products (GEMM, :func:`_refined_apply`) cost less than
+    triangular solves. A zero or negative penalty, an overflowing Gram matrix and a
+    singular one each raise an :class:`InputError`.
     """
     if not lam > 0.0:
         raise InputError(f"ridge parameter must be positive, got {lam}")
@@ -118,7 +135,7 @@ def _solve_shifted(a: np.ndarray, rhs: np.ndarray, n: int, lam: float) -> np.nda
     diag = np.arange(a.shape[-1])
     a[..., diag, diag] += n * lam
     try:
-        inv = np.linalg.inv(a)
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         # The overflow check above passed, yet a finite matrix can still be
         # numerically singular when the covariates are so large that the
@@ -126,43 +143,83 @@ def _solve_shifted(a: np.ndarray, rhs: np.ndarray, n: int, lam: float) -> np.nda
         raise InputError(
             f"the ridge matrix could not be inverted: {exc}; rescale x or lower the degree"
         ) from exc
+
+
+def _refined_apply(a: np.ndarray, inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a Z = rhs with the inverse of :func:`_invert_shifted`; ``rhs`` is overwritten.
+
+    The inverse alone leaves a residual near eps * cond * |rhs| (a few
+    1e-12 relative at K = 84, lambda = n**-2), so one step of iterative
+    refinement with the same inverse follows. Every product is NumPy's,
+    computed per matrix, so a stack gives each system the bits it gets
+    alone.
+    """
     z = inv @ rhs
     rhs -= a @ z
     z += inv @ rhs
     return z
 
 
-def _ridge_solve(p: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-    """Solve the primal system (P'P + n*lam*I) B = rhs through the K x K inverse.
-
-    Takes (n, K) and (K, J), or stacks (..., n, K) and (..., K, J); ``rhs``
-    is overwritten. The pipeline takes this path when n >= K, so the J = n
-    right-hand sides share one K x K inverse: O(K^3) plus O(n K^2).
-    """
-    n = p.shape[-2]
-    with np.errstate(over="ignore"):
-        gram = np.swapaxes(p, -1, -2) @ p
-    return _solve_shifted(gram, rhs, n, lam)
-
-
-def _threshold_rhs(p: np.ndarray, order: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Right-hand sides P' 1(y >= y_j) of every threshold of a (c, m, K) stack.
+def _threshold_rhs(p: np.ndarray, order: np.ndarray, first: np.ndarray, block: int):
+    """Right-hand sides P' 1(y >= y_j) of every threshold of a (c, m, K) stack, in blocks.
 
     ``order`` and ``first`` are those of :func:`nncorr.dataset._tie_groups`.
-    The rows of P are gathered in descending response order and summed
-    cumulatively, so row L - 1 of the sums is the sum over the L largest
+    The rows of P are taken in descending response order and summed
+    cumulatively, so suffix row L - 1 is the sum over the L largest
     responses; threshold j, with L = m - first_j responses at or above it,
-    takes that row. O(mK) per matrix, with no m x m indicator. Returns a
-    (c, K, m) view of a (c, m, K) array, each matrix column-major.
+    takes that row. O(mK) per matrix, with no m x m indicator.
+
+    Yields ``(j, rhs)`` per ``block`` thresholds, taken in descending
+    response order: ``j`` the (c, b) row indices of the thresholds,
+    ``rhs`` their C-ordered (c, K, b) right-hand sides. The running sum is
+    extended from a carried row, with the additions of a cumsum over each
+    matrix, and only as far as the block's last tie group reaches, so it
+    holds the block plus the part of a tie group that straddles the
+    block's end.
     """
     c, m, k = p.shape
-    # Rank-major (m, c, K) layout: each step of the running sum adds one
-    # contiguous (c, K) block, in the order of a cumsum over each matrix.
-    desc = order.reshape(c, m)[:, ::-1].T.ravel()
-    acc = p.reshape(c * m, k)[desc].reshape(m, c * k)
-    np.add.accumulate(acc, axis=0, out=acc)
-    pick = (m - 1 - first) * c + np.arange(c)[:, None]
-    return np.swapaxes(acc.reshape(m * c, k)[pick.ravel()].reshape(c, m, k), -1, -2)
+    flat = p.reshape(c * m, k)
+    desc = order.reshape(c, m)[:, ::-1]
+    # Suffix row of every threshold, nondecreasing along the descending order.
+    need = m - 1 - first.ravel()[desc]
+    samples = np.arange(c)[:, None]
+    sums = np.empty((0, c, k))  # suffix rows lo .. done - 1, rank-major
+    carry, done = None, 0
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        top = int(need[:, hi - 1].max()) + 1
+        sums = sums[lo - done + len(sums) :]
+        if top > done:
+            # Each step of the running sum adds one contiguous (c, K) block.
+            new = flat[desc[:, done:top].T]
+            if carry is not None:
+                new[0] += carry
+            np.add.accumulate(new, axis=0, out=new)
+            carry = new[-1].copy()
+            sums = np.concatenate([sums, new]) if len(sums) else new
+            done = top
+        rhs = sums[need[:, lo:hi] - lo, samples]
+        yield desc[:, lo:hi] - m * samples, np.ascontiguousarray(np.swapaxes(rhs, -1, -2))
+
+
+def _threshold_betas(
+    p: np.ndarray, order: np.ndarray, first: np.ndarray, lam: float, block: int
+):
+    """Primal ridge coefficients of every threshold of a (c, m, K) stack, in blocks.
+
+    Inverts the shifted Gram matrix P'P + m*lam*I of each sample once,
+    then yields ``(j, betas)`` for each block of :func:`_threshold_rhs`:
+    column t of the (c, K, b) ``betas`` solves (P'P + m*lam*I) beta = P'
+    1(y >= y_j) for j = ``j[:, t]``. The pipeline takes this path when m >=
+    K, so the m right-hand sides share one K x K inverse: O(K^3) plus
+    O(m K^2), and O(block K) memory beyond P; the pipeline's ``block`` is
+    :func:`_block_rows` (K).
+    """
+    with np.errstate(over="ignore"):
+        a = np.swapaxes(p, -1, -2) @ p
+    inv = _invert_shifted(a, p.shape[-2], lam)
+    for j, rhs in _threshold_rhs(p, order, first, block):
+        yield j, _refined_apply(a, inv, rhs)
 
 
 def _dual_solve(
@@ -175,9 +232,9 @@ def _dual_solve(
     m*lam*I) Z = Y, both (c, m, m). Since (P'P + m*lam*I)^-1 P' = P' (PP' +
     m*lam*I)^-1, the primal coefficients are betas = P' Z, and the fitted
     curves are g = P betas = PP' Z = Y - m*lam*Z without them. The solve
-    makes the checks of :func:`_ridge_solve` with the same messages.
+    makes the checks of :func:`_threshold_betas` with the same messages.
     """
     with np.errstate(over="ignore"):
         outer = p @ np.swapaxes(p, -1, -2)
     ind = (ranks[..., :, None] > first[..., None, :]).astype(np.float64)
-    return ind, _solve_shifted(outer, ind.copy(), p.shape[-2], lam)
+    return ind, _refined_apply(outer, _invert_shifted(outer, p.shape[-2], lam), ind.copy())

@@ -8,6 +8,8 @@ same results bit for bit. Every seed, path entry and count option of the
 package is read by one rule, :func:`_whole`: an int (Python or NumPy) is
 taken as it is, a float only when whole (3.0 runs as 3), and anything
 else, a fraction, nan, inf, a string or None, raises an ``InputError``.
+Every real-valued option is read by :func:`_number`, which refuses
+anything but an int or a float (Python or NumPy) the same way.
 
 The bootstrap's index block, :func:`_integers_block`, reproduces the draws
 of the streams ``derive_rng(seed, r)`` for every replicate r. NumPy's
@@ -33,6 +35,13 @@ def _whole(name: str, v) -> int:
     if not float(v).is_integer():
         raise InputError(f"need a whole number {name}, got {v}")
     return int(v)
+
+
+def _number(name: str, v):
+    """``v`` unchanged, or an InputError unless it is an int or a float."""
+    if not isinstance(v, (int, float, np.integer, np.floating)):
+        raise InputError(f"need a number {name}, got {v!r}")
+    return v
 
 
 def _check_path(seed: int, path: tuple[int, ...]) -> list[int]:

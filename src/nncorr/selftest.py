@@ -18,13 +18,7 @@ import numpy as np
 from .bias_correction import _bias_term, _l_hat, default_lambda
 from .dataset import _tie_groups
 from .nn_graph import _stacked_nn, build_nn
-from .ridge_series import (
-    _dual_solve,
-    _ridge_solve,
-    _threshold_rhs,
-    basis_index_set,
-    design_matrix,
-)
+from .ridge_series import _dual_solve, _threshold_betas, basis_index_set, design_matrix
 from .rng import _integers_block, derive_rng
 from .simulation import true_t
 
@@ -118,12 +112,14 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
     entries whatever K is.
 
     ``_bias_term`` takes random designs smaller than their basis (m < K,
-    the m x m dual path), whose oracle g = P (P'P + m*lam*I)^-1 P' Y is
-    solved here from the explicit indicator matrix Y. Their rows are drawn
-    with replacement, so many rows have a copy of their own as nearest
-    neighbor, and every other case rounds the responses into ties. These
-    cases come from a stream of their own, leaving the other draws
-    unchanged.
+    the m x m dual path), and its primal path (m >= K) takes random designs
+    at least as large, in blocks of 1 to 7 thresholds, so that tie groups
+    straddle block edges. The oracle g = P (P'P + m*lam*I)^-1 P' Y of both
+    is solved here from the explicit indicator matrix Y. Their rows are
+    drawn with replacement, so many rows have a copy of their own as
+    nearest neighbor, and every other case rounds the responses into ties.
+    Each of the two kinds comes from a stream of its own, leaving the other
+    draws unchanged.
     """
     cases = 20 if quick else 50
     rng = derive_rng(seed)
@@ -139,31 +135,44 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
             betas = rng.standard_normal((k, n)) / math.sqrt(k)
         nn_idx = rng.integers(0, n - 1, size=n)
         nn_idx[nn_idx >= np.arange(n)] += 1  # any j != i is a valid neighbor map
-        got = float(_l_hat(p[None], betas[None], nn_idx[None])[0])
+        one_block = [(np.arange(n)[None], betas[None])]
+        got = float(_l_hat(p[None], one_block, nn_idx[None])[0])
         want = _ref_bias(p @ betas, nn_idx)
         err = abs(got - want)
         worst = max(worst, err)
         if err > 1e-12:
             return False, f"case {case}: n={n} K={p.shape[1]} |diff|={err:.3e}"
-    dual = derive_rng(seed, 1)
-    for case in range(cases):
-        k = int(dual.integers(3, 60))
-        m = int(dual.integers(2, k))
-        idx = dual.integers(0, m, size=m)
-        p = dual.standard_normal((m, k))[idx]
-        y = dual.standard_normal(m)[idx]
-        if case % 2:
-            y = np.round(y)
-        nn_idx = _ref_nn(p)  # a repeated row's nearest neighbor is a copy
-        lam = default_lambda(m)
-        got = float(_bias_term(p[None], *_tie_groups(y[None]), lam, nn_idx[None])[0])
-        ind = (y[:, None] >= y[None, :]).astype(np.float64)
-        g = p @ np.linalg.solve(p.T @ p + m * lam * np.eye(k), p.T @ ind)
-        err = abs(got - _ref_bias(g, nn_idx))
-        worst = max(worst, err)
-        if err > 1e-12:
-            return False, f"dual case {case}: m={m} K={k} |diff|={err:.3e}"
-    return True, f"{cases} factored + {cases} dual instances, worst |diff| {worst:.2e}"
+    for kind, stream in (("dual", derive_rng(seed, 1)), ("primal", derive_rng(seed, 2))):
+        for case in range(cases):
+            k = int(stream.integers(3, 60))
+            if kind == "dual":
+                m = int(stream.integers(2, k))
+            else:
+                k //= 2
+                m, block = int(stream.integers(max(k, 2), k + 60)), int(stream.integers(1, 8))
+            idx = stream.integers(0, m, size=m)
+            p = stream.standard_normal((m, k))[idx]
+            y = stream.standard_normal(m)[idx]
+            if case % 2:
+                y = np.round(y)
+            nn_idx = _ref_nn(p)  # a repeated row's nearest neighbor is a copy
+            lam = default_lambda(m)
+            order, first, ranks = _tie_groups(y[None])
+            if kind == "dual":
+                got = _bias_term(p[None], order, first, ranks, lam, nn_idx[None])
+            else:  # _bias_term's primal path, with a small block
+                betas = _threshold_betas(p[None], order, first, lam, block)
+                got = _l_hat(p[None], betas, nn_idx[None])
+            ind = (y[:, None] >= y[None, :]).astype(np.float64)
+            g = p @ np.linalg.solve(p.T @ p + m * lam * np.eye(k), p.T @ ind)
+            err = abs(float(got[0]) - _ref_bias(g, nn_idx))
+            worst = max(worst, err)
+            if err > 1e-12:
+                return False, f"{kind} case {case}: m={m} K={k} |diff|={err:.3e}"
+    return True, (
+        f"{cases} factored + {cases} dual + {cases} blocked primal instances, "
+        f"worst |diff| {worst:.2e}"
+    )
 
 
 def _fit_residual(p: np.ndarray, y: np.ndarray, lam: float, fit: np.ndarray) -> float:
@@ -181,14 +190,18 @@ def _fit_residual(p: np.ndarray, y: np.ndarray, lam: float, fit: np.ndarray) -> 
     return float((np.linalg.norm(resid, axis=0) / (1.0 + np.linalg.norm(rhs, axis=0))).max())
 
 
-def _ridge_fit(p: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    # The pipeline's solve of a (c, n, K) stack: the (c, K, n) betas when
-    # n >= K, the (c, n, n) dual solution Z when n < K.
+def _ridge_fit(p: np.ndarray, y: np.ndarray, lam: float, block: int) -> np.ndarray:
+    # The pipeline's solve of a (c, n, K) stack: the (c, K, n) betas, from
+    # blocks of ``block`` thresholds, when n >= K, the (c, n, n) dual
+    # solution Z when n < K.
     order, first, ranks = _tie_groups(y)
-    n, k = p.shape[-2:]
-    if n >= k:
-        return _ridge_solve(p, _threshold_rhs(p, order, first), lam)
-    return _dual_solve(p, first, ranks, lam)[1]
+    c, n, k = p.shape
+    if n < k:
+        return _dual_solve(p, first, ranks, lam)[1]
+    betas = np.empty((c, k, n))
+    for j, cols in _threshold_betas(p, order, first, lam, block):
+        np.put_along_axis(betas, j[:, None, :], cols, axis=-1)
+    return betas
 
 
 def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
@@ -200,7 +213,8 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
     fit of the whole sample at four penalties and a stacked solve on five
     subsamples drawn with replacement, whose repeated rows tie their
     responses; samples smaller than the basis take the dual, whose residual
-    is that of (PP' + n*lam*I) Z = Y.
+    is that of (PP' + n*lam*I) Z = Y. The primal solve of case i runs in
+    blocks of 1 + i % 8 thresholds.
     """
     cases = 8 if quick else 20
     rng = derive_rng(seed)
@@ -215,7 +229,7 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
         basis = basis_index_set(d, 2)
         p = design_matrix(x, basis)
         for lam in (1e-4, 1e-2, 1.0, default_lambda(n)):
-            rel = _fit_residual(p, y, lam, _ridge_fit(p[None], y[None], lam)[0])
+            rel = _fit_residual(p, y, lam, _ridge_fit(p[None], y[None], lam, 1 + case % 8)[0])
             worst = max(worst, rel)
             if rel > 1e-8:
                 return False, f"case {case}: n={n} d={d} lam={lam:g} residual {rel:.3e}"
@@ -226,7 +240,7 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
         ps, ys = p[idx], y[idx]
         m = ys.shape[1]
         lam = default_lambda(m)
-        fits = _ridge_fit(ps, ys, lam)
+        fits = _ridge_fit(ps, ys, lam, 1 + case % 8)
         for b in range(ys.shape[0]):
             rel = _fit_residual(ps[b], ys[b], lam, fits[b])
             worst = max(worst, rel)

@@ -24,7 +24,7 @@ from .bias_correction import PipelineConfig
 from .bootstrap import DEFAULT_B_REPS, _check_run, analyze
 from .dataset import Sample
 from .errors import InputError
-from .rng import _whole, derive_rng, derive_seed
+from .rng import _number, _whole, derive_rng, derive_seed
 
 # Stream tags separating the data draw from the bootstrap draws within one
 # replication; both hang off (seed, cell_index, rep_index).
@@ -34,7 +34,11 @@ _TAG_BOOT = 1
 
 @dataclass(frozen=True)
 class CopulaConfig:
-    """Shape of one synthetic dataset: n rows, d covariates, mixing rho."""
+    """Shape of one synthetic dataset: n rows, d covariates, mixing rho.
+
+    ``n``, ``d`` and ``seed`` must be whole numbers (50.0 is stored as 50)
+    and ``rho`` a number; anything else raises an InputError.
+    """
 
     n: int
     d: int
@@ -42,6 +46,9 @@ class CopulaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "d", "seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        _number("rho", self.rho)
         if self.n < 2:
             raise InputError(f"need n >= 2, got {self.n}")
         if self.d < 1:
@@ -105,7 +112,7 @@ def true_t(rho: float) -> float:
     are handled exactly: independence gives 0, a perfectly dependent pair
     gives 1.
     """
-    if not 0.0 <= rho <= 1.0:
+    if not 0.0 <= _number("rho", rho) <= 1.0:
         raise InputError(f"need rho in [0, 1], got {rho}")
     if rho == 0.0:
         return 0.0

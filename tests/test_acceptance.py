@@ -27,7 +27,7 @@ from nncorr.bias_correction import PipelineConfig, _rank_coefficient, estimate
 from nncorr.bootstrap import analyze
 from nncorr.dataset import Sample, _tie_groups
 from nncorr.nn_graph import build_nn
-from nncorr.ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
+from nncorr.ridge_series import _block_rows, _threshold_betas, basis_index_set, design_matrix
 from nncorr.rng import derive_seed
 from nncorr.selftest import run_selftest
 from nncorr.simulation import CopulaConfig, gen_gaussian_copula, run_study, true_t
@@ -144,7 +144,10 @@ def _t_raw(y, nn):
 def _ridge_fit(p, y, lam):
     # The pipeline's right-hand sides and ridge solve for one sample.
     order, first, _ = _tie_groups(y[None])
-    return _ridge_solve(p, _threshold_rhs(p[None], order, first)[0], lam)
+    betas = np.empty(p.shape[::-1])
+    for j, cols in _threshold_betas(p[None], order, first, lam, _block_rows(p.shape[1])):
+        betas[:, j[0]] = cols[0]
+    return betas
 
 
 def test_criterion_6_property_suite():

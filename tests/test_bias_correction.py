@@ -2,17 +2,20 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from nncorr import ridge_series
 from nncorr.dataset import Sample, _tie_groups, minmax_scale
 from nncorr.errors import InputError
 from nncorr.nn_graph import build_nn
-from nncorr.ridge_series import _ridge_solve, _threshold_rhs, basis_index_set, design_matrix
+from nncorr.ridge_series import basis_index_set, design_matrix
 from nncorr.bias_correction import (
     PipelineConfig,
+    _bias_term,
     _l_hat,
     _rank_coefficient,
     default_lambda,
@@ -43,8 +46,16 @@ def _random_nn(rng, n):
 
 
 def _bias(p, betas, nn):
-    # The pipeline's bias term on a stack of one sample.
-    return float(_l_hat(p[None], betas[None], nn[None])[0])
+    # The pipeline's bias term on a stack of one sample, all of betas one block.
+    j = np.arange(betas.shape[1])
+    return float(_l_hat(p[None], [(j[None], betas[None])], nn[None])[0])
+
+
+def _explicit_fit(p, y, lam):
+    # g = P (P'P + m*lam*I)^-1 P' Y from the explicit indicator matrix Y.
+    m, k = p.shape
+    ind = (y[:, None] >= y[None, :]).astype(np.float64)
+    return p @ np.linalg.solve(p.T @ p + m * lam * np.eye(k), p.T @ ind)
 
 
 def _explicit(g):
@@ -170,10 +181,71 @@ def test_pipeline_l_hat_matches_double_loop(n):
     res = estimate(s)
     xs = minmax_scale(s.x)
     p = design_matrix(xs, basis_index_set(s.d, 2))
-    order, first, _ = _tie_groups(s.y[None])
-    betas = _ridge_solve(p, _threshold_rhs(p[None], order, first)[0], default_lambda(n))
-    want = _ref_bias(p @ betas, build_nn(xs))
+    want = _ref_bias(_explicit_fit(p, s.y, default_lambda(n)), build_nn(xs))
     assert abs(res.l_hat - want) <= 1e-12 * abs(want)
+
+
+def _blocked_cases(m=60):
+    # Three (m, d = 3) samples: continuous responses; responses on 7 levels
+    # plus a tie group of 17 rows that spans several blocks of 5; and rows
+    # and responses drawn with replacement, so copies are nearest neighbors.
+    rng = np.random.default_rng(62)
+    x = rng.uniform(size=(3, m, 3))
+    y = x[..., 0] + 0.5 * rng.standard_normal((3, m))
+    y[1] = np.round(3 * y[1])
+    y[1, 20:37] = y[1, 0]
+    idx = rng.integers(0, m // 2, m)
+    x[2], y[2] = x[2, idx], y[2, idx]
+    return x, y
+
+
+def test_blocked_bias_term_matches_double_loop(monkeypatch):
+    # Blocks of 5 thresholds and rows at K = 10: the running suffix sum is
+    # carried across 12 blocks, and tie groups straddle their edges.
+    monkeypatch.setattr(ridge_series, "_CHUNK_BYTES", 8 * 10 * 5)
+    x, y = _blocked_cases()
+    xs = minmax_scale(x)
+    p = design_matrix(xs, basis_index_set(3, 2))
+    nn = np.stack([build_nn(a) for a in xs])
+    lam = default_lambda(60)
+    l_hat = _bias_term(p, *_tie_groups(y), lam, nn)
+    for b in range(3):
+        want = _ref_bias(_explicit_fit(p[b], y[b], lam), nn[b])
+        assert abs(l_hat[b] - want) <= 1e-12 * abs(want)
+        # Each sample gets the bits alone that it gets in the stack.
+        alone = _bias_term(p[b][None], *_tie_groups(y[b][None]), lam, nn[b][None])
+        assert alone[0] == l_hat[b]
+
+
+def test_results_agree_across_block_lengths(monkeypatch):
+    # Blocks of 1, 7 and 100 thresholds, the default 1 170 at K = 28, and
+    # one block: the sums are reordered, so l_hat moves by rounding only.
+    rng = np.random.default_rng(63)
+    x = rng.uniform(size=(3000, 6))
+    y = x[:, 0] + 0.5 * rng.standard_normal(3000)
+    for s in (Sample(x=x, y=y), Sample(x=x, y=np.round(4 * y))):
+        results = []
+        for budget in (0, 8 * 28 * 7, 8 * 28 * 100, ridge_series._CHUNK_BYTES, 1 << 40):
+            monkeypatch.setattr(ridge_series, "_CHUNK_BYTES", budget)
+            results.append(estimate(s))
+        want = results[-1]
+        for res in results:
+            assert res.t_hat == want.t_hat
+            assert abs(res.l_hat - want.l_hat) <= 1e-13 * abs(want.l_hat)
+
+
+def test_estimate_memory_is_the_design_matrix_plus_blocks():
+    # At n = 30 000 and K = 28 the design matrix P holds n*K floats; the
+    # bias term adds blocks of (block, K) floats, not whole (n, K) arrays.
+    n, k = 30_000, 28
+    s = _sample(seed=61, n=n, d=6)
+    tracemalloc.start()
+    try:
+        estimate(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * k * 8
 
 
 def test_estimate_memory_stays_linear_in_n():
@@ -209,6 +281,26 @@ def test_config_validation():
         default_lambda(0)
     with pytest.raises(InputError):
         default_lambda(10, exponent=-1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"degree": 2.5}, "need a whole number degree, got 2.5"),
+    ({"degree": "2"}, "need a whole number degree, got '2'"),
+    ({"degree": None}, "need a whole number degree, got None"),
+    ({"lambda_exponent": "1.2"}, "need a number lambda_exponent, got '1.2'"),
+])
+def test_config_refuses_a_wrong_type(kwargs, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        PipelineConfig(**kwargs)
+    if "lambda_exponent" in kwargs:
+        with pytest.raises(InputError, match="^need a number penalty exponent, got '1.2'$"):
+            default_lambda(10, "1.2")
+
+
+def test_config_stores_a_whole_float_degree_as_its_int():
+    cfg = PipelineConfig(degree=2.0)
+    assert type(cfg.degree) is int
+    assert estimate(_sample(), cfg) == estimate(_sample(), PipelineConfig(degree=2))
 
 
 def test_default_lambda_value():

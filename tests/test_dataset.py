@@ -280,6 +280,14 @@ def test_sample_validates_shapes():
         Sample(x=np.zeros((2, 1)), y=np.array([0.0, np.nan]))
 
 
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_sample_refuses_non_numeric_entries(field):
+    data = {"x": np.zeros((5, 2)), "y": np.arange(5.0)}
+    data[field] = [["a", "b"]] * 5 if field == "x" else ["a"] * 5
+    with pytest.raises(InputError, match=f"^{field} must hold numbers: could not convert"):
+        Sample(**data)
+
+
 def test_sample_dimensions():
     s = Sample(x=np.zeros((5, 3)), y=np.arange(5.0))
     assert s.n == 5 and s.d == 3

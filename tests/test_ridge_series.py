@@ -12,8 +12,10 @@ from nncorr.errors import InputError
 from nncorr.nn_graph import _search_stack
 from nncorr.ridge_series import (
     BASIS_CAP,
+    _block_rows,
     _dual_solve,
-    _ridge_solve,
+    _invert_shifted,
+    _threshold_betas,
     _threshold_rhs,
     basis_index_set,
     design_matrix,
@@ -25,11 +27,21 @@ except ImportError:  # the property test below is skipped without it
     given = None
 
 
+def _columns(blocks, shape):
+    # The (c, K, m) array whose columns j the blocks of _threshold_rhs or
+    # _threshold_betas hold.
+    out = np.empty(shape)
+    for j, cols in blocks:
+        np.put_along_axis(out, j[:, None, :], cols, axis=-1)
+    return out
+
+
 def _ridge_fit(p, y, lam):
     # The pipeline's right-hand sides and solve for one sample: the (K, n)
     # betas of every threshold y_j.
     order, first, _ = _tie_groups(y[None])
-    return _ridge_solve(p, _threshold_rhs(p[None], order, first)[0], lam)
+    n, k = p.shape
+    return _columns(_threshold_betas(p[None], order, first, lam, _block_rows(k)), (1, k, n))[0]
 
 
 def _fit(x, y, lam, degree=2):
@@ -162,17 +174,22 @@ def test_residual_identity_against_explicit_indicators():
 
 def test_stacked_solve_matches_each_system_alone():
     # The bootstrap solves (c, K, K) stacks; each system must get the bits
-    # it gets alone, at the benchmark's chunk shapes and at K = 84.
+    # it gets alone, at the benchmark's chunk shapes and at K = 84, in
+    # blocks of 7 thresholds or in one.
     rng = np.random.default_rng(47)
     for c, m, d, degree in ((41, 17, 6, 2), (11, 54, 6, 2), (3, 300, 6, 3)):
         x = rng.uniform(size=(c, m, d))
         y = rng.standard_normal((c, m))
         p = design_matrix(minmax_scale(x), basis_index_set(d, degree))
-        rhs = np.swapaxes(p, -1, -2) @ (y[:, None, :] <= y[:, :, None])
+        k = p.shape[-1]
         lam = default_lambda(m)
-        stacked = _ridge_solve(p, rhs.copy(), lam)
-        for i in range(c):
-            np.testing.assert_array_equal(stacked[i], _ridge_solve(p[i], rhs[i].copy(), lam))
+        order, first, _ = _tie_groups(y)
+        for block in (7, _block_rows(k)):
+            stacked = _columns(_threshold_betas(p, order, first, lam, block), (c, k, m))
+            for i in range(c):
+                order_i, first_i, _ = _tie_groups(y[i][None])
+                alone = _threshold_betas(p[i][None], order_i, first_i, lam, block)
+                np.testing.assert_array_equal(stacked[i], _columns(alone, (1, k, m))[0])
 
 
 def test_near_zero_penalty_matches_least_squares():
@@ -217,17 +234,17 @@ def test_tied_thresholds_share_solutions():
 
 def test_tie_group_positions_match_a_binary_search():
     # _threshold_rhs takes the first sorted index of each tie group from the
-    # sort; a binary search of the sorted y gives the same right-hand sides,
-    # so the same bits, on continuous, 7-level and constant responses.
+    # sort; a binary search of the sorted y gives the same right-hand sides
+    # bit for bit, on continuous, 7-level and constant responses, whose tie
+    # groups straddle the edges of blocks of 64 thresholds.
     rng = np.random.default_rng(31)
-    x = rng.uniform(size=(400, 3))
-    lam = default_lambda(400, 2.0)
+    p = design_matrix(rng.uniform(size=(400, 3)), basis_index_set(3, 2))
     for y in (rng.standard_normal(400), rng.integers(0, 7, 400).astype(float), np.full(400, 1.5)):
-        p, betas = _fit(x, y, lam)
         order = np.argsort(y, kind="stable")
         suffix = np.cumsum(p[order][::-1], axis=0)[::-1]
         pos = np.searchsorted(y[order], y, side="left")
-        np.testing.assert_array_equal(betas, _ridge_solve(p, suffix[pos].T, lam))
+        got = _columns(_threshold_rhs(p[None], *_tie_groups(y[None])[:2], 64), (1, 10, 400))
+        np.testing.assert_array_equal(got[0], suffix[pos].T)
 
 
 def test_ghat_matrix_permutation_equivariance():
@@ -245,11 +262,9 @@ def test_ghat_matrix_permutation_equivariance():
 
 
 def test_fit_validation():
-    p = np.ones((5, 1))
-    with pytest.raises(InputError):
-        _ridge_solve(p, np.ones((1, 5)), 0.0)
-    with pytest.raises(InputError):
-        _ridge_solve(p, np.ones((1, 5)), -1.0)
+    for lam in (0.0, -1.0):
+        with pytest.raises(InputError, match="ridge parameter must be positive"):
+            _invert_shifted(np.full((1, 1), 5.0), 5, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +299,7 @@ def _assert_dual_matches_primal(m, d, degree, kind, seed):
     lam = default_lambda(m)
     ind, z = _dual_solve(p, first, ranks, lam)
     dual = (ind - m * lam * z)[0]
-    primal = p[0] @ _ridge_solve(p, _threshold_rhs(p, order, first), lam)[0]  # K x K, any shape
+    primal = p[0] @ _columns(_threshold_betas(p, order, first, lam, 7), (1, k, m))[0]  # K x K
     want_ind = (y[:, None] >= y[None, :]).astype(np.float64)  # ind[i, j] = 1(y_i >= y_j)
     np.testing.assert_array_equal(ind[0], want_ind)
     aug = np.vstack([p[0], math.sqrt(m * lam) * np.eye(k)])
@@ -351,7 +366,7 @@ def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
     # system; m = K solves the K x K primal system and reads l_hat from its
     # betas, bit for bit.
     inverted, primal_calls = [], []
-    inv, solve = np.linalg.inv, bias_correction._ridge_solve
+    inv, solve = np.linalg.inv, bias_correction._threshold_betas
 
     def spy_inv(a):
         inverted.append(a.shape)
@@ -362,7 +377,7 @@ def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "inv", spy_inv)
-    monkeypatch.setattr(bias_correction, "_ridge_solve", spy_solve)
+    monkeypatch.setattr(bias_correction, "_threshold_betas", spy_solve)
     rng = np.random.default_rng(49)
     for d, degree in ((2, 2), (6, 2), (3, 3)):
         k = math.comb(d + degree, degree)
@@ -382,7 +397,7 @@ def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
                 assert inverted == [(3, m, m)] and primal_calls == []
             else:
                 assert inverted == [(3, k, k)] and primal_calls == [(3, m, k)]
-                want = _l_hat(p, solve(p, _threshold_rhs(p, order, first), lam), nn)
+                want = _l_hat(p, solve(p, order, first, lam, _block_rows(k)), nn)
                 np.testing.assert_array_equal(l_hat, want)
 
 

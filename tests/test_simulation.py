@@ -1,6 +1,7 @@
 """Tests for the copula generator, closed-form truth, and study harness."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -42,6 +43,27 @@ def test_copula_config_validation():
         CopulaConfig(n=10, d=2, rho=-0.1)
     with pytest.raises(InputError):
         CopulaConfig(n=10, d=2, rho=0.5, seed=-1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 50.5}, "need a whole number n, got 50.5"),
+    ({"d": "2"}, "need a whole number d, got '2'"),
+    ({"rho": "0.5"}, "need a number rho, got '0.5'"),
+    ({"seed": None}, "need a whole number seed, got None"),
+])
+def test_copula_config_refuses_a_wrong_type(kwargs, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        CopulaConfig(**{"n": 50, "d": 2, "rho": 0.5, **kwargs})
+
+
+@pytest.mark.parametrize("field, whole", [("n", 50.0), ("d", 2.0), ("seed", 3.0)])
+def test_copula_config_stores_a_whole_float_as_its_int(field, whole):
+    cfg = CopulaConfig(**{"n": 50, "d": 2, "rho": 0.5, "seed": 3, field: whole})
+    assert type(getattr(cfg, field)) is int
+    got = gen_gaussian_copula(cfg)
+    want = gen_gaussian_copula(CopulaConfig(n=50, d=2, rho=0.5, seed=3))
+    np.testing.assert_array_equal(got.x, want.x)
+    np.testing.assert_array_equal(got.y, want.y)
 
 
 def test_generator_shapes_and_range():
@@ -106,6 +128,8 @@ def test_true_t_domain():
         true_t(-0.01)
     with pytest.raises(InputError):
         true_t(1.01)
+    with pytest.raises(InputError, match="^need a number rho, got '0.5'$"):
+        true_t("0.5")
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from nncorr.bias_correction import _bias_term, _rank_coefficient, default_lambda  # noqa: E402
+from nncorr.bias_correction import (  # noqa: E402
+    _bias_term,
+    _l_hat,
+    _rank_coefficient,
+    default_lambda,
+)
 from nncorr.dataset import _tie_groups, minmax_scale  # noqa: E402
 from nncorr.errors import InputError  # noqa: E402
-from nncorr.ridge_series import _threshold_rhs, basis_index_set, design_matrix  # noqa: E402
+from nncorr.ridge_series import (  # noqa: E402
+    _threshold_betas,
+    _threshold_rhs,
+    basis_index_set,
+    design_matrix,
+)
 
 _PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -64,18 +74,22 @@ def test_tie_groups_match_the_comparison_matrix(y):
 
 
 @_PROFILE
-@given(stacks(), st.integers(0, 2**32 - 1))
-def test_threshold_rhs_matches_the_comparison_gemm(y, seed):
+@given(stacks(), st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_threshold_rhs_matches_the_comparison_gemm(y, seed, block):
+    # Blocks of 1 to 12 thresholds; tie groups straddle their edges.
     p = _design(y, seed)
     order, first, _ = _tie_groups(y)
-    got = _threshold_rhs(p, order, first)
     want = np.swapaxes(p, -1, -2) @ _le(y)
+    got = np.full(want.shape, np.nan)
+    for j, rhs in _threshold_rhs(p, order, first, block):
+        assert j.shape[-1] <= block and rhs.flags.c_contiguous
+        np.put_along_axis(got, j[:, None, :], rhs, axis=-1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @_PROFILE
-@given(stacks(), st.integers(0, 2**32 - 1))
-def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed):
+@given(stacks(), st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed, block):
     c, m = y.shape
     p = _design(y, seed)
     nn = np.random.default_rng([seed, 1]).integers(0, m - 1, size=(c, m))
@@ -83,12 +97,16 @@ def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed):
     order, first, ranks = _tie_groups(y)
     lam = default_lambda(m)
     l_hat = _bias_term(p, order, first, ranks, lam, nn)  # K = 10: dual below m = 10
+    # The primal bias term at any m, in blocks of 1 to 12 thresholds.
+    blocked = _l_hat(p, _threshold_betas(p, order, first, lam, block), nn)
     t_alone, errors = {}, []
     for b in range(c):
         order_b, first_b, ranks_b = _tie_groups(y[b][None])
         np.testing.assert_array_equal(ranks[b], ranks_b[0])
         alone = _bias_term(p[b][None], order_b, first_b, ranks_b, lam, nn[b][None])
         np.testing.assert_array_equal(l_hat[b], alone[0])
+        betas_b = _threshold_betas(p[b][None], order_b, first_b, lam, block)
+        np.testing.assert_array_equal(blocked[b], _l_hat(p[b][None], betas_b, nn[b][None])[0])
         try:
             t_alone[b] = _rank_coefficient(ranks_b, nn[b][None])[0]
         except InputError as exc:  # a constant or heavily tied row
