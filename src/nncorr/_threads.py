@@ -4,7 +4,11 @@ Workers. The neighbor queries are the one operation that nncorr spreads
 over threads. Priority: explicit ``set_workers`` call, then the
 ``ACBC_THREADS`` environment variable, then all available cores; ``0``
 (or unset) means all cores, and any count is capped at ``os.cpu_count()``.
-This is the only parallelism setting.
+This is the only parallelism setting, and an upper bound:
+:func:`nncorr.nn_graph.build_nn` runs at most one worker per 1 000 rows
+(``nn_graph._ROWS_PER_WORKER``), since below that a worker costs more to
+start than it saves, so a search of fewer than 2 000 rows runs on the
+calling thread.
 
 BLAS. The pipeline's products are O(n K^2) with a basis of a few dozen
 columns, too small to share across threads, and idle OpenBLAS threads
@@ -89,7 +93,8 @@ def get_workers() -> int:
 def _blas_setter():
     """NumPy's loaded ``openblas_set_num_threads_local``, or None."""
     # RTLD_NOLOAD returns the handle NumPy already holds and fails rather
-    # than load a second copy, which would start a second thread pool.
+    # than load a copy that is not mapped yet. SciPy's own OpenBLAS (loaded
+    # through scipy.linalg) has its own pool, which the package never calls.
     noload = getattr(os, "RTLD_NOLOAD", None)
     if noload is None:
         return None

@@ -20,10 +20,13 @@ from .errors import InputError
 
 
 def _as_floats(v, name: str) -> np.ndarray:
+    # Casting complex entries to float would drop their imaginary parts.
     try:
-        return np.asarray(v, dtype=np.float64)
+        if not np.iscomplexobj(v):
+            return np.asarray(v, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} must hold numbers: {exc}") from None
+    raise InputError(f"{name} must hold real numbers, got complex entries")
 
 
 def _as_matrix(x, name: str = "x", stacked: bool = False) -> np.ndarray:

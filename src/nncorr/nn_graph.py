@@ -36,11 +36,19 @@ from .errors import InputError
 # Relative slack when collecting tie candidates from the tree. Far larger
 # than any float rounding discrepancy, far smaller than any genuine gap.
 _TIE_SLACK = 1e-9
-# Largest matrix that _search_stack searches by brute force. On a scaled
-# d = 6 copula sample, brute force against the kd-tree takes 0.12 against
-# 0.61 ms at m = 100, 0.57 against 0.92 ms at m = 200 and 1.14 against
-# 0.90 ms at m = 220 (min of 5 x 20 calls, two shared Intel Xeon cores).
+# Largest matrix that _search_stack searches by brute force. On scaled
+# d = 6 copula samples in the bootstrap's chunks, brute force against the
+# kd-tree on one worker takes 0.14 against 0.30 ms a matrix at m = 100,
+# 0.40 against 0.50 ms at m = 150, 0.67 against 0.63 ms at m = 200 and 1.31
+# against 0.72 ms at m = 220 (min of 60 x 10 calls of each, interleaved,
+# two shared Intel Xeon cores).
 _BRUTE_MAX_M = 200
+# Rows per kd-tree worker: build_nn runs n // _ROWS_PER_WORKER workers, at
+# least one, within the setting. On a scaled d = 6 copula sample, one worker
+# against two takes 0.73 against 1.11 ms at n = 300, 2.92 against 3.04 ms
+# at n = 1 000, 8.11 against 7.11 ms at n = 2 000 and 13.5 against 9.6 ms at
+# n = 3 000 (min of 30 interleaved runs, two shared Intel Xeon cores).
+_ROWS_PER_WORKER = 1000
 
 
 def _check_range(x: np.ndarray) -> None:
@@ -74,7 +82,9 @@ def build_nn(x) -> np.ndarray:
     if n < 2:
         raise InputError(f"need at least 2 points, got {n}")
     _check_range(arr)
-    workers = _threads.get_workers()
+    # Below _ROWS_PER_WORKER rows a second worker costs more to start than
+    # it saves, so smaller searches run on the calling thread.
+    workers = min(_threads.get_workers(), max(1, n // _ROWS_PER_WORKER))
 
     tree = cKDTree(arr)
     # Query in leaf order, so consecutive queries walk the same nodes and each

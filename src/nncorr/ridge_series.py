@@ -9,8 +9,9 @@ so one inverse serves all n right-hand sides: O(K^3) once plus O(n K^2)
 matrix products. When n < K, as in a bootstrap subsample of size
 floor(sqrt(n)), the n x n dual matrix PP' + n*lam*I serves them instead:
 O(n^3) plus O(n^2 K). Both run on NumPy's own LAPACK and BLAS, the library
-every other product in the package uses, so a process starts one BLAS
-thread pool, not two that compete for the cores. Inside the pipeline that
+every other product in the package uses. SciPy's copy of OpenBLAS is loaded
+too, since ``scipy.spatial`` imports ``scipy.linalg``, and starts a pool of
+its own, but nothing in the package calls it. Inside the pipeline NumPy's
 pool stays idle: products with K of a few dozen are too small to split, so
 the pipeline runs BLAS on the calling thread
 (:func:`nncorr._threads.single_blas_thread`). The bits do not depend on
@@ -91,31 +92,74 @@ def basis_index_set(d: int, degree: int) -> np.ndarray:
     return exponents
 
 
+@functools.lru_cache(maxsize=None)
+def _product_plan(d: int, degree: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """``basis_index_set(d, degree)`` and how :func:`design_matrix` builds its monomials.
+
+    Monomial i > 0 is its parent times one covariate: the parent is
+    exponent row i with one power of its first nonzero variable removed,
+    so it has a lower degree and comes earlier in graded order. Within a
+    degree, the monomials whose first nonzero variable is v are contiguous
+    in lexicographic order, and so are their parents, in the same order,
+    in the degree below. So the plan is a tuple of runs ``(lo, hi,
+    parent_lo, var)``: rows ``lo:hi`` are rows ``parent_lo:parent_lo + hi -
+    lo`` times covariate ``var``, d runs per degree. Cached per ``(d,
+    degree)`` like the basis itself.
+    """
+    basis = basis_index_set(d, degree)
+    exps = basis.tolist()
+    index = {tuple(e): i for i, e in enumerate(exps)}
+    runs: list[list[int]] = []
+    for i, e in enumerate(exps[1:], start=1):
+        var = next(j for j, power in enumerate(e) if power)
+        e[var] -= 1
+        parent = index[tuple(e)]
+        last = runs[-1] if runs else None
+        # A run never reads its own rows: its parents end before it starts.
+        if last and last[3] == var and last[2] + i - last[0] == parent < last[0]:
+            last[1] = i + 1
+        else:
+            runs.append([i, i + 1, parent, var])
+    return basis, tuple(tuple(run) for run in runs)
+
+
 def design_matrix(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Evaluate every basis monomial at every row: entry (i, k) = xs_i^alpha_k.
 
-    ``exponents`` is the (K, d) array of :func:`basis_index_set`. The 0^0 =
-    1 convention applies, so the constant column is all ones even at the
-    origin. A stack of matrices, shape (..., n, d), gives a stack of design
-    matrices, shape (..., n, K).
+    ``exponents`` is the (K, d) array of :func:`basis_index_set`; any other
+    array raises an :class:`InputError`. The constant column is all ones,
+    even at the origin (0^0 = 1). Every other column is an earlier column
+    times one covariate (:func:`_product_plan`), so an entry of total
+    degree t is a product of t covariate values, rounded t - 1 times, with
+    no call to ``pow``. A stack of matrices, shape (..., n, d), gives a
+    stack of design matrices, shape (..., n, K).
     """
     arr = _as_matrix(xs, stacked=True)
     k, d = exponents.shape
     if arr.shape[-1] != d:
         raise InputError(f"matrix has {arr.shape[-1]} columns but basis expects {d}")
-    # One power table per covariate, then gather-and-multiply per monomial;
-    # much cheaper than broadcasting x ** E over an (n, K, d) block. Blocks
-    # of rows keep each gathered table to one block.
+    degree = int(np.sum(exponents, axis=1).max())
+    basis, plan = _product_plan(d, degree)
+    if exponents is not basis and not np.array_equal(exponents, basis):
+        raise InputError(f"exponents must be basis_index_set({d}, {degree})")
+    # Blocks of rows, each built monomial-major in a C-ordered (K, block)
+    # buffer, so every multiply runs over contiguous rows, then written into
+    # P; beyond P, memory stays at one block. Products of unscaled x can
+    # overflow to inf, which the pipeline refuses with an InputError.
     rows = arr.reshape(-1, d)
-    p = np.empty((rows.shape[0], k))
-    powers = np.arange(exponents.max() + 1)
+    n = rows.shape[0]
+    p = np.empty((n, k))
     step = _block_rows(k)
-    for lo in range(0, rows.shape[0], step):
-        block = p[lo : lo + step]
-        block[...] = 1.0
-        for m in range(d):
-            col_powers = rows[lo : lo + step, m, None] ** powers
-            block *= col_powers[:, exponents[:, m]]
+    buf = np.empty((k, min(step, n)))
+    buf[0] = 1.0
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            cols = np.ascontiguousarray(rows[lo:hi].T)
+            block = buf[:, : hi - lo]
+            for a, b, parent, var in plan:
+                np.multiply(block[parent : parent + b - a], cols[var], out=block[a:b])
+            p[lo:hi] = block.T
     return p.reshape(arr.shape[:-1] + (k,))
 
 

@@ -1,11 +1,12 @@
 """Built-in oracle-equivalence suites, runnable from the command line.
 
 Each suite pits a function the pipeline itself runs (the neighbor searches,
-``_l_hat``, ``_bias_term``, both ridge solves, the bootstrap's index
-block, the closed-form truth), on a stack of one sample where it checks
-one, against an independent reference implementation kept in this module
-(deliberately not shared with the production code, so a defect introduced
-there cannot silently cancel out here). Intended as a release gate.
+``_l_hat``, ``_bias_term``, the design matrix, both ridge solves, the
+bootstrap's index block, the closed-form truth), on a stack of one sample
+where it checks one, against an independent reference implementation kept
+in this module (deliberately not shared with the production code, so a
+defect introduced there cannot silently cancel out here). Intended as a
+release gate.
 """
 
 from __future__ import annotations
@@ -204,8 +205,20 @@ def _ridge_fit(p: np.ndarray, y: np.ndarray, lam: float, block: int) -> np.ndarr
     return betas
 
 
+def _design_error(x: np.ndarray, degree: int) -> float:
+    # Largest relative error of design_matrix against every monomial taken
+    # as a product of powers in extended precision.
+    exps = basis_index_set(x.shape[1], degree)
+    want = np.prod(x.astype(np.longdouble)[:, None, :] ** exps, axis=-1)
+    err = np.abs(design_matrix(x, exps) - want) / np.where(want == 0, 1, np.abs(want))
+    return float(err.max())
+
+
 def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
-    """Residuals of the pipeline's ridge systems, <= 1e-8.
+    """Design matrices within 1e-15 relative, residuals of the ridge systems <= 1e-8.
+
+    Each case first checks the design matrix of its sample at degree
+    case % 6 against powers in extended precision, then the ridge fits.
 
     The right-hand sides are rebuilt here from the explicit n x n indicator
     matrix, independently of the suffix sums of the primal fit (n >= K) and
@@ -218,7 +231,7 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
     """
     cases = 8 if quick else 20
     rng = derive_rng(seed)
-    worst = 0.0
+    worst = worst_p = 0.0
     for case in range(cases):
         n = int(rng.integers(20, 80 if quick else 200))
         d = int(rng.integers(1, 7))
@@ -226,6 +239,10 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
         y = rng.standard_normal(n)
         if case % 4 == 0:
             y = np.round(y, 1)  # duplicated thresholds
+        rel = _design_error(x, case % 6)
+        worst_p = max(worst_p, rel)
+        if rel > 1e-15:
+            return False, f"case {case}: n={n} d={d} degree {case % 6} design error {rel:.3e}"
         basis = basis_index_set(d, 2)
         p = design_matrix(x, basis)
         for lam in (1e-4, 1e-2, 1.0, default_lambda(n)):
@@ -246,7 +263,10 @@ def ridge_suite(quick: bool = False, seed: int = 43) -> tuple[bool, str]:
             worst = max(worst, rel)
             if rel > 1e-8:
                 return False, f"case {case}: subsample {b} m={m} d={d} residual {rel:.3e}"
-    return True, f"{cases} instances x (4 penalties + 5 subsamples), worst residual {worst:.2e}"
+    return True, (
+        f"{cases} instances x (4 penalties + 5 subsamples), worst residual {worst:.2e}, "
+        f"worst design matrix error {worst_p:.2e}"
+    )
 
 
 def draws_suite(quick: bool = False, seed: int = 59) -> tuple[bool, str]:
@@ -299,7 +319,7 @@ def truth_suite() -> tuple[bool, str]:
 SUITES = (
     ("nearest-neighbor vs double loop", nn_suite),
     ("bias term vs double loop", bias_suite),
-    ("ridge normal equations", ridge_suite),
+    ("design matrix and ridge normal equations", ridge_suite),
     ("bootstrap draws vs per-replicate generators", draws_suite),
     ("closed-form truth", truth_suite),
 )

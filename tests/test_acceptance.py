@@ -264,11 +264,11 @@ def test_criterion_7_root_n_behavior():
 
 def test_criterion_8_cli_byte_determinism(tmp_path):
     # Identical seed and flags must give byte-identical machine outputs at
-    # thread counts 1, 4, and max, for both CLI commands. Both run at n = 300,
-    # above the 200 rows searched by brute force, so the full sample's
-    # neighbours come from the kd-tree whose workers --threads sets.
+    # thread counts 1, 4, and max, for both CLI commands. estimate runs at
+    # n = 2 000, where the full sample's kd-tree search takes up to two
+    # workers (one per nn_graph._ROWS_PER_WORKER rows), as --threads allows.
     rng = np.random.default_rng(800)
-    n = 300
+    n = 2000
     x = rng.uniform(size=(n, 3))
     y = x[:, 0] + 0.4 * rng.standard_normal(n)
     csv_path = tmp_path / "data.csv"

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ def test_overflowing_distances_raise():
     with pytest.raises(InputError, match="squared distances overflow"):
         estimate(s, PipelineConfig(degree=0, scale_covariates=False))
     assert estimate(s, PipelineConfig(degree=0)).t_hat == 0.0
+
+
+def test_overflowing_design_matrix_raises_without_a_warning():
+    # Unscaled x near 1e160, 1e150 apart: the squared distances are finite,
+    # but the squares in the degree-2 design matrix overflow.
+    x = 1e160 + np.random.default_rng(7).uniform(size=(20, 2)) * 1e150
+    s = Sample(x=x, y=np.arange(20.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^design matrix contains NaN or infinite entries$"):
+            estimate(s, PipelineConfig(scale_covariates=False))
 
 
 def test_constant_response_is_an_input_error():

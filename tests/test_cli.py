@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nncorr import _threads
+from nncorr import _threads, nn_graph
 from nncorr.cli import RAW_CSV_HEADER, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -46,9 +46,9 @@ def csv_file(tmp_path):
 
 @pytest.fixture()
 def tree_csv_file(tmp_path):
-    # Above nn_graph._BRUTE_MAX_M rows, so estimate's search runs the
-    # kd-tree and its --threads workers.
-    return _write_csv(tmp_path, 300)
+    # Two nn_graph._ROWS_PER_WORKER blocks of rows, so estimate's search
+    # runs the kd-tree on up to two of its --threads workers.
+    return _write_csv(tmp_path, 2000)
 
 
 def _run(capsys, argv):
@@ -102,6 +102,22 @@ def test_estimate_byte_identical_across_thread_counts(capsys, tree_csv_file):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_tree_csv_file_reaches_two_workers(capsys, tree_csv_file, monkeypatch):
+    seen = []
+
+    class Spy(nn_graph.cKDTree):
+        def query(self, *args, workers=1, **kwargs):
+            seen.append(workers)
+            return super().query(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(nn_graph, "cKDTree", Spy)
+    code, _, _ = _run(capsys, [
+        "estimate", "--input", str(tree_csv_file), "--bootstrap-reps", "2", "--threads", "4",
+    ])
+    assert code == 0 and seen == [2]
 
 
 @pytest.mark.parametrize("reps", ["30", "1"], ids=["success", "input-error"])

@@ -288,6 +288,24 @@ def test_sample_refuses_non_numeric_entries(field):
         Sample(**data)
 
 
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_sample_refuses_complex_entries(field):
+    # Casting would drop the imaginary parts, with only a ComplexWarning.
+    rng = np.random.default_rng(5)
+    data = {"x": rng.uniform(size=(50, 2)), "y": np.arange(50.0)}
+    data[field] = data[field] + 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{field} must hold real numbers, got complex entries$"):
+            Sample(**data)
+        with pytest.raises(InputError, match=f"^{field} must hold real numbers, got complex entries$"):
+            estimate(Sample(**{**data, field: list(data[field])}))
+    # A complex dtype with zero imaginary parts is refused as well.
+    data[field] = data[field].real.astype(complex)
+    with pytest.raises(InputError, match="must hold real numbers"):
+        Sample(**data)
+
+
 def test_sample_dimensions():
     s = Sample(x=np.zeros((5, 3)), y=np.arange(5.0))
     assert s.n == 5 and s.d == 3

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.special import ndtr
 
 from nncorr import _threads
@@ -189,11 +190,12 @@ def test_fallback_rows_mixed_with_settled_rows():
 
 def test_worker_count_does_not_change_result():
     rng = np.random.default_rng(26)
-    # At n = 3000 the leaf order moves rows far from their row order, and each
+    # From n = 2000 up the search takes two workers where the setting allows;
+    # at n = 3000 the leaf order moves rows far from their row order, and each
     # worker queries a contiguous slice of it.
     inputs = (
-        rng.standard_normal((400, 3)),
-        _copula_with_ties(rng, n=400, d=3),
+        rng.standard_normal((2000, 3)),
+        _copula_with_ties(rng, n=2000, d=3),
         _copula_with_ties(rng, n=3000, d=4),
     )
     try:
@@ -202,6 +204,33 @@ def test_worker_count_does_not_change_result():
             for workers in (1, 2, os.cpu_count()):
                 _threads.set_workers(workers)
                 np.testing.assert_array_equal(build_nn(x), want)
+    finally:
+        _threads.set_workers(None)
+
+
+class _WorkerSpy(cKDTree):
+    # The kd-tree of build_nn, recording the workers of every query.
+    seen = []
+
+    def query(self, *args, workers=1, **kwargs):
+        self.seen.append(workers)
+        return super().query(*args, workers=workers, **kwargs)
+
+
+@pytest.mark.parametrize("n", [999, 1000, 1999, 2000])
+def test_workers_are_capped_by_rows(monkeypatch, n):
+    # One worker per _ROWS_PER_WORKER rows, at least one, within the setting;
+    # the answer is the same at every count.
+    monkeypatch.setattr(nn_graph, "cKDTree", _WorkerSpy)
+    x = _copula_with_ties(np.random.default_rng(n), n=n - 80, d=3)
+    want = _block_ref_nn(x)
+    try:
+        for setting in (1, 2, os.cpu_count()):
+            _threads.set_workers(setting)
+            _WorkerSpy.seen.clear()
+            np.testing.assert_array_equal(build_nn(x), want)
+            cap = max(1, n // nn_graph._ROWS_PER_WORKER)
+            assert _WorkerSpy.seen == [min(setting, cap, os.cpu_count())]
     finally:
         _threads.set_workers(None)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nncorr import bias_correction
+from nncorr import bias_correction, ridge_series
 from nncorr.bias_correction import _bias_term, _l_hat, _neighbor_diff, default_lambda
 from nncorr.dataset import _tie_groups, minmax_scale
 from nncorr.errors import InputError
@@ -15,6 +15,7 @@ from nncorr.ridge_series import (
     _block_rows,
     _dual_solve,
     _invert_shifted,
+    _product_plan,
     _threshold_betas,
     _threshold_rhs,
     basis_index_set,
@@ -126,6 +127,61 @@ def test_design_matrix_against_naive_powers():
     for k, e in enumerate(exps):
         naive[:, k] = np.prod(x ** np.asarray(e)[None, :], axis=1)
     np.testing.assert_allclose(p, naive, rtol=1e-13)
+
+
+def _long_double_design(x, exps):
+    # Every monomial as a product of powers evaluated in extended precision.
+    return np.prod(x.astype(np.longdouble)[:, None, :] ** exps, axis=-1)
+
+
+def test_design_matrix_against_long_double_powers():
+    rng = np.random.default_rng(42)
+    for d in range(1, 9):
+        x = rng.uniform(-2.0, 2.0, size=(40, d))
+        x[0] = 0.0
+        for degree in range(6):
+            exps = basis_index_set(d, degree)
+            want = _long_double_design(x, exps)
+            got = design_matrix(x, exps)
+            err = np.abs(got - want) / np.where(want == 0, 1, np.abs(want))
+            assert err.max() <= 1e-15, (d, degree, float(err.max()))
+
+
+def test_product_plan_parents_precede_children():
+    for d in range(1, 9):
+        for degree in range(6):
+            exps, plan = _product_plan(d, degree)
+            assert exps is basis_index_set(d, degree)
+            assert len(plan) == d * degree
+            # The runs cover rows 1 .. K - 1 in order.
+            assert [run[0] for run in plan] + [len(exps)] == [1] + [run[1] for run in plan]
+            for lo, hi, parent, var in plan:
+                assert parent + hi - lo <= lo
+                unit = np.eye(d, dtype=np.int64)[var]
+                np.testing.assert_array_equal(exps[lo:hi], exps[parent : parent + hi - lo] + unit)
+                assert (exps[lo:hi, :var] == 0).all()
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_design_matrix_bits_do_not_depend_on_row_blocks(monkeypatch, rows):
+    rng = np.random.default_rng(43)
+    xs = rng.uniform(size=(3, 50, 4))
+    exps = basis_index_set(4, 3)
+    want = design_matrix(xs, exps)
+    monkeypatch.setattr(ridge_series, "_block_rows", lambda k: rows or 150)
+    got = design_matrix(xs, exps)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got[1], design_matrix(xs[1], exps))
+
+
+def test_design_matrix_refuses_other_exponents():
+    exps = np.array([[0, 0], [2, 1]])
+    with pytest.raises(InputError, match=r"^exponents must be basis_index_set\(2, 3\)$"):
+        design_matrix(np.zeros((4, 2)), exps)
+    # An equal copy of the basis is accepted.
+    np.testing.assert_array_equal(
+        design_matrix(np.ones((2, 2)), basis_index_set(2, 2).copy()), np.ones((2, 6))
+    )
 
 
 def test_design_matrix_dimension_mismatch():
