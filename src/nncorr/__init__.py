@@ -16,20 +16,17 @@ Typical use::
     print(res.t_hat, res.t_bc, res.ci_tbc)
 
 The bootstrap steps, the random streams and the study's file formats are in
-:mod:`nncorr.bootstrap`, :mod:`nncorr.rng` and :mod:`nncorr.cli`.
+:mod:`nncorr.bootstrap`, :mod:`nncorr.rng` and :mod:`nncorr.cli`. The
+pipeline's stages (scaling, neighbor search, basis, design matrix, penalty)
+are internal: they live in :mod:`nncorr.dataset`, :mod:`nncorr.nn_graph`,
+:mod:`nncorr.ridge_series` and :mod:`nncorr.bias_correction` and trust the
+inputs that :class:`Sample` and :func:`analyze` have checked.
 """
 
-from .bias_correction import (
-    EstimateResult,
-    PipelineConfig,
-    default_lambda,
-    estimate,
-)
+from .bias_correction import EstimateResult, PipelineConfig, estimate
 from .bootstrap import Analysis, analyze
-from .dataset import Sample, load_csv, minmax_scale
+from .dataset import Sample, load_csv
 from .errors import InputError
-from .nn_graph import build_nn
-from .ridge_series import basis_index_set, design_matrix
 from .simulation import (
     CellSummary,
     CopulaConfig,
@@ -51,14 +48,9 @@ __all__ = [
     "RawRecord",
     "Sample",
     "analyze",
-    "basis_index_set",
-    "build_nn",
-    "default_lambda",
-    "design_matrix",
     "estimate",
     "gen_gaussian_copula",
     "load_csv",
-    "minmax_scale",
     "run_study",
     "true_t",
 ]

@@ -7,8 +7,11 @@ quantity is estimated by an average of survival-probability products over
 all ordered pairs, with the survival curves themselves fitted by
 :mod:`nncorr.ridge_series`. Subtracting six times the estimate gives the
 corrected statistic. Every stage takes a stack of samples; :func:`_stages`
-runs them for :func:`estimate` and for each bootstrap chunk. The raw
-statistic alone is ``estimate(sample, PipelineConfig(degree=0)).t_hat``.
+runs them for :func:`estimate` and for each bootstrap chunk. The stages
+trust what :class:`~nncorr.dataset.Sample` has checked, finite real
+entries; the one further check on the covariates, for overflow, runs in
+:func:`_stages` and only on unscaled ones. The raw statistic alone is
+``estimate(sample, PipelineConfig(degree=0)).t_hat``.
 """
 
 from __future__ import annotations
@@ -18,17 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import single_blas_thread
 from .dataset import Sample, _as_matrix, _tie_groups, minmax_scale
 from .errors import InputError
-from .nn_graph import _search_stack
-from .ridge_series import (
-    _block_rows,
-    _dual_solve,
-    _threshold_betas,
-    basis_index_set,
-    design_matrix,
-)
+from .nn_graph import _check_range, _search_stack
+from .ridge_series import _block_rows, _dual_solve, _threshold_betas, design_matrix
 from .rng import _number, _whole
 
 DEFAULT_DEGREE = 2
@@ -225,37 +221,42 @@ def _bias_term(
 def _stages(x: np.ndarray, y: np.ndarray, config: PipelineConfig):
     """``t_hat``, ``l_hat`` and ``t_bc`` of every sample in a stack, shape (c,) each.
 
-    ``x`` is (c, m, d) and ``y`` is (c, m); the neighbor search is chosen by
-    m in :func:`nncorr.nn_graph._search_stack`, and the ridge system by m
-    and K in :func:`_bias_term`, the one call that gives ``l_hat``. One
-    stable sort per sample gives the ranks and the ridge right-hand sides
-    of either system, every product is computed per matrix, and the first
+    ``x`` is (c, m, d) and ``y`` is (c, m), finite as a :class:`Sample`
+    holds them; the neighbor search is chosen by m in
+    :func:`nncorr.nn_graph._search_stack`, and the ridge system by m and K
+    in :func:`_bias_term`, the one call that gives ``l_hat``. One stable
+    sort per sample gives the ranks and the ridge right-hand sides of
+    either system, every product is computed per matrix, and the first
     failing check raises, so a sample gets the same bits and errors in any
-    stack. The products are too small to share across threads, so NumPy's
-    BLAS runs on one thread here (:func:`nncorr._threads.single_blas_thread`).
+    stack. Scaled covariates lie in [0, 1]^d, so their squared distances and
+    monomials are finite; only unscaled ones are checked for overflow.
     """
-    with single_blas_thread():
-        _, m, d = x.shape
-        order, first, ranks = _tie_groups(y)
-        if (ranks.min(axis=-1) == m).any():
-            # Every rank is m only when all m responses are equal.
-            raise InputError(
-                f"the response is constant over all {m} rows; there is nothing to rank"
-            )
-        xs = minmax_scale(x) if config.scale_covariates else x
-        nn = _search_stack(xs)
-        t_hat = _rank_coefficient(ranks, nn)
+    _, m, _ = x.shape
+    order, first, ranks = _tie_groups(y)
+    if (ranks.min(axis=-1) == m).any():
+        # Every rank is m only when all m responses are equal.
+        raise InputError(
+            f"the response is constant over all {m} rows; there is nothing to rank"
+        )
+    if config.scale_covariates:
+        xs = minmax_scale(x)
+    else:
+        xs = x
+        _check_range(xs)
+    nn = _search_stack(xs)
+    t_hat = _rank_coefficient(ranks, nn)
 
-        p = design_matrix(xs, basis_index_set(d, config.degree))
-        _as_matrix(p, name="design matrix", stacked=True)  # powers of unscaled x can overflow
-        lam = default_lambda(m, config.lambda_exponent)
-        l_hat = _bias_term(p, order, first, ranks, lam, nn)
-        t_bc = t_hat - 6.0 * l_hat
-        for label, v in (("l_hat", l_hat), ("t_bc", t_bc)):
-            bad = ~np.isfinite(v)
-            if bad.any():
-                raise InputError(f"{label} is not finite: {v[bad][0]}")
-        return t_hat, l_hat, t_bc
+    p = design_matrix(xs, config.degree)
+    if not config.scale_covariates:
+        _as_matrix(p, name="design matrix", stacked=True)  # products of unscaled x can overflow
+    lam = default_lambda(m, config.lambda_exponent)
+    l_hat = _bias_term(p, order, first, ranks, lam, nn)
+    t_bc = t_hat - 6.0 * l_hat
+    for label, v in (("l_hat", l_hat), ("t_bc", t_bc)):
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise InputError(f"{label} is not finite: {v[bad][0]}")
+    return t_hat, l_hat, t_bc
 
 
 def estimate(sample: Sample, config: PipelineConfig | None = None) -> EstimateResult:

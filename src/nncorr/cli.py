@@ -199,12 +199,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ok = run_selftest(quick=args.quick)
-    if _threads.blas_pin_active():
-        print("INFO  BLAS pin: active, NumPy's BLAS runs on one thread inside nncorr calls")
-    else:
-        print("INFO  BLAS pin: inactive, openblas_set_num_threads_local not found in NumPy's BLAS")
-    return 0 if ok else 1
+    return 0 if run_selftest(quick=args.quick) else 1
 
 
 def main(argv=None) -> int:

@@ -199,14 +199,15 @@ def _tie_groups(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, first.reshape(c, m) - off, ranks.reshape(c, m) - off
 
 
-def minmax_scale(x) -> np.ndarray:
-    """Map each column of ``x`` affinely onto [0, 1].
+def minmax_scale(x: np.ndarray) -> np.ndarray:
+    """Map each column of a finite float matrix ``x`` affinely onto [0, 1].
 
     Constant columns map to all zeros. A stack of matrices, shape
     (..., n, d), scales each matrix on its own. A column whose range
     exceeds the float range is halved before the offset is subtracted.
+    The entries are not checked: a :class:`Sample` holds finite ones.
     """
-    arr = _as_matrix(x, stacked=True)
+    arr = np.asarray(x, dtype=np.float64)
     offsets = arr.min(axis=-2)
     top = arr.max(axis=-2)
     with np.errstate(over="ignore"):

@@ -6,7 +6,10 @@ full distance matrix. Both return, for each row, the index of its nearest
 other row, resolve distance ties to the smallest index and give identical
 output on every input: wherever they compare distances exactly, both sum
 the squared coordinate differences one column at a time, in column order.
-Both refuse a matrix whose squared distances could overflow before any
+Neither checks its input. The pipeline hands them finite covariates (a
+:class:`nncorr.dataset.Sample` holds no others) whose squared distances are
+finite: min-max-scaled into [0, 1]^d, or, unscaled, passed by
+:func:`_check_range` in :func:`nncorr.bias_correction._stages` before any
 distance is formed.
 
 The pipeline searches through :func:`_search_stack`, which picks the kernel
@@ -30,7 +33,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _threads
-from .dataset import _as_matrix
 from .errors import InputError
 
 # Relative slack when collecting tie candidates from the tree. Far larger
@@ -52,7 +54,7 @@ _ROWS_PER_WORKER = 1000
 
 
 def _check_range(x: np.ndarray) -> None:
-    """Raise unless every squared distance within each matrix is finite.
+    """Raise unless every squared distance within each matrix of unscaled ``x`` is finite.
 
     The sum of squared column ranges bounds every squared distance of a
     (..., n, d) matrix or stack, so a finite bound rules out overflow.
@@ -65,7 +67,7 @@ def _check_range(x: np.ndarray) -> None:
 
 
 def build_nn(x) -> np.ndarray:
-    """Index nn[i] != i of the nearest other row of every row of ``x``.
+    """Index nn[i] != i of the nearest other row of every row of an (n, d) ``x``, n >= 2.
 
     A kd-tree query for the three nearest rows settles every row whose
     nearest other row is at positive distance and whose third-nearest row
@@ -77,11 +79,8 @@ def build_nn(x) -> np.ndarray:
     them with exact squared distances, the smallest index winning ties.
     Duplicate rows are each other's neighbors.
     """
-    arr = np.ascontiguousarray(_as_matrix(x))
+    arr = np.ascontiguousarray(x, dtype=np.float64)
     n = arr.shape[0]
-    if n < 2:
-        raise InputError(f"need at least 2 points, got {n}")
-    _check_range(arr)
     # Below _ROWS_PER_WORKER rows a second worker costs more to start than
     # it saves, so smaller searches run on the calling thread.
     workers = min(_threads.get_workers(), max(1, n // _ROWS_PER_WORKER))
@@ -121,7 +120,6 @@ def _stacked_nn(xs: np.ndarray) -> np.ndarray:
     diagonal is set to inf, and argmin keeps the first minimizer, the
     smallest-index tie rule.
     """
-    _check_range(xs)
     c, m, d = xs.shape
     d2 = np.zeros((c, m, m))
     diff = np.empty_like(d2)

@@ -11,16 +11,15 @@ floor(sqrt(n)), the n x n dual matrix PP' + n*lam*I serves them instead:
 O(n^3) plus O(n^2 K). Both run on NumPy's own LAPACK and BLAS, the library
 every other product in the package uses. SciPy's copy of OpenBLAS is loaded
 too, since ``scipy.spatial`` imports ``scipy.linalg``, and starts a pool of
-its own, but nothing in the package calls it. Inside the pipeline NumPy's
-pool stays idle: products with K of a few dozen are too small to split, so
-the pipeline runs BLAS on the calling thread
-(:func:`nncorr._threads.single_blas_thread`). The bits do not depend on
-the BLAS thread count.
+its own, but nothing in the package calls it. NumPy's pool keeps the
+thread count that NumPy and its environment variables give it; the bits
+do not depend on that count (``tests/test_cli.py`` runs the command line
+at 1 and 4 BLAS threads and at the default pool).
 
 Everything here is a plain array, for a stack of samples at once:
-:func:`basis_index_set` gives the (K, d) exponent array that
-:func:`design_matrix` takes. Entry (i, j) of the fitted curves g estimates
-P(Y >= y_j | X = x_i). This is a linear probability model: entries may
+:func:`design_matrix` evaluates the (K, d) exponents of
+:func:`basis_index_set` at every row. Entry (i, j) of the fitted curves g
+estimates P(Y >= y_j | X = x_i). This is a linear probability model: entries may
 fall outside [0, 1], and nothing clamps them. The two paths leave g in
 different forms. With n >= K, :func:`_threshold_betas` gives the (K, n)
 coefficients ``betas``, column j solving (P'P + n*lam*I) beta = P' 1(y >=
@@ -40,7 +39,6 @@ import math
 
 import numpy as np
 
-from .dataset import _as_matrix
 from .errors import InputError
 
 # Largest basis size K that basis_index_set builds.
@@ -123,30 +121,25 @@ def _product_plan(d: int, degree: int) -> tuple[np.ndarray, tuple[tuple[int, ...
     return basis, tuple(tuple(run) for run in runs)
 
 
-def design_matrix(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Evaluate every basis monomial at every row: entry (i, k) = xs_i^alpha_k.
+def design_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
+    """Every monomial of total degree up to ``degree`` at every row of a float ``xs``.
 
-    ``exponents`` is the (K, d) array of :func:`basis_index_set`; any other
-    array raises an :class:`InputError`. The constant column is all ones,
-    even at the origin (0^0 = 1). Every other column is an earlier column
-    times one covariate (:func:`_product_plan`), so an entry of total
-    degree t is a product of t covariate values, rounded t - 1 times, with
-    no call to ``pow``. A stack of matrices, shape (..., n, d), gives a
-    stack of design matrices, shape (..., n, K).
+    Entry (i, k) = xs_i^alpha_k, alpha_k row k of ``basis_index_set(d,
+    degree)``. The constant column is all ones, even at the origin (0^0 =
+    1). Every other column is an earlier column times one covariate
+    (:func:`_product_plan`), so an entry of total degree t is a product of
+    t covariate values, rounded t - 1 times, with no call to ``pow``. A
+    stack of matrices, shape (..., n, d), gives a stack of design matrices,
+    shape (..., n, K). The entries of ``xs`` are not checked.
     """
-    arr = _as_matrix(xs, stacked=True)
-    k, d = exponents.shape
-    if arr.shape[-1] != d:
-        raise InputError(f"matrix has {arr.shape[-1]} columns but basis expects {d}")
-    degree = int(np.sum(exponents, axis=1).max())
+    d = xs.shape[-1]
     basis, plan = _product_plan(d, degree)
-    if exponents is not basis and not np.array_equal(exponents, basis):
-        raise InputError(f"exponents must be basis_index_set({d}, {degree})")
+    k = len(basis)
     # Blocks of rows, each built monomial-major in a C-ordered (K, block)
     # buffer, so every multiply runs over contiguous rows, then written into
     # P; beyond P, memory stays at one block. Products of unscaled x can
     # overflow to inf, which the pipeline refuses with an InputError.
-    rows = arr.reshape(-1, d)
+    rows = xs.reshape(-1, d)
     n = rows.shape[0]
     p = np.empty((n, k))
     step = _block_rows(k)
@@ -160,7 +153,7 @@ def design_matrix(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
             for a, b, parent, var in plan:
                 np.multiply(block[parent : parent + b - a], cols[var], out=block[a:b])
             p[lo:hi] = block.T
-    return p.reshape(arr.shape[:-1] + (k,))
+    return p.reshape(xs.shape[:-1] + (k,))
 
 
 def _invert_shifted(a: np.ndarray, n: int, lam: float) -> np.ndarray:

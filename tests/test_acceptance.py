@@ -27,7 +27,7 @@ from nncorr.bias_correction import PipelineConfig, _rank_coefficient, estimate
 from nncorr.bootstrap import analyze
 from nncorr.dataset import Sample, _tie_groups
 from nncorr.nn_graph import build_nn
-from nncorr.ridge_series import _block_rows, _threshold_betas, basis_index_set, design_matrix
+from nncorr.ridge_series import _block_rows, _threshold_betas, design_matrix
 from nncorr.rng import derive_seed
 from nncorr.selftest import run_selftest
 from nncorr.simulation import CopulaConfig, gen_gaussian_copula, run_study, true_t
@@ -193,7 +193,7 @@ def test_criterion_6_property_suite():
     # nonincreasing in the penalty.
     x = rng.uniform(size=(60, 3))
     y = rng.standard_normal(60)
-    p = design_matrix(x, basis_index_set(3, 2))
+    p = design_matrix(x, 2)
     norms = [
         np.linalg.norm(_ridge_fit(p, y, lam), axis=0)
         for lam in (1e-4, 1e-2, 1.0, 100.0)
@@ -207,11 +207,10 @@ def test_criterion_6_property_suite():
     n = 40
     x = rng.uniform(size=(n, 2))
     y = rng.standard_normal(n)
-    exps = basis_index_set(2, 2)
-    p = design_matrix(x, exps)
+    p = design_matrix(x, 2)
     g = p @ _ridge_fit(p, y, 0.05)
     perm = rng.permutation(n)
-    pp = design_matrix(x[perm], exps)
+    pp = design_matrix(x[perm], 2)
     gp = pp @ _ridge_fit(pp, y[perm], 0.05)
     checks["permutation"] = bool(np.allclose(gp, g[np.ix_(perm, perm)], atol=1e-9))
 
@@ -265,8 +264,9 @@ def test_criterion_7_root_n_behavior():
 def test_criterion_8_cli_byte_determinism(tmp_path):
     # Identical seed and flags must give byte-identical machine outputs at
     # thread counts 1, 4, and max, for both CLI commands. estimate runs at
-    # n = 2 000, where the full sample's kd-tree search takes up to two
-    # workers (one per nn_graph._ROWS_PER_WORKER rows), as --threads allows.
+    # n = 2 000, and simulate has an n = 2 000 cell next to its n = 300 one,
+    # where the full sample's kd-tree search takes up to two workers (one
+    # per nn_graph._ROWS_PER_WORKER rows), as --threads allows.
     rng = np.random.default_rng(800)
     n = 2000
     x = rng.uniform(size=(n, 3))
@@ -301,7 +301,7 @@ def test_criterion_8_cli_byte_determinism(tmp_path):
         out_dir = tmp_path / f"sim{k}"
         proc = subprocess.run(
             cli + ["simulate", "--rho", "0.0", "--rho", "0.5", "--d", "2",
-                   "--n", "300", "--reps", "2", "--bootstrap-reps", "20", "--seed", "9",
+                   "--n", "300", "--n", "2000", "--reps", "2", "--bootstrap-reps", "20", "--seed", "9",
                    "--threads", t, "--out-dir", str(out_dir)],
             capture_output=True, text=True, timeout=600, env=env,
         )

@@ -2,27 +2,37 @@
 
 import ast
 import builtins
+import importlib
 from pathlib import Path
 
 import nncorr
 
 PUBLIC = {
+    # data
+    "Sample", "load_csv",
     # pipeline and analysis
-    "EstimateResult", "PipelineConfig", "default_lambda", "estimate", "Analysis", "analyze",
-    # stages
-    "Sample", "load_csv", "minmax_scale", "build_nn", "basis_index_set", "design_matrix",
+    "EstimateResult", "PipelineConfig", "estimate", "Analysis", "analyze",
     # study
     "CellSummary", "CopulaConfig", "RawRecord", "gen_gaussian_copula", "run_study", "true_t",
     # errors
     "InputError",
 }
 
+# The pipeline's stages stay in their modules, internal to the package.
+INTERNAL = {
+    "minmax_scale": "dataset", "build_nn": "nn_graph", "basis_index_set": "ridge_series",
+    "design_matrix": "ridge_series", "default_lambda": "bias_correction",
+}
+
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 19
+    assert len(PUBLIC) == 14
     assert sorted(nncorr.__all__) == sorted(PUBLIC)
     for name in nncorr.__all__:
         assert hasattr(nncorr, name), name
+    for name, module in INTERNAL.items():
+        assert not hasattr(nncorr, name), name
+        assert callable(getattr(importlib.import_module(f"nncorr.{module}"), name)), name
 
 
 def _names_an_exception(base):

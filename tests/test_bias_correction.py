@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from nncorr import ridge_series
 from nncorr.dataset import Sample, _tie_groups, minmax_scale
 from nncorr.errors import InputError
 from nncorr.nn_graph import build_nn
-from nncorr.ridge_series import basis_index_set, design_matrix
+from nncorr.ridge_series import design_matrix
 from nncorr.bias_correction import (
     PipelineConfig,
     _bias_term,
@@ -192,9 +193,79 @@ def test_pipeline_l_hat_matches_double_loop(n):
     s = _sample(seed=57, n=n, d=6)
     res = estimate(s)
     xs = minmax_scale(s.x)
-    p = design_matrix(xs, basis_index_set(s.d, 2))
+    p = design_matrix(xs, 2)
     want = _ref_bias(_explicit_fit(p, s.y, default_lambda(n)), build_nn(xs))
     assert abs(res.l_hat - want) <= 1e-12 * abs(want)
+
+
+def _exact_solve(a, b):
+    # Gauss-Jordan on [a | b] in rationals; a is symmetric positive definite,
+    # so every pivot is nonzero without row exchanges.
+    n = len(a)
+    rows = [a[i] + b[i] for i in range(n)]
+    for c in range(n):
+        pivot = rows[c][c]
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _exact_l_hat(p, y, lam, nn):
+    """``l_hat`` of one sample in exact rational arithmetic.
+
+    Every float is a dyadic rational, so P, lambda and the indicators
+    Y[i, j] = 1(y_i >= y_j) are exact and so is l_hat. The fitted curves
+    come from whichever ridge system is smaller, as in the pipeline: g = P
+    (P'P + m*lam*I)^-1 P'Y when m >= K, g = Y - m*lam*(PP' + m*lam*I)^-1 Y
+    when m < K. The two are equal in exact arithmetic.
+    """
+    m, k = p.shape
+    P = [[Fraction(v) for v in row] for row in p.tolist()]
+    shift = m * Fraction(lam)
+    ind = [[Fraction(int(a >= b)) for b in y.tolist()] for a in y.tolist()]
+    if m >= k:
+        gram = [[sum(P[r][i] * P[r][j] for r in range(m)) + (shift if i == j else 0)
+                 for j in range(k)] for i in range(k)]
+        rhs = [[sum(P[r][i] for r in range(m) if ind[r][j]) for j in range(m)]
+               for i in range(k)]
+        betas = _exact_solve(gram, rhs)
+        g = [[sum(P[i][t] * betas[t][j] for t in range(k)) for j in range(m)] for i in range(m)]
+    else:
+        outer = [[sum(P[i][t] * P[j][t] for t in range(k)) + (shift if i == j else 0)
+                  for j in range(m)] for i in range(m)]
+        z = _exact_solve(outer, ind)
+        g = [[ind[i][j] - shift * z[i][j] for j in range(m)] for i in range(m)]
+    total = sum(g[i][j] * (g[nn[i]][j] - g[i][j]) for i in range(m) for j in range(m) if j != i)
+    return total / (m * (m - 1))
+
+
+@pytest.mark.parametrize("m,degree,tied", [
+    (8, 2, False),   # K = 10 > m: the dual system
+    (8, 2, True),
+    (12, 3, False),  # K = 20
+    (30, 2, False),  # K = 10 <= m: the primal system
+    (12, 1, True),   # K = 4
+], ids=["dual", "dual-tied-dup", "dual-degree3", "primal", "primal-tied-dup"])
+def test_bias_term_matches_exact_rational_oracle(m, degree, tied):
+    # d = 3. A tied case rounds the responses to two to four levels, repeats
+    # one row, response included, and that row's neighbor is its copy.
+    rng = np.random.default_rng(64 + m)
+    x = rng.uniform(size=(m, 3))
+    y = x[:, 0] + 0.5 * rng.standard_normal(m)
+    if tied:
+        y = np.round(2 * y / np.ptp(y))
+        x[-1], y[-1] = x[0], y[0]
+    xs = minmax_scale(x)
+    p = design_matrix(xs, degree)
+    nn = build_nn(xs)
+    lam = default_lambda(m)
+    got = _bias_term(p[None], *_tie_groups(y[None]), lam, nn[None])[0]
+    want = _exact_l_hat(p, y, lam, nn.tolist())
+    assert want != 0
+    assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**12) * abs(want)
 
 
 def _blocked_cases(m=60):
@@ -217,7 +288,7 @@ def test_blocked_bias_term_matches_double_loop(monkeypatch):
     monkeypatch.setattr(ridge_series, "_CHUNK_BYTES", 8 * 10 * 5)
     x, y = _blocked_cases()
     xs = minmax_scale(x)
-    p = design_matrix(xs, basis_index_set(3, 2))
+    p = design_matrix(xs, 2)
     nn = np.stack([build_nn(a) for a in xs])
     lam = default_lambda(60)
     l_hat = _bias_term(p, *_tie_groups(y), lam, nn)

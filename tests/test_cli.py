@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from nncorr import _threads, nn_graph
+from nncorr.bias_correction import PipelineConfig, estimate
+from nncorr.bootstrap import analyze
 from nncorr.cli import RAW_CSV_HEADER, main
+from nncorr.dataset import Sample
+from nncorr.errors import InputError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -141,11 +145,13 @@ def test_threads_option_does_not_outlive_the_call(capsys, tree_csv_file, monkeyp
 
 
 def test_estimate_byte_identical_across_blas_thread_counts(tmp_path):
-    # The BLAS thread count is read once, at import, so each run is a fresh
-    # interpreter. The last run leaves OPENBLAS_NUM_THREADS unset, so
-    # OpenBLAS starts its default pool, one thread per core. The pipeline
-    # runs BLAS on one thread whatever the pool; tests/test_threads.py
-    # compares it with the unpinned pool at n = 3 000.
+    # nncorr leaves NumPy's BLAS at the thread count its environment sets,
+    # so the bits must not depend on it. The count is read once, at import,
+    # so each run is a fresh interpreter; the last run leaves
+    # OPENBLAS_NUM_THREADS unset, so OpenBLAS starts its default pool, one
+    # thread per core. At n = 3 000 (K = 28) the estimate's Gram and ridge
+    # products are large enough for OpenBLAS to split over its threads, and
+    # the m = 54 replicates take the primal ridge system too.
     rng = np.random.default_rng(72)
     n = 3000
     x = rng.uniform(size=(n, 6))
@@ -154,7 +160,7 @@ def test_estimate_byte_identical_across_blas_thread_counts(tmp_path):
     rows = [",".join(format(v, ".12g") for v in row) for row in np.column_stack([x, y])]
     csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     outputs = []
-    for threads in ("1", "2", None):
+    for threads in ("1", "4", None):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
@@ -430,6 +436,63 @@ def test_an_unreadable_input_or_a_failed_write_is_an_input_error(capsys, csv_fil
 
 
 # ---------------------------------------------------------------------------
+# overflow checks, made once in the pipeline and only on unscaled covariates
+
+
+def _write_rows(path, x, y):
+    rows = [",".join(repr(float(v)) for v in (*xi, yi)) for xi, yi in zip(x, y)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("x,degree,message", [
+    # Rows 1e200 apart: their squared distances overflow.
+    ([[0.0], [1e200], [2e200]], 2,
+     "covariate ranges are too large: squared distances overflow; rescale x"),
+    # Distances near 1e240 are finite, but the cubes in the design matrix are not.
+    ([[1e120], [2e120], [3e120], [4e120]], 3, "design matrix contains NaN or infinite entries"),
+], ids=["distances", "design-matrix"])
+def test_unscaled_overflow_is_an_input_error_everywhere(capsys, tmp_path, x, degree, message):
+    x = np.array(x)
+    y = np.arange(float(len(x)))
+    sample = Sample(x=x, y=y)
+    config = PipelineConfig(degree=degree, scale_covariates=False)
+    path = tmp_path / "huge.csv"
+    _write_rows(path, x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            estimate(sample, config)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            analyze(sample, config, m=2)
+        code, out, err = _run(capsys, ["estimate", "--input", str(path), "--no-scale",
+                                       "--degree", str(degree), "--m", "2"])
+    assert (code, out, err) == (2, "", f"nncorr: error: {message}\n")
+
+
+def test_scaled_covariates_beyond_the_float_range_stay_finite(capsys, tmp_path):
+    # A column from about -1e308 to 1e308: its range overflows, so min-max
+    # scaling halves it first; the scaled run then needs no overflow check.
+    rng = np.random.default_rng(73)
+    n = 60
+    x = np.column_stack([rng.uniform(-1.0, 1.0, n) * 1e308, rng.uniform(size=n)])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.ptp(x[:, 0]))
+    y = x[:, 0] / 1e308 + 0.3 * rng.standard_normal(n)
+    path = tmp_path / "wide.csv"
+    _write_rows(path, x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = analyze(Sample(x=x, y=y), b_reps=20, seed=1)
+        code, out, _ = _run(capsys, ["estimate", "--input", str(path), "--bootstrap-reps", "20",
+                                     "--seed", "1"])
+    values = (res.t_hat, res.l_hat, res.t_bc, res.se_t, res.se_tbc)
+    assert all(np.isfinite(values)) and res.t_hat > 0.0
+    assert code == 0
+    payload = json.loads(out)
+    assert [payload[k] for k in ("t_hat", "l_hat", "t_bc", "se_t", "se_tbc")] == list(values)
+
+
+# ---------------------------------------------------------------------------
 # simulate
 
 
@@ -548,9 +611,8 @@ def test_selftest_quick_passes(capsys):
     code, out, _ = _run(capsys, ["selftest", "--quick"])
     assert code == 0
     lines = [ln for ln in out.strip().split("\n") if ln]
-    assert len(lines) == 6
-    assert all(ln.startswith("PASS") for ln in lines[:5])
-    assert lines[5].startswith("INFO  BLAS pin: ")
+    assert len(lines) == 5
+    assert all(ln.startswith("PASS") for ln in lines)
 
 
 def test_selftest_detects_a_broken_neighbor_search(capsys, monkeypatch):

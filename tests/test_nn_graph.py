@@ -246,25 +246,21 @@ def test_in_degree_bound():
         assert counts.max() <= 3**d - 1
 
 
-def test_rejects_bad_input():
-    with pytest.raises(InputError, match="^need at least 2 points, got 1$"):
-        build_nn(np.zeros((1, 2)))
-    with pytest.raises(InputError, match="^x contains NaN or infinite entries$"):
-        build_nn(np.array([[0.0], [np.nan]]))
-
-
 @pytest.mark.parametrize("x", [
     [[0.0], [1e200], [2e200]],
     [[-1e308, 0.0], [1e308, 0.0]],
     [[0.0] * 20, [1e154] * 20],
 ])
 def test_rejects_ranges_whose_squared_distances_overflow(x):
-    # Without the range check these rows become their own neighbours (the
-    # tree reports index n at distance inf). No overflow warning either.
+    # Unchecked, these rows become their own neighbours (the tree reports
+    # index n at distance inf), so the pipeline checks unscaled covariates
+    # before either search: a matrix, and a stack with one bad matrix. No
+    # overflow warning either.
     x = np.array(x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="squared distances overflow"):
-            build_nn(x)
+            nn_graph._check_range(x)
         with pytest.raises(InputError, match="squared distances overflow"):
-            _stacked_nn(np.stack([x / 1e300, x]))
+            nn_graph._check_range(np.stack([x / 1e300, x]))
+        nn_graph._check_range(x / 1e300)

@@ -1,6 +1,7 @@
 """The README stays true to the code: its Python examples run on the package
-in src/, its command lines parse with the package's argument parser, and its
-package layout lists exactly the modules in src/nncorr/."""
+in src/, its command lines parse with the package's argument parser, its API
+section lists exactly ``nncorr.__all__``, and its package layout lists
+exactly the modules in src/nncorr/."""
 
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import nncorr
 from nncorr.cli import _build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -54,3 +56,12 @@ def test_package_layout_lists_every_module():
     listed = set(re.findall(r"^\s+(\w+\.py)\s", layout.group(1), flags=re.M))
     modules = {p.name for p in (REPO_ROOT / "src" / "nncorr").glob("*.py")}
     assert listed == modules - {"__init__.py", "__main__.py"}
+
+
+def test_api_section_lists_exactly_all():
+    section = re.search(r"^## API\n(.*?)^## ", README, flags=re.M | re.S)
+    assert section, "README has no API section"
+    listed = re.findall(r"^- `(\w+)`", section.group(1), flags=re.M)
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(nncorr.__all__)
+    assert f"holds these {len(listed)} names" in section.group(1)

@@ -46,8 +46,7 @@ def _ridge_fit(p, y, lam):
 
 
 def _fit(x, y, lam, degree=2):
-    exps = basis_index_set(x.shape[1], degree)
-    p = design_matrix(minmax_scale(x), exps)
+    p = design_matrix(minmax_scale(x), degree)
     return p, _ridge_fit(p, y, lam)
 
 
@@ -109,12 +108,12 @@ def test_basis_is_cached_and_read_only():
 
 
 def test_design_matrix_hand_row():
-    row = design_matrix(np.array([[0.5, 1.0]]), basis_index_set(2, 2))[0]
+    row = design_matrix(np.array([[0.5, 1.0]]), 2)[0]
     np.testing.assert_array_equal(row, [1.0, 1.0, 0.5, 1.0, 0.5, 0.25])
 
 
 def test_design_matrix_zero_row_uses_zero_power_convention():
-    row = design_matrix(np.array([[0.0, 0.0]]), basis_index_set(2, 2))[0]
+    row = design_matrix(np.array([[0.0, 0.0]]), 2)[0]
     np.testing.assert_array_equal(row, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
@@ -122,7 +121,7 @@ def test_design_matrix_against_naive_powers():
     rng = np.random.default_rng(41)
     x = rng.uniform(size=(25, 3))
     exps = basis_index_set(3, 3)
-    p = design_matrix(x, exps)
+    p = design_matrix(x, 3)
     naive = np.empty_like(p)
     for k, e in enumerate(exps):
         naive[:, k] = np.prod(x ** np.asarray(e)[None, :], axis=1)
@@ -142,7 +141,7 @@ def test_design_matrix_against_long_double_powers():
         for degree in range(6):
             exps = basis_index_set(d, degree)
             want = _long_double_design(x, exps)
-            got = design_matrix(x, exps)
+            got = design_matrix(x, degree)
             err = np.abs(got - want) / np.where(want == 0, 1, np.abs(want))
             assert err.max() <= 1e-15, (d, degree, float(err.max()))
 
@@ -166,27 +165,11 @@ def test_product_plan_parents_precede_children():
 def test_design_matrix_bits_do_not_depend_on_row_blocks(monkeypatch, rows):
     rng = np.random.default_rng(43)
     xs = rng.uniform(size=(3, 50, 4))
-    exps = basis_index_set(4, 3)
-    want = design_matrix(xs, exps)
+    want = design_matrix(xs, 3)
     monkeypatch.setattr(ridge_series, "_block_rows", lambda k: rows or 150)
-    got = design_matrix(xs, exps)
+    got = design_matrix(xs, 3)
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got[1], design_matrix(xs[1], exps))
-
-
-def test_design_matrix_refuses_other_exponents():
-    exps = np.array([[0, 0], [2, 1]])
-    with pytest.raises(InputError, match=r"^exponents must be basis_index_set\(2, 3\)$"):
-        design_matrix(np.zeros((4, 2)), exps)
-    # An equal copy of the basis is accepted.
-    np.testing.assert_array_equal(
-        design_matrix(np.ones((2, 2)), basis_index_set(2, 2).copy()), np.ones((2, 6))
-    )
-
-
-def test_design_matrix_dimension_mismatch():
-    with pytest.raises(InputError, match="^matrix has 3 columns but basis expects 2$"):
-        design_matrix(np.zeros((4, 3)), basis_index_set(2, 2))
+    np.testing.assert_array_equal(got[1], design_matrix(xs[1], 3))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +181,7 @@ def test_constant_basis_closed_form():
     # (n + n*lam) * beta = #(y >= t), so beta = frac / (1 + lam).
     x = np.array([[0.1], [0.2], [0.3], [0.4]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    p = design_matrix(x, basis_index_set(1, 0))
+    p = design_matrix(x, 0)
     betas = _ridge_fit(p, y, 0.25)
     assert betas.shape == (1, 4)
     np.testing.assert_allclose(betas[0], np.array([1.0, 0.75, 0.5, 0.25]) / 1.25)
@@ -236,7 +219,7 @@ def test_stacked_solve_matches_each_system_alone():
     for c, m, d, degree in ((41, 17, 6, 2), (11, 54, 6, 2), (3, 300, 6, 3)):
         x = rng.uniform(size=(c, m, d))
         y = rng.standard_normal((c, m))
-        p = design_matrix(minmax_scale(x), basis_index_set(d, degree))
+        p = design_matrix(minmax_scale(x), degree)
         k = p.shape[-1]
         lam = default_lambda(m)
         order, first, _ = _tie_groups(y)
@@ -294,7 +277,7 @@ def test_tie_group_positions_match_a_binary_search():
     # bit for bit, on continuous, 7-level and constant responses, whose tie
     # groups straddle the edges of blocks of 64 thresholds.
     rng = np.random.default_rng(31)
-    p = design_matrix(rng.uniform(size=(400, 3)), basis_index_set(3, 2))
+    p = design_matrix(rng.uniform(size=(400, 3)), 2)
     for y in (rng.standard_normal(400), rng.integers(0, 7, 400).astype(float), np.full(400, 1.5)):
         order = np.argsort(y, kind="stable")
         suffix = np.cumsum(p[order][::-1], axis=0)[::-1]
@@ -308,11 +291,10 @@ def test_ghat_matrix_permutation_equivariance():
     n = 35
     x = rng.uniform(size=(n, 2))
     y = rng.standard_normal(n)
-    exps = basis_index_set(2, 2)
-    p = design_matrix(x, exps)
+    p = design_matrix(x, 2)
     g = p @ _ridge_fit(p, y, 0.05)
     perm = rng.permutation(n)
-    pp = design_matrix(x[perm], exps)
+    pp = design_matrix(x[perm], 2)
     gp = pp @ _ridge_fit(pp, y[perm], 0.05)
     np.testing.assert_allclose(gp, g[np.ix_(perm, perm)], atol=1e-9)
 
@@ -338,7 +320,7 @@ def _dual_case(m, d, degree, kind, seed):
     if kind == "repeated":
         idx = rng.integers(0, m // 2 + 1, m)
         x, y = x[idx], y[idx]
-    p = design_matrix(minmax_scale(x), basis_index_set(d, degree))[None]
+    p = design_matrix(minmax_scale(x), degree)[None]
     return p, y, _tie_groups(y[None])
 
 
@@ -405,7 +387,7 @@ def test_stacked_dual_solve_matches_each_system_alone():
     for c, m, d, degree in ((41, 17, 6, 2), (16, 24, 8, 2)):
         x = rng.uniform(size=(c, m, d))
         y = np.round(rng.standard_normal((c, m)), 1)
-        p = design_matrix(minmax_scale(x), basis_index_set(d, degree))
+        p = design_matrix(minmax_scale(x), degree)
         assert m < p.shape[-1]
         lam = default_lambda(m)
         _, first, ranks = _tie_groups(y)
@@ -442,7 +424,7 @@ def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
             primal_calls.clear()
             x = rng.uniform(size=(3, m, d))
             y = rng.standard_normal((3, m))
-            p = design_matrix(x, basis_index_set(d, degree))
+            p = design_matrix(x, degree)
             order, first, ranks = _tie_groups(y)
             nn = rng.integers(0, m - 1, size=(3, m))
             nn[nn >= np.arange(m)] += 1  # any j != i is a valid neighbor map
@@ -469,7 +451,7 @@ def test_a_row_whose_neighbor_is_its_copy_has_no_indicator_difference():
     xs = minmax_scale(x[None])
     nn = _search_stack(xs)
     assert nn[0, 0] == 5 and nn[0, 5] == 0
-    p = design_matrix(xs, basis_index_set(d, 2))
+    p = design_matrix(xs, 2)
     _, first, ranks = _tie_groups(y[None])
     ind, z = _dual_solve(p, first, ranks, default_lambda(m))
     dy = _neighbor_diff(ind, nn)
@@ -481,7 +463,7 @@ def test_a_row_whose_neighbor_is_its_copy_has_no_indicator_difference():
 def test_dual_path_keeps_the_primal_checks():
     x = np.random.default_rng(50).uniform(size=(1, 5, 6))
     y = np.arange(5.0)[None]
-    p = design_matrix(x, basis_index_set(6, 2))  # m = 5 < K = 28
+    p = design_matrix(x, 2)  # m = 5 < K = 28
     nn = np.array([[1, 0, 1, 2, 3]])
     for lam in (0.0, -1.0):
         with pytest.raises(InputError, match="ridge parameter must be positive"):

@@ -24,7 +24,6 @@ from nncorr.errors import InputError  # noqa: E402
 from nncorr.ridge_series import (  # noqa: E402
     _threshold_betas,
     _threshold_rhs,
-    basis_index_set,
     design_matrix,
 )
 
@@ -58,7 +57,7 @@ def _design(y, seed):
     # Nonnegative (c, m, K) design matrices, so the sums carry no cancellation.
     c, m = y.shape
     x = np.random.default_rng(seed).uniform(size=(c, m, 3))
-    return design_matrix(minmax_scale(x), basis_index_set(3, 2))
+    return design_matrix(minmax_scale(x), 2)
 
 
 @_PROFILE
