@@ -29,10 +29,9 @@ def _as_floats(v, name: str) -> np.ndarray:
     raise InputError(f"{name} must hold real numbers, got complex entries")
 
 
-def _as_matrix(x, name: str = "x", stacked: bool = False) -> np.ndarray:
-    # ``stacked`` also admits a stack of matrices, shape (..., n, d).
+def _as_matrix(x, name: str = "x") -> np.ndarray:
     arr = _as_floats(x, name)
-    if arr.ndim != 2 and not (stacked and arr.ndim > 2):
+    if arr.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
         raise InputError(f"{name} contains NaN or infinite entries")

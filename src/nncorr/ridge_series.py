@@ -21,13 +21,17 @@ Everything here is a plain array, for a stack of samples at once:
 :func:`basis_index_set` at every row. Entry (i, j) of the fitted curves g
 estimates P(Y >= y_j | X = x_i). This is a linear probability model: entries may
 fall outside [0, 1], and nothing clamps them. The two paths leave g in
-different forms. With n >= K, :func:`_threshold_betas` gives the (K, n)
-coefficients ``betas``, column j solving (P'P + n*lam*I) beta = P' 1(y >=
-y_j), one block of thresholds at a time from the suffix-sum right-hand
-sides of :func:`_threshold_rhs`, so g = P @ betas stays in factored form
-and the coefficients never exist in full. With n < K, :func:`_dual_solve`
-gives the n x n indicators Y and dual solution Z, and g = Y - n*lam*Z is
-n x n. The bias term in :mod:`nncorr.bias_correction` reads either form
+different forms. With n >= K, the rows are taken in descending response
+order (:func:`_descending`) and the design matrix P never exists whole:
+:func:`_threshold_rhs` builds it one block of rows at a time from the
+covariates, once for the Gram matrix P'P and once more for the suffix-sum
+right-hand sides P' 1(y >= y_j), and :func:`_threshold_betas` gives the
+(K, n) coefficients ``betas``, column j solving (P'P + n*lam*I) beta = P'
+1(y >= y_j), one block at a time with the block's rows. So g = P @ betas
+stays in factored form, and neither P nor the coefficients exist in full.
+With n < K, :func:`_dual_solve` gives the n x n indicators Y and dual
+solution Z from the whole (n, K) design matrix, and g = Y - n*lam*Z is n x
+n. The bias term in :mod:`nncorr.bias_correction` reads either form
 directly.
 """
 
@@ -45,11 +49,12 @@ from .errors import InputError
 BASIS_CAP = 10_000
 
 # Byte budget of one block of work. Here it sizes the row blocks of the
-# design matrix and the threshold blocks of the primal fit, (block, K)
-# floats a sample (:func:`_block_rows`); the bootstrap sizes its chunks of
-# replicates with it. The design matrix keeps its bits at any budget, and
-# a replicate at any chunk size; the primal bias term sums over its
-# threshold blocks, so there the budget moves ``l_hat`` by rounding.
+# design matrix and of the primal fit, (block, K) floats a sample
+# (:func:`_block_rows`); the bias term sizes the chunks of its final sum
+# with it, and the bootstrap its chunks of replicates. The design matrix
+# keeps its bits at any budget, and a replicate at any chunk size; the
+# primal fit sums its Gram matrix and bias term over its row blocks, so
+# there the budget moves ``l_hat`` by rounding.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -197,66 +202,133 @@ def _refined_apply(a: np.ndarray, inv: np.ndarray, rhs: np.ndarray) -> np.ndarra
     return z
 
 
-def _threshold_rhs(p: np.ndarray, order: np.ndarray, first: np.ndarray, block: int):
-    """Right-hand sides P' 1(y >= y_j) of every threshold of a (c, m, K) stack, in blocks.
+def _design_rows(x: np.ndarray, degree: int | None) -> np.ndarray:
+    """``design_matrix(x, degree)``, or ``x`` itself when ``degree`` is None.
+
+    The primal path builds the design rows of each block from its
+    covariate rows; ``degree=None`` marks a stack that holds its design
+    rows already, as one block of the pipeline does.
+    """
+    return x if degree is None else design_matrix(x, degree)
+
+
+def _descending(order: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's rows of a (c, m) stack in descending response order, and their suffix rows.
 
     ``order`` and ``first`` are those of :func:`nncorr.dataset._tie_groups`.
-    The rows of P are taken in descending response order and summed
-    cumulatively, so suffix row L - 1 is the sum over the L largest
-    responses; threshold j, with L = m - first_j responses at or above it,
-    takes that row. O(mK) per matrix, with no m x m indicator.
-
-    Yields ``(j, rhs)`` per ``block`` thresholds, taken in descending
-    response order: ``j`` the (c, b) row indices of the thresholds,
-    ``rhs`` their C-ordered (c, K, b) right-hand sides. The running sum is
-    extended from a carried row, with the additions of a cumsum over each
-    matrix, and only as far as the block's last tie group reaches, so it
-    holds the block plus the part of a tie group that straddles the
-    block's end.
+    Returns ``(desc, need)``, both (c, m): ``desc[b, t]`` the flat index,
+    into the stack's c * m rows, of sample b's row at position t, and
+    ``need[b, t]`` the last position at or above that row's response, so
+    the running sum of positions 0 .. ``need[b, t]`` sums the rows with
+    responses at or above it. ``need[b, t] >= t``, with equality unless
+    the next position ties the response.
     """
-    c, m, k = p.shape
-    flat = p.reshape(c * m, k)
+    c, m = first.shape
     desc = order.reshape(c, m)[:, ::-1]
-    # Suffix row of every threshold, nondecreasing along the descending order.
-    need = m - 1 - first.ravel()[desc]
-    samples = np.arange(c)[:, None]
-    sums = np.empty((0, c, k))  # suffix rows lo .. done - 1, rank-major
-    carry, done = None, 0
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        top = int(need[:, hi - 1].max()) + 1
-        sums = sums[lo - done + len(sums) :]
-        if top > done:
-            # Each step of the running sum adds one contiguous (c, K) block.
-            new = flat[desc[:, done:top].T]
-            if carry is not None:
-                new[0] += carry
-            np.add.accumulate(new, axis=0, out=new)
-            carry = new[-1].copy()
-            sums = np.concatenate([sums, new]) if len(sums) else new
-            done = top
-        rhs = sums[need[:, lo:hi] - lo, samples]
-        yield desc[:, lo:hi] - m * samples, np.ascontiguousarray(np.swapaxes(rhs, -1, -2))
+    return desc, m - 1 - first.ravel()[desc]
+
+
+def _running_sums(pb: np.ndarray, carry: np.ndarray | None):
+    """The running sum over a (c, b, K) block of rows, continued from ``carry``.
+
+    Returns ``(sums, carry)``: the C-ordered (c, K, b) ``sums``, column t
+    the sum of every row up to and including row t of the block, and the
+    new (c, K) carry, its last column. Each step adds one row to the sum
+    before it, in row order, so the sums carry the same bits whatever the
+    block length.
+    """
+    sums = np.swapaxes(pb, -1, -2).copy()
+    if carry is not None:
+        sums[..., 0] += carry
+    np.add.accumulate(sums, axis=-1, out=sums)
+    return sums, sums[..., -1].copy()
+
+
+def _threshold_rhs(xd: np.ndarray, degree: int | None, need: np.ndarray, block: int):
+    """Gram matrices P'P and right-hand sides P' 1(y >= y_j) of a (c, m, .) stack.
+
+    The rows of ``xd`` are in descending response order and ``need`` is
+    that of :func:`_descending`: P is ``_design_rows(xd, degree)``, built
+    one block of ``block`` rows at a time, never whole. Threshold t takes
+    running-sum row ``need[:, t]``. O(mK^2) for the Gram matrices and O(mK)
+    for the sums, with no m x m indicator.
+
+    Returns ``(gram, blocks)``. A first pass over the blocks sums the
+    (c, K, K) ``gram``; when a tie group runs past the end of a block, it
+    also keeps the running-sum row at that group's last position, which
+    every threshold of the group takes. ``blocks`` is the second pass, a
+    generator of ``(lo, hi, pb, rhs)`` per block: ``pb`` the (c, hi - lo,
+    K) design rows at positions ``lo:hi``, built once more, and ``rhs``
+    their thresholds' C-ordered (c, K, hi - lo) right-hand sides.
+    """
+    c, m, _ = xd.shape
+    bounds = [(lo, min(lo + block, m)) for lo in range(0, m, block)]
+    ends = np.array([hi for _, hi in bounds])
+    # The running-sum row of each block's last threshold, and whether its
+    # tie group runs on into a later block.
+    tails = need[:, ends - 1]
+    straddle = tails >= ends
+    keep = straddle.any()
+    gram, comp, ahead, carry = None, 0.0, None, None
+    for lo, hi in bounds:
+        pb = _design_rows(xd[:, lo:hi], degree)
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = np.swapaxes(pb, -1, -2) @ pb
+            if gram is None:
+                gram = part
+            else:
+                # Compensated (Kahan) summation of the blocks' Gram matrices,
+                # so the sum's rounding does not grow with their number.
+                part -= comp
+                total = gram + part
+                comp = (total - gram) - part
+                gram = total
+        if keep:
+            if ahead is None:
+                ahead = np.zeros((c, len(bounds), pb.shape[-1]))
+            sums, carry = _running_sums(pb, carry)
+            b, i = np.nonzero(straddle & (tails >= lo) & (tails < hi))
+            ahead[b, i] = sums[b, :, tails[b, i] - lo]
+    return gram, _rhs_blocks(xd, degree, need, bounds, ahead)
+
+
+def _rhs_blocks(xd, degree, need, bounds, ahead):
+    # The second pass of _threshold_rhs. With no ties in a block, each
+    # threshold takes its own running sum, so the sums are the right-hand
+    # sides; otherwise a tie group's thresholds take the sum at its last
+    # row, past the block's end the one kept for the block.
+    samples = np.arange(xd.shape[0])[:, None]
+    carry = None
+    for i, (lo, hi) in enumerate(bounds):
+        pb = _design_rows(xd[:, lo:hi], degree)
+        rhs, carry = _running_sums(pb, carry)
+        rows = need[:, lo:hi] - lo
+        if not (rows == np.arange(hi - lo)).all():
+            if ahead is not None:
+                rhs = np.concatenate([rhs, ahead[:, i, :, None]], axis=-1)
+            picked = np.swapaxes(rhs, -1, -2)[samples, np.minimum(rows, hi - lo)]
+            rhs = np.ascontiguousarray(np.swapaxes(picked, -1, -2))
+        yield lo, hi, pb, rhs
 
 
 def _threshold_betas(
-    p: np.ndarray, order: np.ndarray, first: np.ndarray, lam: float, block: int
+    xd: np.ndarray, degree: int | None, need: np.ndarray, lam: float, block: int
 ):
-    """Primal ridge coefficients of every threshold of a (c, m, K) stack, in blocks.
+    """Primal ridge coefficients of every threshold of a (c, m, .) stack, in blocks.
 
-    Inverts the shifted Gram matrix P'P + m*lam*I of each sample once,
-    then yields ``(j, betas)`` for each block of :func:`_threshold_rhs`:
-    column t of the (c, K, b) ``betas`` solves (P'P + m*lam*I) beta = P'
-    1(y >= y_j) for j = ``j[:, t]``. The pipeline takes this path when m >=
-    K, so the m right-hand sides share one K x K inverse: O(K^3) plus
-    O(m K^2), and O(block K) memory beyond P; the pipeline's ``block`` is
-    :func:`_block_rows` (K).
+    Takes the rows as :func:`_threshold_rhs` does, inverts the shifted Gram
+    matrix P'P + m*lam*I of each sample once, then yields ``(lo, hi, pb,
+    betas)`` for each block of rows: ``pb`` the block's design rows and
+    column t of the (c, K, hi - lo) ``betas`` the solution of (P'P +
+    m*lam*I) beta = P' 1(y >= y_j) for the threshold at position lo + t.
+    The pipeline takes this path when m >= K, so the m right-hand sides
+    share one K x K inverse: O(K^3) plus O(m K^2), and O(block K) memory;
+    the pipeline's ``block`` is :func:`_block_rows` (K).
     """
-    with np.errstate(over="ignore"):
-        a = np.swapaxes(p, -1, -2) @ p
-    inv = _invert_shifted(a, p.shape[-2], lam)
-    for j, rhs in _threshold_rhs(p, order, first, block):
-        yield j, _refined_apply(a, inv, rhs)
+    gram, blocks = _threshold_rhs(xd, degree, need, block)
+    inv = _invert_shifted(gram, xd.shape[-2], lam)
+    for lo, hi, pb, rhs in blocks:
+        yield lo, hi, pb, _refined_apply(gram, inv, rhs)
 
 
 def _dual_solve(

@@ -16,10 +16,16 @@ import time
 
 import numpy as np
 
-from .bias_correction import _bias_term, _l_hat, default_lambda
+from .bias_correction import _bias_term, _l_hat, _primal_l_hat, default_lambda
 from .dataset import _tie_groups
 from .nn_graph import _stacked_nn, build_nn
-from .ridge_series import _dual_solve, _threshold_betas, basis_index_set, design_matrix
+from .ridge_series import (
+    _descending,
+    _dual_solve,
+    _threshold_betas,
+    basis_index_set,
+    design_matrix,
+)
 from .rng import _integers_block, derive_rng
 from .simulation import true_t
 
@@ -113,14 +119,16 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
     entries whatever K is.
 
     ``_bias_term`` takes random designs smaller than their basis (m < K,
-    the m x m dual path), and its primal path (m >= K) takes random designs
-    at least as large, in blocks of 1 to 7 thresholds, so that tie groups
-    straddle block edges. The oracle g = P (P'P + m*lam*I)^-1 P' Y of both
-    is solved here from the explicit indicator matrix Y. Their rows are
-    drawn with replacement, so many rows have a copy of their own as
-    nearest neighbor, and every other case rounds the responses into ties.
-    Each of the two kinds comes from a stream of its own, leaving the other
-    draws unchanged.
+    the m x m dual path). Its primal path (m >= K) takes random covariates
+    with a basis of degree 1 to 3 and builds the design rows itself, all in
+    one block; the same path streamed in blocks of 1 to 7 rows, which tie
+    groups straddle, building each block's rows again in every pass, must
+    agree with it to 1e-13. The oracle g = P (P'P + m*lam*I)^-1 P' Y of
+    both paths is solved here from the explicit indicator matrix Y. Their
+    rows are drawn with replacement, so many rows have a copy of their own
+    as nearest neighbor, and every other case rounds the responses into
+    ties. Each of the two kinds comes from a stream of its own, leaving the
+    other draws unchanged.
     """
     cases = 20 if quick else 50
     rng = derive_rng(seed)
@@ -136,34 +144,47 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
             betas = rng.standard_normal((k, n)) / math.sqrt(k)
         nn_idx = rng.integers(0, n - 1, size=n)
         nn_idx[nn_idx >= np.arange(n)] += 1  # any j != i is a valid neighbor map
-        one_block = [(np.arange(n)[None], betas[None])]
-        got = float(_l_hat(p[None], one_block, nn_idx[None])[0])
+        one_block = [(0, n, p[None], betas[None])]
+        got = float(_l_hat(p[None], None, nn_idx[None], one_block)[0])
         want = _ref_bias(p @ betas, nn_idx)
         err = abs(got - want)
         worst = max(worst, err)
         if err > 1e-12:
             return False, f"case {case}: n={n} K={p.shape[1]} |diff|={err:.3e}"
+    worst_blocks = 0.0
     for kind, stream in (("dual", derive_rng(seed, 1)), ("primal", derive_rng(seed, 2))):
         for case in range(cases):
-            k = int(stream.integers(3, 60))
             if kind == "dual":
+                k = int(stream.integers(3, 60))
                 m = int(stream.integers(2, k))
+                rows = stream.standard_normal((m, k))
             else:
-                k //= 2
+                d, degree = int(stream.integers(1, 7)), int(stream.integers(1, 4))
+                k = math.comb(d + degree, degree)
                 m, block = int(stream.integers(max(k, 2), k + 60)), int(stream.integers(1, 8))
+                rows = stream.random((m, d))
             idx = stream.integers(0, m, size=m)
-            p = stream.standard_normal((m, k))[idx]
+            rows = rows[idx]
             y = stream.standard_normal(m)[idx]
             if case % 2:
                 y = np.round(y)
-            nn_idx = _ref_nn(p)  # a repeated row's nearest neighbor is a copy
+            nn_idx = _ref_nn(rows)  # a repeated row's nearest neighbor is a copy
             lam = default_lambda(m)
             order, first, ranks = _tie_groups(y[None])
             if kind == "dual":
-                got = _bias_term(p[None], order, first, ranks, lam, nn_idx[None])
-            else:  # _bias_term's primal path, with a small block
-                betas = _threshold_betas(p[None], order, first, lam, block)
-                got = _l_hat(p[None], betas, nn_idx[None])
+                p = rows
+                got = _bias_term(p[None], None, order, first, ranks, lam, nn_idx[None])
+            else:  # _bias_term's primal path, in one block and in small ones
+                p = design_matrix(rows, degree)
+                args = (rows[None], degree, order, first, lam, nn_idx[None])
+                got = _primal_l_hat(*args, m)
+                streamed = _primal_l_hat(*args, block)
+                diff = abs(float(streamed[0] - got[0]))
+                worst_blocks = max(worst_blocks, diff)
+                if diff > 1e-13:
+                    return False, (
+                        f"primal case {case}: m={m} K={k} blocks of {block} |diff|={diff:.3e}"
+                    )
             ind = (y[:, None] >= y[None, :]).astype(np.float64)
             g = p @ np.linalg.solve(p.T @ p + m * lam * np.eye(k), p.T @ ind)
             err = abs(float(got[0]) - _ref_bias(g, nn_idx))
@@ -171,8 +192,8 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
             if err > 1e-12:
                 return False, f"{kind} case {case}: m={m} K={k} |diff|={err:.3e}"
     return True, (
-        f"{cases} factored + {cases} dual + {cases} blocked primal instances, "
-        f"worst |diff| {worst:.2e}"
+        f"{cases} factored + {cases} dual + {cases} primal instances, "
+        f"worst |diff| {worst:.2e}, streamed against one block {worst_blocks:.2e}"
     )
 
 
@@ -199,9 +220,11 @@ def _ridge_fit(p: np.ndarray, y: np.ndarray, lam: float, block: int) -> np.ndarr
     c, n, k = p.shape
     if n < k:
         return _dual_solve(p, first, ranks, lam)[1]
+    desc, need = _descending(order, first)
+    pd = np.take(p.reshape(c * n, k), desc, axis=0)
     betas = np.empty((c, k, n))
-    for j, cols in _threshold_betas(p, order, first, lam, block):
-        np.put_along_axis(betas, j[:, None, :], cols, axis=-1)
+    for lo, hi, _, cols in _threshold_betas(pd, None, need, lam, block):
+        np.put_along_axis(betas, desc[:, None, lo:hi] % n, cols, axis=-1)
     return betas
 
 

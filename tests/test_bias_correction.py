@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nncorr import ridge_series
+from nncorr import bias_correction, ridge_series
 from nncorr.dataset import Sample, _tie_groups, minmax_scale
 from nncorr.errors import InputError
 from nncorr.nn_graph import build_nn
@@ -18,7 +18,9 @@ from nncorr.ridge_series import design_matrix
 from nncorr.bias_correction import (
     PipelineConfig,
     _bias_term,
+    _check_monomials,
     _l_hat,
+    _pair_mean,
     _rank_coefficient,
     default_lambda,
     estimate,
@@ -48,9 +50,9 @@ def _random_nn(rng, n):
 
 
 def _bias(p, betas, nn):
-    # The pipeline's bias term on a stack of one sample, all of betas one block.
-    j = np.arange(betas.shape[1])
-    return float(_l_hat(p[None], [(j[None], betas[None])], nn[None])[0])
+    # The pipeline's bias term on a stack of one sample that holds its
+    # design rows p, all of betas one block.
+    return float(_l_hat(p[None], None, nn[None], [(0, len(p), p[None], betas[None])])[0])
 
 
 def _explicit_fit(p, y, lam):
@@ -166,6 +168,63 @@ def test_overflowing_design_matrix_raises_without_a_warning():
             estimate(s, PipelineConfig(scale_covariates=False))
 
 
+def _overflow_edge(degree):
+    # The largest float whose degree-th power, by repeated products, is
+    # finite, and the next float up. At degree 1 no finite float overflows.
+    big = np.finfo(float).max
+    if degree == 1:
+        return (big,)
+
+    def power(t):
+        with np.errstate(over="ignore"):
+            p = 1.0
+            for _ in range(degree):
+                p *= t
+        return p
+
+    t = big ** (1.0 / degree)
+    while not np.isfinite(power(t)):
+        t = np.nextafter(t, 0.0)
+    while np.isfinite(power(np.nextafter(t, np.inf))):
+        t = np.nextafter(t, np.inf)
+    return t, np.nextafter(t, np.inf)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_monomial_check_raises_exactly_when_the_design_matrix_overflows(degree):
+    # Rows of mixed signs and magnitudes around the overflow edge, on either
+    # side of it, with the largest |x| in any column and of either sign.
+    rng = np.random.default_rng(66 + degree)
+    message = "design matrix contains NaN or infinite entries"
+    for top, overflows in zip(_overflow_edge(degree), (False, True)):
+        for col in range(3):
+            for sign in (1.0, -1.0):
+                x = rng.uniform(-1.0, 1.0, size=(2, 5, 3)) * top ** rng.uniform(0, 1, (2, 5, 3))
+                x[1, 3, col] = sign * top
+                finite = np.isfinite(design_matrix(x, degree)).all(axis=(-2, -1))
+                assert finite.tolist() == [True, not overflows]
+                if finite.all():
+                    _check_monomials(x, degree)
+                else:
+                    with pytest.raises(InputError, match=f"^{message}$"):
+                        _check_monomials(x, degree)
+                    _check_monomials(x[:1], degree)
+
+
+def test_pair_mean_takes_its_terms_in_chunks_with_the_bits_of_one_list(monkeypatch):
+    # Terms that cancel to 1e-16 of their size: math.fsum of one n-long list
+    # is the reference, and fsum rounds once whatever the chunks.
+    rng = np.random.default_rng(65)
+    big = rng.standard_normal((3, 4000)) * 1e16
+    rows = rng.permuted(np.concatenate([big, -big, rng.standard_normal((3, 9))], axis=1), axis=1)
+    n = rows.shape[-1]
+    want = np.array([math.fsum(r) for r in rows.tolist()]) / (n * (n - 1))
+    assert np.abs(want).max() < 1e-6
+    for budget in (0, 32 * 7, 32 * n, bias_correction._CHUNK_BYTES):
+        monkeypatch.setattr(bias_correction, "_CHUNK_BYTES", budget)
+        np.testing.assert_array_equal(_pair_mean(rows), want)
+
+
 def test_constant_response_is_an_input_error():
     rng = np.random.default_rng(48)
     s = Sample(x=rng.uniform(size=(50, 3)), y=np.full(50, 0.25))
@@ -242,30 +301,41 @@ def _exact_l_hat(p, y, lam, nn):
     return total / (m * (m - 1))
 
 
-@pytest.mark.parametrize("m,degree,tied", [
-    (8, 2, False),   # K = 10 > m: the dual system
-    (8, 2, True),
-    (12, 3, False),  # K = 20
-    (30, 2, False),  # K = 10 <= m: the primal system
-    (12, 1, True),   # K = 4
-], ids=["dual", "dual-tied-dup", "dual-degree3", "primal", "primal-tied-dup"])
-def test_bias_term_matches_exact_rational_oracle(m, degree, tied):
+@pytest.mark.parametrize("c,m,degree,tied,rows", [
+    (1, 8, 2, False, None),   # K = 10 > m: the dual system
+    (1, 8, 2, True, None),
+    (1, 12, 3, False, None),  # K = 20
+    (1, 30, 2, False, None),  # K = 10 <= m: the primal system, one block
+    (1, 12, 1, True, None),   # K = 4
+    (1, 30, 2, True, 4),      # blocks of 4 rows, which tie groups straddle
+    (3, 30, 2, True, 7),      # a stack in blocks of 7 rows
+    (1, 12, 0, True, None),   # K = 1, where l_hat is exactly 0
+], ids=["dual", "dual-tied-dup", "dual-degree3", "primal", "primal-tied-dup",
+        "primal-blocks-tied", "primal-stack-blocks", "degree0"])
+def test_bias_term_matches_exact_rational_oracle(monkeypatch, c, m, degree, tied, rows):
     # d = 3. A tied case rounds the responses to two to four levels, repeats
     # one row, response included, and that row's neighbor is its copy.
+    # ``rows`` sets the primal path's blocks through the byte budget.
+    k = math.comb(3 + degree, degree)
+    if rows is not None:
+        monkeypatch.setattr(ridge_series, "_CHUNK_BYTES", 8 * k * rows)
     rng = np.random.default_rng(64 + m)
-    x = rng.uniform(size=(m, 3))
-    y = x[:, 0] + 0.5 * rng.standard_normal(m)
-    if tied:
-        y = np.round(2 * y / np.ptp(y))
-        x[-1], y[-1] = x[0], y[0]
+    x = np.empty((c, m, 3))
+    y = np.empty((c, m))
+    for b in range(c):
+        x[b] = rng.uniform(size=(m, 3))
+        y[b] = x[b, :, 0] + 0.5 * rng.standard_normal(m)
+        if tied:
+            y[b] = np.round(2 * y[b] / np.ptp(y[b]))
+            x[b, -1], y[b, -1] = x[b, 0], y[b, 0]
     xs = minmax_scale(x)
-    p = design_matrix(xs, degree)
-    nn = build_nn(xs)
+    nn = np.stack([build_nn(a) for a in xs])
     lam = default_lambda(m)
-    got = _bias_term(p[None], *_tie_groups(y[None]), lam, nn[None])[0]
-    want = _exact_l_hat(p, y, lam, nn.tolist())
-    assert want != 0
-    assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**12) * abs(want)
+    got = _bias_term(xs, degree, *_tie_groups(y), lam, nn)
+    for b in range(c):
+        want = _exact_l_hat(design_matrix(xs[b], degree), y[b], lam, nn[b].tolist())
+        assert (want != 0) == (degree > 0)
+        assert abs(Fraction(float(got[b])) - want) <= Fraction(1, 10**12) * abs(want)
 
 
 def _blocked_cases(m=60):
@@ -288,15 +358,14 @@ def test_blocked_bias_term_matches_double_loop(monkeypatch):
     monkeypatch.setattr(ridge_series, "_CHUNK_BYTES", 8 * 10 * 5)
     x, y = _blocked_cases()
     xs = minmax_scale(x)
-    p = design_matrix(xs, 2)
     nn = np.stack([build_nn(a) for a in xs])
     lam = default_lambda(60)
-    l_hat = _bias_term(p, *_tie_groups(y), lam, nn)
+    l_hat = _bias_term(xs, 2, *_tie_groups(y), lam, nn)
     for b in range(3):
-        want = _ref_bias(_explicit_fit(p[b], y[b], lam), nn[b])
+        want = _ref_bias(_explicit_fit(design_matrix(xs[b], 2), y[b], lam), nn[b])
         assert abs(l_hat[b] - want) <= 1e-12 * abs(want)
         # Each sample gets the bits alone that it gets in the stack.
-        alone = _bias_term(p[b][None], *_tie_groups(y[b][None]), lam, nn[b][None])
+        alone = _bias_term(xs[b][None], 2, *_tie_groups(y[b][None]), lam, nn[b][None])
         assert alone[0] == l_hat[b]
 
 
@@ -317,18 +386,22 @@ def test_results_agree_across_block_lengths(monkeypatch):
             assert abs(res.l_hat - want.l_hat) <= 1e-13 * abs(want.l_hat)
 
 
-def test_estimate_memory_is_the_design_matrix_plus_blocks():
-    # At n = 30 000 and K = 28 the design matrix P holds n*K floats; the
-    # bias term adds blocks of (block, K) floats, not whole (n, K) arrays.
-    n, k = 30_000, 28
+@pytest.mark.parametrize("degree", [2, 3])
+def test_estimate_memory_holds_no_design_matrix(degree):
+    # At n = 30 000 the design matrix P would hold n*K floats, 6.4 MiB at
+    # degree 2 (K = 28) and 19.2 MiB at degree 3 (K = 84). The primal bias
+    # term builds its rows in blocks of (block, K) floats from the
+    # covariates, so the peak stays below 1.5 such matrices at degree 2,
+    # whatever the degree.
+    n = 30_000
     s = _sample(seed=61, n=n, d=6)
     tracemalloc.start()
     try:
-        estimate(s)
+        estimate(s, PipelineConfig(degree=degree))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n * k * 8
+    assert peak < 1.5 * n * 28 * 8
 
 
 def test_estimate_memory_stays_linear_in_n():

@@ -450,7 +450,12 @@ def _write_rows(path, x, y):
      "covariate ranges are too large: squared distances overflow; rescale x"),
     # Distances near 1e240 are finite, but the cubes in the design matrix are not.
     ([[1e120], [2e120], [3e120], [4e120]], 3, "design matrix contains NaN or infinite entries"),
-], ids=["distances", "design-matrix"])
+    # Squares near 1e206 are finite, cubes near 1e309 are not (K = 4 <= n: the primal path).
+    ([[1e103], [2e103], [3e103], [4e103]], 3, "design matrix contains NaN or infinite entries"),
+    # x1 * x2 = 1 is finite, x1^2 = 1e400 is not (K = 6 > n: the dual path).
+    ([[1e200, 1e-200], [1e200, 2e-200], [1e200, 3e-200], [1e200, 4e-200]], 2,
+     "design matrix contains NaN or infinite entries"),
+], ids=["distances", "design-matrix", "cube-overflows", "square-overflows"])
 def test_unscaled_overflow_is_an_input_error_everywhere(capsys, tmp_path, x, degree, message):
     x = np.array(x)
     y = np.arange(float(len(x)))

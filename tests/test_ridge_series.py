@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from nncorr import bias_correction, ridge_series
-from nncorr.bias_correction import _bias_term, _l_hat, _neighbor_diff, default_lambda
+from nncorr.bias_correction import _bias_term, _neighbor_diff, _primal_l_hat, default_lambda
 from nncorr.dataset import _tie_groups, minmax_scale
 from nncorr.errors import InputError
 from nncorr.nn_graph import _search_stack
 from nncorr.ridge_series import (
     BASIS_CAP,
     _block_rows,
+    _descending,
     _dual_solve,
     _invert_shifted,
     _product_plan,
@@ -28,21 +29,47 @@ except ImportError:  # the property test below is skipped without it
     given = None
 
 
-def _columns(blocks, shape):
-    # The (c, K, m) array whose columns j the blocks of _threshold_rhs or
+def _columns(blocks, desc):
+    # The (c, K, m) array, columns in row order, whose columns at the
+    # descending positions lo:hi the blocks of _threshold_rhs or
     # _threshold_betas hold.
-    out = np.empty(shape)
-    for j, cols in blocks:
-        np.put_along_axis(out, j[:, None, :], cols, axis=-1)
+    c, m = desc.shape
+    out = None
+    for lo, hi, _, cols in blocks:
+        if out is None:
+            out = np.full((c, cols.shape[-2], m), np.nan)
+        np.put_along_axis(out, desc[:, None, lo:hi] % m, cols, axis=-1)
     return out
+
+
+def _descending_rows(rows, order, first):
+    # The rows of a (c, m, .) stack in descending response order, and the
+    # order and suffix rows of ridge_series._descending.
+    c, m, w = rows.shape
+    desc, need = _descending(order, first)
+    return np.take(rows.reshape(c * m, w), desc, axis=0), desc, need
+
+
+def _primal(rows, degree, order, first, lam, block):
+    # The primal solve of a (c, m, .) stack: the (c, K, m) betas of every
+    # threshold, from design rows built per block of covariate rows, or
+    # held whole when degree is None.
+    xd, desc, need = _descending_rows(rows, order, first)
+    return _columns(_threshold_betas(xd, degree, need, lam, block), desc)
+
+
+def _rhs(p, order, first, block):
+    # The Gram matrices and the (c, K, m) right-hand sides of a design stack.
+    pd, desc, need = _descending_rows(p, order, first)
+    gram, blocks = _threshold_rhs(pd, None, need, block)
+    return gram, _columns(blocks, desc)
 
 
 def _ridge_fit(p, y, lam):
     # The pipeline's right-hand sides and solve for one sample: the (K, n)
     # betas of every threshold y_j.
     order, first, _ = _tie_groups(y[None])
-    n, k = p.shape
-    return _columns(_threshold_betas(p[None], order, first, lam, _block_rows(k)), (1, k, n))[0]
+    return _primal(p[None], None, order, first, lam, _block_rows(p.shape[1]))[0]
 
 
 def _fit(x, y, lam, degree=2):
@@ -214,21 +241,22 @@ def test_residual_identity_against_explicit_indicators():
 def test_stacked_solve_matches_each_system_alone():
     # The bootstrap solves (c, K, K) stacks; each system must get the bits
     # it gets alone, at the benchmark's chunk shapes and at K = 84, in
-    # blocks of 7 thresholds or in one.
+    # blocks of 7 thresholds or in one, with design rows built per block
+    # from the covariates or held whole.
     rng = np.random.default_rng(47)
     for c, m, d, degree in ((41, 17, 6, 2), (11, 54, 6, 2), (3, 300, 6, 3)):
-        x = rng.uniform(size=(c, m, d))
-        y = rng.standard_normal((c, m))
-        p = design_matrix(minmax_scale(x), degree)
-        k = p.shape[-1]
+        xs = minmax_scale(rng.uniform(size=(c, m, d)))
+        y = np.round(rng.standard_normal((c, m)), 1)
+        p = design_matrix(xs, degree)
         lam = default_lambda(m)
         order, first, _ = _tie_groups(y)
-        for block in (7, _block_rows(k)):
-            stacked = _columns(_threshold_betas(p, order, first, lam, block), (c, k, m))
+        for block in (7, _block_rows(p.shape[-1])):
+            stacked = _primal(xs, degree, order, first, lam, block)
+            np.testing.assert_array_equal(stacked, _primal(p, None, order, first, lam, block))
             for i in range(c):
                 order_i, first_i, _ = _tie_groups(y[i][None])
-                alone = _threshold_betas(p[i][None], order_i, first_i, lam, block)
-                np.testing.assert_array_equal(stacked[i], _columns(alone, (1, k, m))[0])
+                alone = _primal(xs[i][None], degree, order_i, first_i, lam, block)
+                np.testing.assert_array_equal(stacked[i], alone[0])
 
 
 def test_near_zero_penalty_matches_least_squares():
@@ -282,8 +310,9 @@ def test_tie_group_positions_match_a_binary_search():
         order = np.argsort(y, kind="stable")
         suffix = np.cumsum(p[order][::-1], axis=0)[::-1]
         pos = np.searchsorted(y[order], y, side="left")
-        got = _columns(_threshold_rhs(p[None], *_tie_groups(y[None])[:2], 64), (1, 10, 400))
+        gram, got = _rhs(p[None], *_tie_groups(y[None])[:2], 64)
         np.testing.assert_array_equal(got[0], suffix[pos].T)
+        np.testing.assert_allclose(gram[0], p.T @ p, rtol=1e-13)
 
 
 def test_ghat_matrix_permutation_equivariance():
@@ -337,7 +366,7 @@ def _assert_dual_matches_primal(m, d, degree, kind, seed):
     lam = default_lambda(m)
     ind, z = _dual_solve(p, first, ranks, lam)
     dual = (ind - m * lam * z)[0]
-    primal = p[0] @ _columns(_threshold_betas(p, order, first, lam, 7), (1, k, m))[0]  # K x K
+    primal = p[0] @ _primal(p, None, order, first, lam, 7)[0]  # K x K
     want_ind = (y[:, None] >= y[None, :]).astype(np.float64)  # ind[i, j] = 1(y_i >= y_j)
     np.testing.assert_array_equal(ind[0], want_ind)
     aug = np.vstack([p[0], math.sqrt(m * lam) * np.eye(k)])
@@ -401,8 +430,8 @@ def test_stacked_dual_solve_matches_each_system_alone():
 
 def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
     # m = K - 1 inverts (m, m) dual matrices and never builds the primal
-    # system; m = K solves the K x K primal system and reads l_hat from its
-    # betas, bit for bit.
+    # system; m = K solves the K x K primal system, its design rows built
+    # once as one block, and reads l_hat from its betas, bit for bit.
     inverted, primal_calls = [], []
     inv, solve = np.linalg.inv, bias_correction._threshold_betas
 
@@ -424,18 +453,17 @@ def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
             primal_calls.clear()
             x = rng.uniform(size=(3, m, d))
             y = rng.standard_normal((3, m))
-            p = design_matrix(x, degree)
             order, first, ranks = _tie_groups(y)
             nn = rng.integers(0, m - 1, size=(3, m))
             nn[nn >= np.arange(m)] += 1  # any j != i is a valid neighbor map
             lam = default_lambda(m)
-            l_hat = _bias_term(p, order, first, ranks, lam, nn)
+            l_hat = _bias_term(x, degree, order, first, ranks, lam, nn)
             assert l_hat.shape == (3,)
             if m < k:
                 assert inverted == [(3, m, m)] and primal_calls == []
             else:
                 assert inverted == [(3, k, k)] and primal_calls == [(3, m, k)]
-                want = _l_hat(p, solve(p, order, first, lam, _block_rows(k)), nn)
+                want = _primal_l_hat(x, degree, order, first, lam, nn, _block_rows(k))
                 np.testing.assert_array_equal(l_hat, want)
 
 
@@ -467,6 +495,6 @@ def test_dual_path_keeps_the_primal_checks():
     nn = np.array([[1, 0, 1, 2, 3]])
     for lam in (0.0, -1.0):
         with pytest.raises(InputError, match="ridge parameter must be positive"):
-            _bias_term(p, *_tie_groups(y), lam, nn)
+            _bias_term(x, 2, *_tie_groups(y), lam, nn)
     with pytest.raises(InputError, match="Gram matrix overflows"):
-        _bias_term(p * 1e200, *_tie_groups(y), 0.1, nn)
+        _bias_term(p * 1e200, None, *_tie_groups(y), 0.1, nn)

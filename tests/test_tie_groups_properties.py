@@ -15,14 +15,14 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from nncorr.bias_correction import (  # noqa: E402
     _bias_term,
-    _l_hat,
+    _primal_l_hat,
     _rank_coefficient,
     default_lambda,
 )
 from nncorr.dataset import _tie_groups, minmax_scale  # noqa: E402
 from nncorr.errors import InputError  # noqa: E402
 from nncorr.ridge_series import (  # noqa: E402
-    _threshold_betas,
+    _descending,
     _threshold_rhs,
     design_matrix,
 )
@@ -53,11 +53,11 @@ def _le(y):
     return y[..., None, :] <= y[..., :, None]
 
 
-def _design(y, seed):
-    # Nonnegative (c, m, K) design matrices, so the sums carry no cancellation.
+def _covariates(y, seed):
+    # Scaled (c, m, 3) covariates, whose design matrices are nonnegative, so
+    # the sums carry no cancellation.
     c, m = y.shape
-    x = np.random.default_rng(seed).uniform(size=(c, m, 3))
-    return design_matrix(minmax_scale(x), 2)
+    return minmax_scale(np.random.default_rng(seed).uniform(size=(c, m, 3)))
 
 
 @_PROFILE
@@ -75,37 +75,44 @@ def test_tie_groups_match_the_comparison_matrix(y):
 @_PROFILE
 @given(stacks(), st.integers(0, 2**32 - 1), st.integers(1, 12))
 def test_threshold_rhs_matches_the_comparison_gemm(y, seed, block):
-    # Blocks of 1 to 12 thresholds; tie groups straddle their edges.
-    p = _design(y, seed)
+    # Blocks of 1 to 12 thresholds; tie groups straddle their edges. The
+    # design rows are built per block from the covariates.
+    c, m = y.shape
+    xs = _covariates(y, seed)
+    p = design_matrix(xs, 2)
     order, first, _ = _tie_groups(y)
+    desc, need = _descending(order, first)
     want = np.swapaxes(p, -1, -2) @ _le(y)
     got = np.full(want.shape, np.nan)
-    for j, rhs in _threshold_rhs(p, order, first, block):
-        assert j.shape[-1] <= block and rhs.flags.c_contiguous
-        np.put_along_axis(got, j[:, None, :], rhs, axis=-1)
+    gram, blocks = _threshold_rhs(np.take(xs.reshape(c * m, 3), desc, axis=0), 2, need, block)
+    for lo, hi, pb, rhs in blocks:
+        assert hi - lo <= block and rhs.flags.c_contiguous
+        np.testing.assert_array_equal(pb, p[np.arange(c)[:, None], desc[:, lo:hi] % m])
+        np.put_along_axis(got, desc[:, None, lo:hi] % m, rhs, axis=-1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(gram, np.swapaxes(p, -1, -2) @ p, rtol=1e-13, atol=0.0)
 
 
 @_PROFILE
 @given(stacks(), st.integers(0, 2**32 - 1), st.integers(1, 12))
 def test_each_row_of_a_stack_gets_the_single_sample_bits(y, seed, block):
     c, m = y.shape
-    p = _design(y, seed)
+    xs = _covariates(y, seed)
     nn = np.random.default_rng([seed, 1]).integers(0, m - 1, size=(c, m))
     nn[nn >= np.arange(m)] += 1  # any j != i is a valid neighbor map
     order, first, ranks = _tie_groups(y)
     lam = default_lambda(m)
-    l_hat = _bias_term(p, order, first, ranks, lam, nn)  # K = 10: dual below m = 10
-    # The primal bias term at any m, in blocks of 1 to 12 thresholds.
-    blocked = _l_hat(p, _threshold_betas(p, order, first, lam, block), nn)
+    l_hat = _bias_term(xs, 2, order, first, ranks, lam, nn)  # K = 10: dual below m = 10
+    # The primal bias term at any m, in blocks of 1 to 12 rows.
+    blocked = _primal_l_hat(xs, 2, order, first, lam, nn, block)
     t_alone, errors = {}, []
     for b in range(c):
         order_b, first_b, ranks_b = _tie_groups(y[b][None])
         np.testing.assert_array_equal(ranks[b], ranks_b[0])
-        alone = _bias_term(p[b][None], order_b, first_b, ranks_b, lam, nn[b][None])
+        alone = _bias_term(xs[b][None], 2, order_b, first_b, ranks_b, lam, nn[b][None])
         np.testing.assert_array_equal(l_hat[b], alone[0])
-        betas_b = _threshold_betas(p[b][None], order_b, first_b, lam, block)
-        np.testing.assert_array_equal(blocked[b], _l_hat(p[b][None], betas_b, nn[b][None])[0])
+        blocked_b = _primal_l_hat(xs[b][None], 2, order_b, first_b, lam, nn[b][None], block)
+        np.testing.assert_array_equal(blocked[b], blocked_b[0])
         try:
             t_alone[b] = _rank_coefficient(ranks_b, nn[b][None])[0]
         except InputError as exc:  # a constant or heavily tied row
