@@ -23,19 +23,32 @@ reads the bias term from the m x m fitted curves
 (:func:`nncorr.bias_correction._bias_term`). No block of a replicate
 exceeds max(m, K)^2 floats, and chunks along the replicate axis keep that
 within a fixed byte budget; the results do not depend on the chunk size.
+
+The full-sample estimate and the replicates need nothing from each other.
+When the full-sample neighbour search would run at least two kd-tree
+workers (at least 2 000 rows and a worker setting of 2 or more, see
+:mod:`nncorr._threads`), the estimate runs on one helper thread, whose
+searches take one worker fewer, while the calling thread draws the index
+block and runs the replicates; the kd-tree search releases the interpreter
+lock, so the two overlap. Below that, both run on the calling thread, one
+after the other. Either way the same two calls give the same bits, and an
+error of the estimate is raised ahead of one of a replicate.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import _threads
 from .bias_correction import PipelineConfig, _stages, default_lambda, estimate
 from .dataset import Sample
 from .errors import InputError
+from .nn_graph import _ROWS_PER_WORKER
 from .ridge_series import _CHUNK_BYTES, basis_index_set
 from .rng import _check_path, _integers_block, _number, _whole
 
@@ -77,6 +90,42 @@ def _replicates(
         raise failure
     t_hat, _, t_bc = (np.concatenate(v) for v in zip(*parts))
     return t_hat, t_bc
+
+
+def _beside(first, second, workers: int):
+    """Return ``(first(), second())``, ``first`` run on a helper thread beside ``second``.
+
+    The helper's kd-tree searches run ``workers`` workers. It is joined
+    before this returns or raises, also on ``KeyboardInterrupt``, and an
+    error of ``first`` wins over one of ``second``, as if the two ran one
+    after the other.
+    """
+    out = {}
+
+    def run():
+        _threads._set_thread_workers(workers)
+        try:
+            out["value"] = first()
+        except BaseException as exc:
+            out["error"] = exc
+
+    helper = threading.Thread(target=run, name="nncorr-estimate")
+    helper.start()
+    value = late = None
+    try:
+        value = second()
+    except BaseException as exc:
+        late = exc
+    while helper.is_alive():
+        try:
+            helper.join()
+        except KeyboardInterrupt as exc:
+            late = exc
+    if "error" in out:
+        raise out["error"]
+    if late is not None:
+        raise late
+    return out["value"], value
 
 
 def _check_run(
@@ -123,13 +172,32 @@ def analyze(
     Every option is checked before any work, with the message the work
     itself would give. ``b_reps``, ``m`` (default floor(sqrt(n))) and
     ``seed`` must be whole numbers: 20.0 runs as 20, 2.7 or "20" raises.
+
+    From n = 2 000 rows at a worker setting of 2 or more, the full-sample
+    estimate runs on a helper thread beside the replicates (module
+    docstring); the helper is joined before this returns or raises, and the
+    results are the bits of running the two one after the other.
     """
     if config is None:
         config = PipelineConfig()
     n = sample.n
     b_reps, m, seed = _check_run(n, sample.d, config, b_reps, m, alpha, seed)
-    res = estimate(sample, config)
-    t_hat, t_bc = _replicates(sample, config, _integers_block(seed, n, m, b_reps))
+
+    def full():
+        return estimate(sample, config)
+
+    def replicates():
+        return _replicates(sample, config, _integers_block(seed, n, m, b_reps))
+
+    workers = _threads.get_workers()
+    # Beside the replicates only once the full-sample search would run two
+    # kd-tree workers (build_nn's rule): below that it would fight the
+    # replicate engine for the interpreter lock.
+    if min(workers, n // _ROWS_PER_WORKER) >= 2:
+        res, (t_hat, t_bc) = _beside(full, replicates, workers - 1)
+    else:
+        res = full()
+        t_hat, t_bc = replicates()
     se_t, se_tbc = _se(t_hat, m, n), _se(t_bc, m, n)
     z = float(ndtri(1.0 - alpha / 2.0))
     return Analysis(

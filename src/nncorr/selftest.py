@@ -68,6 +68,54 @@ def _ref_bias(g: np.ndarray, nn: np.ndarray) -> float:
     return math.fsum(terms) / (n * (n - 1))
 
 
+def _exact_solve(a, b):
+    # Gauss-Jordan on [a | b] in rationals; a is symmetric positive definite,
+    # so every pivot is nonzero without row exchanges.
+    n = len(a)
+    rows = [a[i] + b[i] for i in range(n)]
+    for c in range(n):
+        pivot = rows[c][c]
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _exact_l_hat(p: np.ndarray, y: np.ndarray, lam: float, nn: list[int]) -> Fraction:
+    """``l_hat`` of one (m, K) design ``p`` in exact rational arithmetic.
+
+    Every float is a dyadic rational, so P, lambda and the indicators
+    Y[i, j] = 1(y_i >= y_j) are exact and so is l_hat. The fitted curves
+    come from whichever ridge system is smaller, as in the pipeline: g = P
+    (P'P + m*lam*I)^-1 P'Y when m >= K, g = Y - m*lam*(PP' + m*lam*I)^-1 Y
+    when m < K. The two are equal in exact arithmetic.
+    """
+    # Imported here: the CLI imports this module, and fractions would load
+    # decimal into every process that imports nncorr.
+    from fractions import Fraction
+
+    m, k = p.shape
+    P = [[Fraction(v) for v in row] for row in p.tolist()]
+    shift = m * Fraction(lam)
+    ind = [[Fraction(int(a >= b)) for b in y.tolist()] for a in y.tolist()]
+    if m >= k:
+        gram = [[sum(P[r][i] * P[r][j] for r in range(m)) + (shift if i == j else 0)
+                 for j in range(k)] for i in range(k)]
+        rhs = [[sum(P[r][i] for r in range(m) if ind[r][j]) for j in range(m)]
+               for i in range(k)]
+        betas = _exact_solve(gram, rhs)
+        g = [[sum(P[i][t] * betas[t][j] for t in range(k)) for j in range(m)] for i in range(m)]
+    else:
+        outer = [[sum(P[i][t] * P[j][t] for t in range(k)) + (shift if i == j else 0)
+                  for j in range(m)] for i in range(m)]
+        z = _exact_solve(outer, ind)
+        g = [[ind[i][j] - shift * z[i][j] for j in range(m)] for i in range(m)]
+    total = sum(g[i][j] * (g[nn[i]][j] - g[i][j]) for i in range(m) for j in range(m) if j != i)
+    return total / (m * (m - 1))
+
+
 def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
     """Both neighbor searches against the in-module double loop, random and tied data.
 
@@ -129,6 +177,10 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
     as nearest neighbor, and every other case rounds the responses into
     ties. Each of the two kinds comes from a stream of its own, leaving the
     other draws unchanged.
+
+    Two small ``_bias_term`` cases, one per ridge system, are checked
+    against ``l_hat`` in exact rational arithmetic (:func:`_exact_l_hat`)
+    to 1e-12 relative, from a third stream.
     """
     cases = 20 if quick else 50
     rng = derive_rng(seed)
@@ -191,9 +243,30 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
             worst = max(worst, err)
             if err > 1e-12:
                 return False, f"{kind} case {case}: m={m} K={k} |diff|={err:.3e}"
+    # The smallest exact cases, against l_hat in rational arithmetic: the
+    # dual system at (m, K) = (8, 10), and the primal one at (12, 4) with
+    # responses rounded to a few levels and a repeated row, whose nearest
+    # neighbor is its copy.
+    worst_exact = 0.0
+    stream = derive_rng(seed, 3)
+    for m, degree, tied in ((8, 2, False), (12, 1, True)):
+        rows = stream.random((m, 3))
+        y = rows[:, 0] + 0.5 * stream.standard_normal(m)
+        if tied:
+            y = np.round(2 * y / np.ptp(y))
+            rows[-1], y[-1] = rows[0], y[0]
+        nn_idx = _ref_nn(rows)
+        lam = default_lambda(m)
+        got = _bias_term(rows[None], degree, *_tie_groups(y[None]), lam, nn_idx[None])
+        want = _exact_l_hat(design_matrix(rows, degree), y, lam, nn_idx.tolist())
+        err = float(abs(want.from_float(float(got[0])) - want) / abs(want))
+        worst_exact = max(worst_exact, err)
+        if err > 1e-12:
+            return False, f"exact case m={m} degree {degree}: relative error {err:.3e}"
     return True, (
         f"{cases} factored + {cases} dual + {cases} primal instances, "
-        f"worst |diff| {worst:.2e}, streamed against one block {worst_blocks:.2e}"
+        f"worst |diff| {worst:.2e}, streamed against one block {worst_blocks:.2e}, "
+        f"2 exact instances within {worst_exact:.1e} relative"
     )
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nncorr import bias_correction, ridge_series
+from nncorr import bias_correction, ridge_series, selftest
 from nncorr.dataset import Sample, _tie_groups, minmax_scale
 from nncorr.errors import InputError
 from nncorr.nn_graph import build_nn
@@ -257,50 +257,6 @@ def test_pipeline_l_hat_matches_double_loop(n):
     assert abs(res.l_hat - want) <= 1e-12 * abs(want)
 
 
-def _exact_solve(a, b):
-    # Gauss-Jordan on [a | b] in rationals; a is symmetric positive definite,
-    # so every pivot is nonzero without row exchanges.
-    n = len(a)
-    rows = [a[i] + b[i] for i in range(n)]
-    for c in range(n):
-        pivot = rows[c][c]
-        rows[c] = [v / pivot for v in rows[c]]
-        for r in range(n):
-            f = rows[r][c]
-            if r != c and f:
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
-    return [row[n:] for row in rows]
-
-
-def _exact_l_hat(p, y, lam, nn):
-    """``l_hat`` of one sample in exact rational arithmetic.
-
-    Every float is a dyadic rational, so P, lambda and the indicators
-    Y[i, j] = 1(y_i >= y_j) are exact and so is l_hat. The fitted curves
-    come from whichever ridge system is smaller, as in the pipeline: g = P
-    (P'P + m*lam*I)^-1 P'Y when m >= K, g = Y - m*lam*(PP' + m*lam*I)^-1 Y
-    when m < K. The two are equal in exact arithmetic.
-    """
-    m, k = p.shape
-    P = [[Fraction(v) for v in row] for row in p.tolist()]
-    shift = m * Fraction(lam)
-    ind = [[Fraction(int(a >= b)) for b in y.tolist()] for a in y.tolist()]
-    if m >= k:
-        gram = [[sum(P[r][i] * P[r][j] for r in range(m)) + (shift if i == j else 0)
-                 for j in range(k)] for i in range(k)]
-        rhs = [[sum(P[r][i] for r in range(m) if ind[r][j]) for j in range(m)]
-               for i in range(k)]
-        betas = _exact_solve(gram, rhs)
-        g = [[sum(P[i][t] * betas[t][j] for t in range(k)) for j in range(m)] for i in range(m)]
-    else:
-        outer = [[sum(P[i][t] * P[j][t] for t in range(k)) + (shift if i == j else 0)
-                  for j in range(m)] for i in range(m)]
-        z = _exact_solve(outer, ind)
-        g = [[ind[i][j] - shift * z[i][j] for j in range(m)] for i in range(m)]
-    total = sum(g[i][j] * (g[nn[i]][j] - g[i][j]) for i in range(m) for j in range(m) if j != i)
-    return total / (m * (m - 1))
-
-
 @pytest.mark.parametrize("c,m,degree,tied,rows", [
     (1, 8, 2, False, None),   # K = 10 > m: the dual system
     (1, 8, 2, True, None),
@@ -333,9 +289,20 @@ def test_bias_term_matches_exact_rational_oracle(monkeypatch, c, m, degree, tied
     lam = default_lambda(m)
     got = _bias_term(xs, degree, *_tie_groups(y), lam, nn)
     for b in range(c):
-        want = _exact_l_hat(design_matrix(xs[b], degree), y[b], lam, nn[b].tolist())
+        want = selftest._exact_l_hat(design_matrix(xs[b], degree), y[b], lam, nn[b].tolist())
         assert (want != 0) == (degree > 0)
         assert abs(Fraction(float(got[b])) - want) <= Fraction(1, 10**12) * abs(want)
+
+
+def test_selftest_bias_suite_checks_against_the_exact_oracle(monkeypatch):
+    ok, detail = selftest.bias_suite(quick=True)
+    assert ok and "2 exact instances" in detail, detail
+    # An oracle off by 1e-11 relative fails the suite at its first exact case.
+    real = selftest._exact_l_hat
+    off = 1 + Fraction(1, 10**11)
+    monkeypatch.setattr(selftest, "_exact_l_hat", lambda *args: real(*args) * off)
+    ok, detail = selftest.bias_suite(quick=True)
+    assert not ok and detail.startswith("exact case m=8 "), detail
 
 
 def _blocked_cases(m=60):
