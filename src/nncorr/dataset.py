@@ -94,25 +94,141 @@ def _is_finite_number(tok: str) -> bool:
         return False
 
 
+# np.loadtxt opens a path through NumPy's DataSource, which decompresses a
+# file by these suffixes; the per-cell path reads such a file as its bytes.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# The line breaks of str.splitlines that universal newlines do not honour,
+# UTF-8 encoded: five one-byte ones, then three of two or three bytes.
+_OTHER_BREAKS = tuple(c.encode() for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# Bytes per read of the scan for those breaks.
+_SCAN_BYTES = 1 << 18
+
+
 def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     """Read a comma-separated file into a Sample.
 
     Blank lines and a leading UTF-8 byte-order mark (which Excel's "CSV
     UTF-8" writes) are skipped. The first line is a header when none of its
-    cells parses as a number; otherwise it is data. Every cell is read with
-    Python's ``float()`` after ``str.strip()``, so '.' is the decimal
-    separator, quoting is not supported, and ``inf`` and ``nan`` are
-    rejected. The cells are parsed in one pass; the first failure in row
-    order is reported as an :class:`InputError`: a cell that is not a finite
-    number is named (in the first row as in any other), and so is a row
-    whose cell count differs from the first data row's. ``y_column`` selects
-    the response column by 0-based index or the literal ``"last"``; the
-    remaining columns become the covariates in file order. A path that
-    cannot be read (missing, a directory, no permission) raises the
-    :class:`OSError` that ``open`` gives, which names the path.
+    cells parses as a number; otherwise it is data. Every cell is read as
+    Python's ``float()`` reads it after ``str.strip()``, so '.' is the
+    decimal separator, quoting is not supported, and ``inf`` and ``nan`` are
+    rejected. The first failure in row order is reported as an
+    :class:`InputError`: a cell that is not a finite number is named (in the
+    first row as in any other), and so is a row whose cell count differs
+    from the first data row's. ``y_column`` selects the response column by
+    0-based index or the literal ``"last"``; the remaining columns become
+    the covariates in file order. A file that is not UTF-8 text raises an
+    :class:`InputError` naming the path and the offset of the first byte
+    that does not decode. A path that cannot be read (missing, a directory,
+    no permission) raises the :class:`OSError` that ``open`` gives, which
+    names the path.
+
+    Two readers give these results. NumPy's C reader (``np.loadtxt``) parses
+    the data rows without a Python object per row or cell; its numbers are
+    the bits ``float()`` gives. The per-cell reader runs instead, and gives
+    every error message, wherever the C reader could read the file
+    differently: a cell it refuses (underscores, non-ASCII digits, text, an
+    empty cell), a value that is not finite, a ragged row, a whitespace-only
+    line among the data rows, a header with no line after it, a line break
+    that only ``str.splitlines`` honours (``\\v \\f \\x1c \\x1d \\x1e \\x85
+    \\u2028 \\u2029``), a compressed-file suffix that ``np.loadtxt`` would
+    decompress (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), bytes that are not UTF-8.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    mat = _loadtxt(path)
+    if mat is None:
+        mat = _per_cell(path)
+    if mat.shape[0] < 2:
+        raise InputError(f"need at least 2 data rows, got {mat.shape[0]}")
+    ncols = mat.shape[1]
+
+    if y_column == "last":
+        y_idx = ncols - 1
+    else:
+        try:
+            y_idx = int(y_column)
+        except (TypeError, ValueError):
+            raise InputError(f"y_column must be a 0-based index or 'last', got {y_column!r}") from None
+        if not 0 <= y_idx < ncols:
+            raise InputError(f"y_column {y_idx} out of range for {ncols} columns")
+
+    if ncols < 2:
+        raise InputError("file has no covariate columns besides the response")
+    y = mat[:, y_idx]
+    x = np.delete(mat, y_idx, axis=1)
+    return Sample(x=x, y=y)
+
+
+def _loadtxt(path) -> np.ndarray | None:
+    """The data rows of ``path`` as ``np.loadtxt`` reads them, or None where
+    its result could differ from :func:`_per_cell`'s."""
+    name = os.fspath(path)
+    if not isinstance(name, str) or os.path.splitext(name)[1] in _COMPRESSED:
+        return None
+    try:
+        skip = _lines_before_data(name)
+        if skip is None or _has_other_breaks(name):
+            return None
+        # An absolute path, so that DataSource cannot take it for a URL.
+        mat = np.loadtxt(os.path.abspath(name), dtype=np.float64, delimiter=",",
+                         comments=None, skiprows=skip, encoding="utf-8-sig", ndmin=2)
+    except ValueError:  # a refused cell, a ragged row, or a UnicodeDecodeError
+        return None
+    return mat if np.isfinite(mat).all() else None
+
+
+def _lines_before_data(name: str) -> int | None:
+    """Lines before the first data row, counted as ``np.loadtxt`` counts them.
+
+    The blank lines and the header that the per-cell path drops; None when
+    the file has no non-blank line, or no non-empty line after its header,
+    where ``np.loadtxt`` would warn of no data.
+    """
+    # Universal newlines, which np.loadtxt reads a path with.
+    with open(name, encoding="utf-8-sig") as fh:
+        for skip, line in enumerate(fh):
+            if line.strip():
+                break
+        else:
+            return None
+        if any(_parses(tok) for tok in line.rstrip("\n").split(",")):
+            return skip
+        return skip + 1 if any(ln != "\n" for ln in fh) else None
+
+
+def _has_other_breaks(name: str) -> bool:
+    """Whether the file holds a line break that only ``str.splitlines`` honours."""
+    with open(name, "rb") as fh:
+        tail = b""
+        while chunk := fh.read(_SCAN_BYTES):
+            # A multi-byte break that straddles two reads leaves the second
+            # one not ASCII; an ASCII read can hold only the one-byte breaks.
+            if chunk.isascii():
+                breaks = _OTHER_BREAKS[:5]
+            else:
+                breaks, chunk = _OTHER_BREAKS, tail + chunk
+            if any(br in chunk for br in breaks):
+                return True
+            tail = chunk[-2:]
+    return False
+
+
+def _decode(raw: bytes, path) -> str:
+    # "utf-8-sig" would count the offset of a bad byte after the BOM.
+    bom = 3 if raw.startswith(b"\xef\xbb\xbf") else 0
+    try:
+        return str(memoryview(raw)[bom:], "utf-8")
+    except UnicodeDecodeError as exc:
+        at = bom + exc.start
+        raise InputError(
+            f"{path} is not UTF-8 text: byte 0x{raw[at]:02x} at offset {at} ({exc.reason})"
+        ) from None
+
+
+def _per_cell(path) -> np.ndarray:
+    """The data rows of ``path``, one ``float()`` per cell; raises the first
+    failure in row order."""
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), path)
 
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:
@@ -149,27 +265,7 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
         raise InputError(
             f"row {ragged} has {len(rows[ragged])} cells, expected {arity} (ragged file)"
         )
-
-    if len(rows) < 2:
-        raise InputError(f"need at least 2 data rows, got {len(rows)}")
-    mat = flat.reshape(len(rows), arity)
-    ncols = mat.shape[1]
-
-    if y_column == "last":
-        y_idx = ncols - 1
-    else:
-        try:
-            y_idx = int(y_column)
-        except (TypeError, ValueError):
-            raise InputError(f"y_column must be a 0-based index or 'last', got {y_column!r}") from None
-        if not 0 <= y_idx < ncols:
-            raise InputError(f"y_column {y_idx} out of range for {ncols} columns")
-
-    if ncols < 2:
-        raise InputError("file has no covariate columns besides the response")
-    y = mat[:, y_idx]
-    x = np.delete(mat, y_idx, axis=1)
-    return Sample(x=x, y=y)
+    return flat.reshape(len(rows), arity)
 
 
 def _tie_groups(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

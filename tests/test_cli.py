@@ -307,6 +307,20 @@ def test_estimate_rejects_a_first_row_with_a_typo(capsys, tmp_path):
     assert err.startswith("nncorr: error: non-numeric cell at (0,1): '2x'")
 
 
+@pytest.mark.parametrize("raw, byte, offset", [
+    ("x\xe9,y\n1,2\n3,4\n4,7\n".encode("latin-1"), 0xE9, 1),
+    ("x,y\n1,2\n3,4\n4,7\n".encode("utf-16"), 0xFF, 0),
+])
+def test_estimate_rejects_a_file_that_is_not_utf8(capsys, tmp_path, raw, byte, offset):
+    # A Latin-1 header or a UTF-16 export is an input error, not an internal one.
+    path = tmp_path / "enc.csv"
+    path.write_bytes(raw)
+    code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"nncorr: error: {path} is not UTF-8 text: byte 0x{byte:02x} "
+                          f"at offset {offset} (")
+
+
 def test_estimate_rejects_overflowing_distances(capsys, tmp_path):
     path = tmp_path / "huge.csv"
     rows = [f"{i}e200,{i}" for i in range(5)]

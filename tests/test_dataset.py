@@ -1,12 +1,14 @@
 """Tests for CSV loading, rank computation, and min-max scaling."""
 
+import gzip
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from nncorr import estimate
+from nncorr import dataset, estimate
 from nncorr.dataset import Sample, _parses, _tie_groups, load_csv, minmax_scale
 from nncorr.errors import InputError
 
@@ -167,10 +169,81 @@ def test_load_csv_accepts_what_float_accepts(tmp_path):
     np.testing.assert_array_equal(s.y, [2.0, 4.0, 6.0])
 
 
+def test_load_csv_is_not_utf8(tmp_path):
+    # The offset counts from the first byte of the file, BOM included. A bad
+    # byte after a thousand clean rows stops the C reader midway, one in the
+    # header stops it before it starts, and a compressed suffix skips it.
+    rows = "".join(f"{i},{2 * i}\n" for i in range(1000))
+    for name, raw, byte, offset in (
+        ("latin1.csv", "x\xe9,y\n1,2\n3,4\n".encode("latin-1"), 0xE9, 1),
+        ("utf16.csv", "x,y\n1,2\n".encode("utf-16"), 0xFF, 0),
+        ("late.csv", b"\xef\xbb\xbf" + (rows + "5,\xb56\n").encode("latin-1"), 0xB5,
+         3 + len(rows) + 2),
+        ("data.csv.gz", gzip.compress(b"x,y\n1,2\n3,4\n"), 0x8B, 1),
+    ):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(InputError, match=(
+            f"^{re.escape(str(path))} is not UTF-8 text: byte 0x{byte:02x} at offset {offset} \\("
+        )):
+            load_csv(path)
+
+
+def test_load_csv_reads_a_compressed_suffix_as_plain_bytes(tmp_path):
+    # np.loadtxt would decompress a path ending in .gz; the file is read as it is.
+    text = "x,y\n1,2\n3,4.5\n"
+    a = load_csv(_write(tmp_path, text, "a.csv"))
+    b = load_csv(_write(tmp_path, text, "a.csv.gz"))
+    assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+
+
+def test_load_csv_reads_plain_numbers_with_the_c_reader(tmp_path, monkeypatch):
+    # Headers, blank lines before them, CRLF and CR endings and a BOM keep
+    # the C reader; the per-cell reader is not called.
+    monkeypatch.setattr(dataset, "_per_cell", None)
+    for i, text in enumerate((
+        "x1,x2,y\n0.5,1e-3,2\n-3,4.25,5\n\n",
+        "\n \n\tx1, x2 ,y\r\n0.5, 1e-3,2\r\n\r\n-3,4.25 ,5\r\n",
+        "\ufeff0.5,1e-3,2\r-3,4.25,5\r",
+    )):
+        s = load_csv(_write(tmp_path, text, f"{i}.csv"))
+        np.testing.assert_array_equal(s.x, [[0.5, 1e-3], [-3.0, 4.25]])
+        np.testing.assert_array_equal(s.y, [2.0, 5.0])
+
+
+def test_load_csv_lets_no_numpy_warning_escape(tmp_path):
+    # np.loadtxt warns of a file without data rows; those files take the
+    # per-cell reader, which raises its own errors.
+    cases = (("", "is empty$"), ("\n\n", "is empty$"), ("x,y\n", "got 0$"),
+             ("\nx,y\n\n\n", "got 0$"), ("x,y\n \n", "got 0$"), ("x,y\n1,2\n", "got 1$"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, (text, message) in enumerate(cases):
+            with pytest.raises(InputError, match=message):
+                load_csv(_write(tmp_path, text, f"{i}.csv"))
+
+
+def test_load_csv_transient_memory(tmp_path):
+    # No Python object per row or cell: the traced peak of a 30 000-row file,
+    # result included, stays within three times the file's size.
+    rng = np.random.default_rng(4)
+    path = tmp_path / "big.csv"
+    np.savetxt(path, rng.standard_normal((30_000, 7)), fmt="%.17g", delimiter=",",
+               header="x1,x2,x3,x4,x5,x6,y", comments="")
+    tracemalloc.start()
+    try:
+        s = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.n == 30_000 and s.d == 6
+    assert peak <= 3 * path.stat().st_size
+
+
 def _per_cell_load_csv(path, y_column="last"):
     # A loader with one float() and one isfinite() per cell, in row order:
     # the oracle of the differential test.
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
 
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
@@ -222,34 +295,61 @@ def _outcome(loader, path, y_column):
     return s.x.shape, s.x.tobytes(), s.y.tobytes()
 
 
-# Cells that float() and the finiteness check treat differently.
-_ODD_TOKENS = ("", " ", "nan", "inf", "1e309", "1_0", "0x1", "\t4", "\x1f5", "x")
+# Cells that float() and the finiteness check treat differently, and cells
+# that float() reads and NumPy's C reader refuses.
+_ODD_TOKENS = ("", " ", "nan", "inf", "1e309", "1_0", "0x1", "\t4", "\x1f5", "x",
+               "\u0661\u0662", "\uff11")
+# Line breaks of str.splitlines that universal newlines do not honour.
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("br", _OTHER_BREAKS)
+def test_load_csv_ends_lines_where_str_splitlines_does(tmp_path, br):
+    # NumPy's C reader would strip these breaks around a number as
+    # whitespace; the lines end at them, as str.splitlines ends them.
+    for i, text in enumerate((
+        f"x,y\n1{br},2\n3,4\n5,6\n",
+        f"x,y\n1,2{br}\n3,4\n",
+        f"x{br},y\n1,2\n3,4\n",
+        f"{br}1,2\n3,4\r\n5,{br}6\n",
+    )):
+        path = _write(tmp_path, text, f"{i}.csv")
+        assert _outcome(load_csv, path, "last") == _outcome(_per_cell_load_csv, path, "last")
 
 
 if given is not None:
 
     @st.composite
     def csv_texts(draw):
-        n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        # n = 0 with a header is a header-only file; d = 1 a single column.
+        n, d = draw(st.integers(0, 6)), draw(st.integers(1, 4))
         num = st.one_of(
             st.integers(-1000, 1000).map(str),
             st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+            st.floats(-1e300, 1e300, allow_nan=False).map(lambda v: f"{v:.17g}"),
         )
         rows = [[draw(num) for _ in range(d)] for _ in range(n)]
         # A few cells become odd tokens, a few rows lose or gain a cell.
-        for _ in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(0, 3)) if n else 0):
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))
             rows[i][j] = draw(st.sampled_from(_ODD_TOKENS))
-        for _ in range(draw(st.integers(0, 1))):
+        for _ in range(draw(st.integers(0, 1)) if n else 0):
             i = draw(st.integers(0, n - 1))
             rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
         lines = [",".join(r) for r in rows]
         if draw(st.booleans()):
             lines.insert(0, ",".join(f"c{j}" for j in range(d)))
+        # Blank and whitespace-only lines anywhere, before the header too.
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t"))))
-        end = draw(st.sampled_from(("\n", "\r\n")))
-        return end.join(lines) + draw(st.sampled_from(("", end)))
+        # A break that only str.splitlines honours, inside a line or at its end.
+        for _ in range(draw(st.integers(0, 1)) if lines else 0):
+            i = draw(st.integers(0, len(lines) - 1))
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from(_OTHER_BREAKS)) + lines[i][at:]
+        end = draw(st.sampled_from(("\n", "\r\n", "\r")))
+        bom = draw(st.sampled_from(("", "\ufeff")))
+        return bom + end.join(lines) + draw(st.sampled_from(("", end)))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(csv_texts(), st.sampled_from(("last", 0, 1, 4)))
