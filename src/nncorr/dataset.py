@@ -9,9 +9,12 @@ and tie-group starts that the ridge right-hand sides are built from.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
+import stat
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +97,6 @@ def _is_finite_number(tok: str) -> bool:
         return False
 
 
-# np.loadtxt opens a path through NumPy's DataSource, which decompresses a
-# file by these suffixes; the per-cell path reads such a file as its bytes.
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # The line breaks of str.splitlines that universal newlines do not honour,
 # UTF-8 encoded: five one-byte ones, then three of two or three bytes.
 _OTHER_BREAKS = tuple(c.encode() for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
@@ -124,15 +124,17 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     names the path.
 
     Two readers give these results. NumPy's C reader (``np.loadtxt``) parses
-    the data rows without a Python object per row or cell; its numbers are
-    the bits ``float()`` gives. The per-cell reader runs instead, and gives
-    every error message, wherever the C reader could read the file
-    differently: a cell it refuses (underscores, non-ASCII digits, text, an
-    empty cell), a value that is not finite, a ragged row, a whitespace-only
-    line among the data rows, a header with no line after it, a line break
-    that only ``str.splitlines`` honours (``\\v \\f \\x1c \\x1d \\x1e \\x85
-    \\u2028 \\u2029``), a compressed-file suffix that ``np.loadtxt`` would
-    decompress (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), bytes that are not UTF-8.
+    the data rows from the open file, one line at a time, and keeps no
+    Python object per row or cell; its numbers are the bits ``float()``
+    gives. The per-cell reader runs instead, and gives every error message,
+    wherever the C reader could read the file differently: a cell it
+    refuses (underscores, non-ASCII digits, text, an empty cell), a value
+    that is not finite, a ragged row, a whitespace-only line among the data
+    rows, a header with no line after it, a line break that only
+    ``str.splitlines`` honours (``\\v \\f \\x1c \\x1d \\x1e \\x85 \\u2028
+    \\u2029``), bytes that are not UTF-8. A path that is not a regular file
+    (``/dev/stdin`` fed by a pipe, a FIFO) is read once, by the per-cell
+    reader.
     """
     mat = _loadtxt(path)
     if mat is None:
@@ -160,55 +162,67 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
 
 def _loadtxt(path) -> np.ndarray | None:
     """The data rows of ``path`` as ``np.loadtxt`` reads them, or None where
-    its result could differ from :func:`_per_cell`'s."""
-    name = os.fspath(path)
-    if not isinstance(name, str) or os.path.splitext(name)[1] in _COMPRESSED:
-        return None
+    its result could differ from :func:`_per_cell`'s.
+
+    Only a regular file is read here, so that a pipe or a FIFO, which can be
+    read once, reaches :func:`_per_cell` whole.
+    """
     try:
-        skip = _lines_before_data(name)
-        if skip is None or _has_other_breaks(name):
+        if not stat.S_ISREG(os.stat(path).st_mode):
             return None
-        # An absolute path, so that DataSource cannot take it for a URL.
-        mat = np.loadtxt(os.path.abspath(name), dtype=np.float64, delimiter=",",
-                         comments=None, skiprows=skip, encoding="utf-8-sig", ndmin=2)
-    except ValueError:  # a refused cell, a ragged row, or a UnicodeDecodeError
+    except OSError:  # _per_cell raises what open gives
         return None
+    with open(path, "rb") as fh:
+        if _has_other_breaks(fh):
+            return None
+        fh.seek(0)
+        # Universal newlines end a line at \n, \r\n or \r, as str.splitlines
+        # does once the other breaks are ruled out.
+        text = io.TextIOWrapper(fh, encoding="utf-8-sig")
+        try:
+            rows = _data_lines(text)
+            if rows is None:
+                return None
+            mat = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a refused cell, a ragged row, or a UnicodeDecodeError
+            return None
     return mat if np.isfinite(mat).all() else None
 
 
-def _lines_before_data(name: str) -> int | None:
-    """Lines before the first data row, counted as ``np.loadtxt`` counts them.
+def _data_lines(text) -> Iterator[str] | None:
+    """The lines of ``text`` from its first data row on, past the blank lines
+    and the header that :func:`_per_cell` drops.
 
-    The blank lines and the header that the per-cell path drops; None when
-    the file has no non-blank line, or no non-empty line after its header,
-    where ``np.loadtxt`` would warn of no data.
+    None when the file has no non-blank line, or no non-empty line after its
+    header, where ``np.loadtxt`` would warn of no data.
     """
-    # Universal newlines, which np.loadtxt reads a path with.
-    with open(name, encoding="utf-8-sig") as fh:
-        for skip, line in enumerate(fh):
-            if line.strip():
-                break
-        else:
+    for line in text:
+        if line.strip():
+            break
+    else:
+        return None
+    if not any(_parses(tok) for tok in line.split(",")):
+        # np.loadtxt skips empty lines itself; a whitespace-only one it refuses.
+        line = next((ln for ln in text if ln != "\n"), None)
+        if line is None:
             return None
-        if any(_parses(tok) for tok in line.rstrip("\n").split(",")):
-            return skip
-        return skip + 1 if any(ln != "\n" for ln in fh) else None
+    return itertools.chain((line,), text)
 
 
-def _has_other_breaks(name: str) -> bool:
-    """Whether the file holds a line break that only ``str.splitlines`` honours."""
-    with open(name, "rb") as fh:
-        tail = b""
-        while chunk := fh.read(_SCAN_BYTES):
-            # A multi-byte break that straddles two reads leaves the second
-            # one not ASCII; an ASCII read can hold only the one-byte breaks.
-            if chunk.isascii():
-                breaks = _OTHER_BREAKS[:5]
-            else:
-                breaks, chunk = _OTHER_BREAKS, tail + chunk
-            if any(br in chunk for br in breaks):
-                return True
-            tail = chunk[-2:]
+def _has_other_breaks(fh) -> bool:
+    """Whether the binary file ``fh`` holds a line break that only
+    ``str.splitlines`` honours."""
+    tail = b""
+    while chunk := fh.read(_SCAN_BYTES):
+        # A multi-byte break that straddles two reads leaves the second
+        # one not ASCII; an ASCII read can hold only the one-byte breaks.
+        if chunk.isascii():
+            breaks = _OTHER_BREAKS[:5]
+        else:
+            breaks, chunk = _OTHER_BREAKS, tail + chunk
+        if any(br in chunk for br in breaks):
+            return True
+        tail = chunk[-2:]
     return False
 
 

@@ -19,15 +19,13 @@ Since both give the same output, the choice changes the time, not the answer.
 
 :func:`build_nn` makes one pass over the tree for the second- and
 third-nearest rows of every row (``k=[2, 3]``; the row itself is the
-nearest), querying the rows in the tree's leaf order, ``_QUERY_ROWS`` at a
-time, so that consecutive queries walk the same nodes, and scattering only
-the neighbor indices back to row order. A row whose nearest other row is at
-positive distance and strictly nearer than the next one, by more than a
-relative slack, is settled by that pass. Rows with exact copies are settled
-by value group, each pointing at its group's smallest other index. Only the
-other rows (distance ties, rows at distance zero from a row that is no
-copy) query the tree a second time for every row within their nearest
-distance plus the slack, and re-score those candidates with exact squared
+nearest), querying the rows in the tree's leaf order so that consecutive
+queries walk the same nodes, and scattering only the neighbor indices back
+to row order. A row whose nearest other row is at positive distance and
+strictly nearer than the next one, by more than a relative slack, is
+settled by that pass. Only the other rows (distance ties, duplicate rows)
+query the tree a second time for every row within their nearest distance
+plus the slack, and re-score those candidates with exact squared
 distances; on continuous data no row takes that path.
 """
 
@@ -55,12 +53,6 @@ _BRUTE_MAX_M = 200
 # at n = 1 000, 8.11 against 7.11 ms at n = 2 000 and 13.5 against 9.6 ms at
 # n = 3 000 (min of 30 interleaved runs, two shared Intel Xeon cores).
 _ROWS_PER_WORKER = 1000
-# Rows per kd-tree query in build_nn: the query's neighbor arrays exist for
-# one block at a time, beside the tree and the output. On a scaled d = 6
-# copula sample at n = 30 000, one block of all rows against blocks of 8 192
-# rows takes 102 against 115 ms (medians of 15 interleaved calls, two shared
-# Intel Xeon cores), so a block holds 65 536 rows.
-_QUERY_ROWS = 65536
 
 
 def _check_range(x: np.ndarray) -> None:
@@ -83,16 +75,12 @@ def build_nn(x) -> np.ndarray:
     the row itself being the nearest) settles every row whose nearest other
     row is at positive distance and whose third-nearest row is farther by
     more than the slack. The rows are queried in the tree's leaf order
-    (``tree.indices``), ``_QUERY_ROWS`` at a time, and only the neighbor
-    indices are scattered back to row order; a settled row's neighbor is
-    unique, so the order of the queries cannot change it. Rows at distance
-    zero from another row are grouped by value: a group of exact copies
-    that the tree finds alone within distance zero of its first row is
-    settled at once, each row pointing at the group's smallest other index.
-    The remaining rows (ties at positive distance, rows at distance zero
-    from a distinct row, as 0 and 1e-200 are) collect every row within
-    their nearest distance plus the slack and re-score them with exact
-    squared distances, the smallest index winning ties.
+    (``tree.indices``) and only the neighbor indices are scattered back to
+    row order; a settled row's neighbor is unique, so the order of the
+    queries cannot change it. The remaining rows (ties, duplicate rows)
+    collect every row within their nearest distance plus the slack and
+    re-score them with exact squared distances, the smallest index winning
+    ties. Duplicate rows are each other's neighbors.
     """
     arr = np.ascontiguousarray(x, dtype=np.float64)
     n = arr.shape[0]
@@ -102,62 +90,29 @@ def build_nn(x) -> np.ndarray:
 
     tree = cKDTree(arr)
     # Query in leaf order, so consecutive queries walk the same nodes and each
-    # worker takes a spatially contiguous slice of a block.
+    # worker takes a spatially contiguous block, then scatter back to row order.
     perm = tree.indices
+    dk, ik = tree.query(arr[perm], k=[2, 3], workers=workers)
     nn = np.empty(n, dtype=np.int64)
-    rows, radii = [], []
-    for lo in range(0, n, _QUERY_ROWS):
-        block = perm[lo : lo + _QUERY_ROWS]
-        dk, ik = tree.query(arr[block], k=[2, 3], workers=workers)
-        # A positive nearest distance leaves the row itself as its first hit,
-        # so ik[:, 0] is its neighbor; at n = 2 the third distance is inf.
-        nn[block] = ik[:, 0]
-        # The second-smallest distance including self equals the
-        # nearest-other distance whether or not duplicates are present.
-        radius = dk[:, 0] * (1.0 + _TIE_SLACK)
-        tied = ~((dk[:, 0] > 0.0) & (dk[:, 1] > radius))
-        rows.append(block[tied])
-        radii.append(radius[tied])
-    rows, radius = np.concatenate(rows), np.concatenate(radii)
-    zero = radius == 0.0
-    if zero.any():
-        rest = _settle_copies(tree, arr, rows[zero], nn, workers)
-        rows = np.concatenate([rows[~zero], rest])
-        radius = np.concatenate([radius[~zero], np.zeros(rest.size)])
-    if rows.size == 0:
+    # A positive nearest distance leaves the row itself as its first hit, so
+    # ik[:, 0] is its neighbor; at n = 2 the third distance is inf.
+    nn[perm] = ik[:, 0]
+    # The second-smallest distance including self equals the nearest-other
+    # distance whether or not duplicates are present.
+    radius = dk[:, 0] * (1.0 + _TIE_SLACK)
+    tied = ~((dk[:, 0] > 0.0) & (dk[:, 1] > radius))
+    if not tied.any():
         return nn
+    rows, radius = perm[tied], radius[tied]
 
-    # Tied rows: the first minimizer over sorted candidates, squared
-    # distances summed one column at a time as in _stacked_nn.
+    # Tied or duplicate rows: the first minimizer over sorted candidates,
+    # squared distances summed one column at a time as in _stacked_nn.
     balls = tree.query_ball_point(arr[rows], radius, workers=workers, return_sorted=True)
     for i, ball in zip(rows, balls):
         c = np.asarray([j for j in ball if j != i], dtype=np.int64)
         sq = (arr[c] - arr[i]) ** 2
         nn[i] = c[np.argmin(np.add.accumulate(sq, axis=1)[:, -1])]
     return nn
-
-
-def _settle_copies(tree, arr: np.ndarray, zero: np.ndarray, nn: np.ndarray,
-                   workers: int) -> np.ndarray:
-    """Set ``nn`` for the rows of ``zero`` whose zero-distance set is their copies; return the rest.
-
-    ``zero`` holds the rows at distance zero from another row. Grouped by
-    value, a group whose first row has exactly the group within distance
-    zero in the tree is what the exact re-score would see for each of its
-    rows: candidates all at distance zero, the smallest other index winning.
-    A group with more rows at distance zero (values whose squared
-    differences underflow) is returned for the re-score.
-    """
-    _, group, size = np.unique(arr[zero], axis=0, return_inverse=True, return_counts=True)
-    # Each group's rows, in index order, one group after another.
-    members = zero[np.lexsort((zero, group.reshape(-1)))]
-    start = np.cumsum(size) - size
-    first = members[start]
-    alone = tree.query_ball_point(arr[first], 0.0, workers=workers, return_length=True) == size
-    copies = np.repeat(alone, size)
-    nn[members[copies]] = np.repeat(first, size)[copies]
-    nn[first[alone]] = members[start[alone] + 1]
-    return members[~copies]
 
 
 def _stacked_nn(xs: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Tests for CSV loading, rank computation, and min-max scaling."""
 
 import gzip
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -190,7 +192,8 @@ def test_load_csv_is_not_utf8(tmp_path):
 
 
 def test_load_csv_reads_a_compressed_suffix_as_plain_bytes(tmp_path):
-    # np.loadtxt would decompress a path ending in .gz; the file is read as it is.
+    # np.loadtxt would decompress a path ending in .gz; load_csv hands it an
+    # open file, which is read as it is.
     text = "x,y\n1,2\n3,4.5\n"
     a = load_csv(_write(tmp_path, text, "a.csv"))
     b = load_csv(_write(tmp_path, text, "a.csv.gz"))
@@ -209,6 +212,56 @@ def test_load_csv_reads_plain_numbers_with_the_c_reader(tmp_path, monkeypatch):
         s = load_csv(_write(tmp_path, text, f"{i}.csv"))
         np.testing.assert_array_equal(s.x, [[0.5, 1e-3], [-3.0, 4.25]])
         np.testing.assert_array_equal(s.y, [2.0, 5.0])
+
+
+_STREAM_TEXT = "x1,x2,y\n0.5,1e-3,2\n-3,4.25,5\n7,8,9\n"
+
+
+def _same_as_a_regular_file(tmp_path, got):
+    want = load_csv(_write(tmp_path, _STREAM_TEXT, "plain.csv"))
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_load_csv_reads_a_pipe_once(tmp_path):
+    # --input /dev/stdin fed by a pipe: every open of the path shares one
+    # stream, so a second read of it would find nothing.
+    r, w = os.pipe()
+    os.write(w, _STREAM_TEXT.encode())
+    os.close(w)
+    try:
+        got = load_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    _same_as_a_regular_file(tmp_path, got)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_load_csv_reads_a_fifo_once(tmp_path):
+    # A FIFO gives its bytes to one open; a second open would wait for a
+    # writer. Should load_csv open it again, the writer keeps opening it,
+    # each time giving an empty stream, so that the test fails, not hangs.
+    fifo = tmp_path / "in.csv"
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write(_STREAM_TEXT)
+        while not done.wait(2):
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader waiting
+                pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = load_csv(fifo)
+    finally:
+        done.set()
+        writer.join()
+    _same_as_a_regular_file(tmp_path, got)
 
 
 def test_load_csv_lets_no_numpy_warning_escape(tmp_path):

@@ -237,61 +237,42 @@ def test_workers_are_capped_by_rows(monkeypatch, n):
 
 
 class _BallSpy(cKDTree):
-    # The kd-tree of build_nn, recording every ball query: counts or lists.
-    balls = []
+    # The kd-tree of build_nn, counting its ball queries.
+    balls = 0
 
-    def query_ball_point(self, *args, return_length=False, **kwargs):
-        self.balls.append("length" if return_length else "lists")
-        return super().query_ball_point(*args, return_length=return_length, **kwargs)
+    def query_ball_point(self, *args, **kwargs):
+        _BallSpy.balls += 1
+        return super().query_ball_point(*args, **kwargs)
 
 
-def test_copy_groups_settle_without_the_re_score(monkeypatch):
-    # Exact copies are settled by value groups, one counting query for all
-    # of them; continuous rows make no ball query at all.
+def test_settled_rows_make_no_ball_query(monkeypatch):
+    # Continuous rows all settle in the first query; copies need the re-score.
     monkeypatch.setattr(nn_graph, "cKDTree", _BallSpy)
     rng = np.random.default_rng(29)
-    x = rng.integers(0, 10, size=(3000, 2)) / 9.0
-    _BallSpy.balls.clear()
-    np.testing.assert_array_equal(build_nn(x), _block_ref_nn(x))
-    assert _BallSpy.balls == ["length"]
-    _BallSpy.balls.clear()
+    _BallSpy.balls = 0
     build_nn(rng.random((3000, 3)))
-    assert _BallSpy.balls == []
+    assert _BallSpy.balls == 0
+    x = rng.integers(0, 10, size=(3000, 2)) / 9.0
+    np.testing.assert_array_equal(build_nn(x), _block_ref_nn(x))
+    assert _BallSpy.balls == 1
 
 
-def test_zero_distance_rows_that_are_not_copies_take_the_re_score(monkeypatch):
+def test_zero_distance_rows_that_are_not_copies():
     # 0 and 1e-200 are at squared distance 0 (1e-200 squares to 0) but are
-    # no copies, so their groups keep the re-score; the copies of 5 and 7
-    # beside them settle as groups. 0 and -0.0 compare equal: grouped
-    # together or apart, they get the answer of the re-score.
-    monkeypatch.setattr(nn_graph, "cKDTree", _BallSpy)
+    # no copies; 0 and -0.0 compare equal. Beside copies of 5 and 7, the
+    # re-score gives each row the reference's answer.
     rng = np.random.default_rng(30)
     for tiny in ([[0.0], [1e-200], [0.0]], [[0.0], [-0.0], [3.0], [0.0]]):
         x = np.concatenate([tiny, [[5.0]] * 4, [[7.0]] * 3, rng.random((20, 1)) + 8.0])
         for perm in (np.arange(len(x)), rng.permutation(len(x))):
-            _BallSpy.balls.clear()
             np.testing.assert_array_equal(build_nn(x[perm]), _ref_nn(x[perm]))
-            if 1e-200 in x:
-                assert _BallSpy.balls == ["length", "lists"]
     two = np.array([[0.0, 1.0], [1e-200, 1.0], [0.0, 1.0], [1e-200, 1.0], [4.0, 4.0], [4.0, 4.0]])
     np.testing.assert_array_equal(build_nn(two), _ref_nn(two))
 
 
-def test_query_blocks_do_not_change_the_result(monkeypatch):
-    # build_nn queries the rows _QUERY_ROWS at a time; blocks much smaller
-    # than the sample, ties and copies among them, give the same answer.
-    rng = np.random.default_rng(31)
-    x = _copula_with_ties(rng, n=2000, d=3)
-    x = np.concatenate([x, x[:300]])[rng.permutation(x.shape[0] + 300)]
-    want = _block_ref_nn(x)
-    for rows in (1, 37, 1000):
-        monkeypatch.setattr(nn_graph, "_QUERY_ROWS", rows)
-        np.testing.assert_array_equal(build_nn(x), want)
-
-
 def test_build_nn_transient_memory():
-    # The tree, the output and one block of neighbor arrays: the traced peak
-    # at n = 30 000, d = 6 stays within 2.5 times the covariates' bytes.
+    # The tree, the output and the query's (n, 2) neighbor arrays: the traced
+    # peak at n = 30 000, d = 6 stays within 2.5 times the covariates' bytes.
     n, d = 30_000, 6
     x = np.random.default_rng(32).random((n, d))
     tracemalloc.start()
