@@ -9,12 +9,15 @@ all ordered pairs, with the survival curves themselves fitted by
 corrected statistic. When the sample is at least as large as the basis,
 the estimate is read from blocks of design rows built from the covariates
 as they are needed, so its memory is O(n d + block K), with no n x K
-design matrix. Every stage takes a stack of samples; :func:`_stages`
-runs them for :func:`estimate` and for each bootstrap chunk. The stages
-trust what :class:`~nncorr.dataset.Sample` has checked, finite real
-entries; the further checks on the covariates, that neither their squared
-distances nor their monomials overflow, run in :func:`_stages` and only
-on unscaled ones. The raw statistic alone is
+design matrix: with d_i the difference between the design rows of row
+i's neighbor and of row i, the sum over the rows of each threshold's
+products is ``beta_j' C beta_j``, where the K x K sum ``C = sum_i p_i'
+d_i`` is taken beside the Gram matrix. Every stage takes a stack of
+samples; :func:`_stages` runs them for :func:`estimate` and for each
+bootstrap chunk. The stages trust what :class:`~nncorr.dataset.Sample`
+has checked, finite real entries; the further checks on the covariates,
+that neither their squared distances nor their monomials overflow, run in
+:func:`_stages` and only on unscaled ones. The raw statistic alone is
 ``estimate(sample, PipelineConfig(degree=0)).t_hat``.
 """
 
@@ -32,12 +35,10 @@ from .nn_graph import _check_range, _search_stack
 from .ridge_series import (
     _CHUNK_BYTES,
     _block_rows,
-    _descending,
     _design_rows,
     _dual_solve,
-    _threshold_betas,
+    _primal_solve,
     basis_index_set,
-    design_matrix,
 )
 from .rng import _number, _whole
 
@@ -164,60 +165,23 @@ def _pair_mean(rows: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(t) for t in terms]) / (n * (n - 1))
 
 
-def _l_hat(xd: np.ndarray, degree: int | None, nn: np.ndarray, blocks) -> np.ndarray:
-    """Average pair discrepancy of the fitted curves g = P @ betas, per sample.
+def _threshold_terms(
+    cross: np.ndarray, pb: np.ndarray, d: np.ndarray, betas: np.ndarray
+) -> np.ndarray:
+    """The pair terms of the fitted curves g = P @ betas at a block of thresholds.
 
-    P is ``_design_rows(xd, degree)`` of the (c, n, .) rows ``xd``, and
-    ``nn`` the (c, n) neighbor positions in the same row order. ``blocks``
-    gives the rest in consecutive blocks of rows, as
-    :func:`nncorr.ridge_series._threshold_betas` yields them: ``(lo, hi,
-    pb, betas)`` with ``pb`` the design rows ``lo:hi`` and ``betas`` the
-    (c, K, hi - lo) coefficients of the thresholds at those rows, every row
-    once. Returns, shape (c,), ``sum_{i != j} g[i,j] * (g[nn[i],j] -
-    g[i,j]) / (n*(n-1))`` without forming the n x n matrix g. Since g has
-    rank K, row i of the sum is ``p_i M d_i' - g[i,i] * (d_i @ betas[:,
-    i])`` with ``M = betas @ betas.T`` and ``d_i = p_nn(i) - p_i``; the
-    second part removes the j = i term exactly. M and the second part are
-    accumulated block by block; the first part follows the last block,
-    whose rows are at hand, with the rows of every earlier block built
-    again. The neighbor rows ``p_nn(i)`` are built from the gathered rows
-    of ``xd``, so no (n, K) array exists. The differences d are formed
-    before any product, so rows whose fitted curves agree contribute
-    exactly zero. Each sample's n row terms are combined with
-    ``math.fsum``. O(n K^2) time and O(block K) memory beyond ``xd``;
-    :func:`_bias_term` takes this form when n >= K.
+    ``pb`` and ``d`` are the (c, b, K) design rows and neighbor differences
+    ``d_j = p_nn(j) - p_j`` of the rows at the block's thresholds, ``betas``
+    their (c, K, b) coefficients, and ``cross`` the (c, K, K) sum ``C =
+    sum_i p_i' d_i`` over every row i. Term j, summed over the rows i != j,
+    is ``sum_{i != j} g[i,j] * (g[nn[i],j] - g[i,j])``. Since ``g[i,j] =
+    p_i @ beta_j``, the sum over every row i is ``beta_j' C beta_j``; the
+    second part, ``g[j,j] * (d_j @ beta_j)``, removes the i = j term
+    exactly. Returns the (c, b) terms.
     """
-    c, n, w = xd.shape
-    # Neighbor rows are gathered through a flat (c * n, .) view by flat indices.
-    flat = xd.reshape(c * n, w)
-    nn_flat = nn + n * np.arange(c)[:, None]
-
-    def diff(lo, hi, pb):
-        d = _design_rows(np.take(flat, nn_flat[:, lo:hi], axis=0), degree)
-        d -= pb
-        return d
-
-    m = None
-    terms = np.empty((c, n))  # g[i,i] * (d_i @ betas[:, i]) until the row pass
-    seen = []
-    for lo, hi, pb, betas in blocks:
-        seen.append((lo, hi))
-        dj = diff(lo, hi, pb)
-        if m is None:
-            m = np.zeros((c, betas.shape[-2], betas.shape[-2]))
-        # einsum sums every entry of M in the same order, so equal rows of
-        # betas give bit-equal entries and curves that agree cancel exactly;
-        # BLAS (syrk or gemm) rounds edge and diagonal blocks differently.
-        m += np.einsum("...kj,...lj->...kl", betas, betas)
-        g_jj = np.einsum("...ik,...ki->...i", pb, betas)
-        terms[:, lo:hi] = g_jj * np.einsum("...ik,...ki->...i", dj, betas)
-    # The rows of p M d' in the same blocks, the last block's rows at hand.
-    for lo, hi in reversed(seen):
-        if (lo, hi) != seen[-1]:
-            pb = _design_rows(xd[:, lo:hi], degree)
-            dj = diff(lo, hi, pb)
-        terms[:, lo:hi] = np.einsum("...ik,...ik->...i", pb, dj @ m) - terms[:, lo:hi]
-    return _pair_mean(terms)
+    quad = np.einsum("...kj,...kj->...j", betas, cross @ betas)
+    g_jj = np.einsum("...jk,...kj->...j", pb, betas)
+    return quad - g_jj * np.einsum("...jk,...kj->...j", d, betas)
 
 
 def _primal_l_hat(
@@ -227,24 +191,22 @@ def _primal_l_hat(
     """``l_hat`` of a (c, m, d) stack from the primal K x K system, in blocks of rows.
 
     ``order`` and ``first`` are those of :func:`nncorr.dataset._tie_groups`,
-    ``nn`` the (c, m) neighbor indices. The covariates are gathered once
-    into descending response order, where the running sums of the
-    right-hand sides run along the rows, and the neighbor indices mapped
-    into that order; :func:`nncorr.ridge_series._threshold_betas` and
-    :func:`_l_hat` then build the design rows of each block of ``block``
-    rows as they need them. When one block holds every row, its design
-    rows are built once and serve every pass.
+    ``nn`` the (c, m) neighbor indices. Returns, shape (c,), ``sum_{i !=
+    j} g[i,j] * (g[nn[i],j] - g[i,j]) / (m*(m-1))`` without forming the m x
+    m matrix g: :func:`nncorr.ridge_series._primal_solve` gives the cross
+    sum C and, block by block of ``block`` rows, the rows and coefficients
+    whose terms :func:`_threshold_terms` takes. The differences d are
+    formed before any product, so a row whose design row equals its
+    neighbor's adds nothing to C. Each sample's m terms are combined with
+    ``math.fsum``. O(m K^2) time and O(block K) memory beyond ``xs``.
     """
-    c, m, d = xs.shape
-    desc, need = _descending(order, first)
-    xd = np.take(xs.reshape(c * m, d), desc, axis=0)
-    # pos[r]: position of flat row r in its sample's descending order.
-    pos = np.empty(c * m, dtype=np.intp)
-    pos[desc] = np.arange(m)
-    nnd = pos[(nn + m * np.arange(c)[:, None]).ravel()[desc]]
-    if degree is not None and m <= block:
-        xd, degree = design_matrix(xd, degree), None
-    return _l_hat(xd, degree, nnd, _threshold_betas(xd, degree, need, lam, block))
+    c, m = nn.shape
+    cross, blocks = _primal_solve(xs, degree, order, first, nn, lam, block)
+    terms = np.empty((c, m))
+    for lo, hi, pb, d, betas in blocks:
+        terms[:, lo:hi] = _threshold_terms(cross, pb, d, betas)
+        del pb, d, betas  # so the next block is built and solved without them
+    return _pair_mean(terms)
 
 
 def _bias_term(

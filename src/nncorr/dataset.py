@@ -129,16 +129,20 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     gives. The per-cell reader runs instead, and gives every error message,
     wherever the C reader could read the file differently: a cell it
     refuses (underscores, non-ASCII digits, text, an empty cell), a value
-    that is not finite, a ragged row, a whitespace-only line among the data
-    rows, a header with no line after it, a line break that only
-    ``str.splitlines`` honours (``\\v \\f \\x1c \\x1d \\x1e \\x85 \\u2028
-    \\u2029``), bytes that are not UTF-8. A path that is not a regular file
-    (``/dev/stdin`` fed by a pipe, a FIFO) is read once, by the per-cell
-    reader.
+    that is not finite, a ragged row, a header with no line after it, a
+    line break that only ``str.splitlines`` honours (``\\v \\f \\x1c \\x1d
+    \\x1e \\x85 \\u2028 \\u2029``), bytes that are not UTF-8. A path that is
+    not a regular file (``/dev/stdin`` fed by a pipe, a FIFO) can be read
+    only once: its bytes are read into memory, and both readers take them
+    from there.
     """
-    mat = _loadtxt(path)
-    if mat is None:
-        mat = _per_cell(path)
+    with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh = io.BytesIO(fh.read())
+        mat = _loadtxt(fh)
+        if mat is None:
+            fh.seek(0)
+            mat = _per_cell(fh.read(), path)
     if mat.shape[0] < 2:
         raise InputError(f"need at least 2 data rows, got {mat.shape[0]}")
     ncols = mat.shape[1]
@@ -160,53 +164,42 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     return Sample(x=x, y=y)
 
 
-def _loadtxt(path) -> np.ndarray | None:
-    """The data rows of ``path`` as ``np.loadtxt`` reads them, or None where
-    its result could differ from :func:`_per_cell`'s.
+def _loadtxt(fh) -> np.ndarray | None:
+    """The data rows of the binary file ``fh`` as ``np.loadtxt`` reads them,
+    or None where its result could differ from :func:`_per_cell`'s.
 
-    Only a regular file is read here, so that a pipe or a FIFO, which can be
-    read once, reaches :func:`_per_cell` whole.
+    ``fh`` is read from its start and left open.
     """
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-    except OSError:  # _per_cell raises what open gives
+    if _has_other_breaks(fh):
         return None
-    with open(path, "rb") as fh:
-        if _has_other_breaks(fh):
+    fh.seek(0)
+    # Universal newlines end a line at \n, \r\n or \r, as str.splitlines
+    # does once the other breaks are ruled out.
+    text = io.TextIOWrapper(fh, encoding="utf-8-sig")
+    try:
+        rows = _data_lines(text)
+        if rows is None:
             return None
-        fh.seek(0)
-        # Universal newlines end a line at \n, \r\n or \r, as str.splitlines
-        # does once the other breaks are ruled out.
-        text = io.TextIOWrapper(fh, encoding="utf-8-sig")
-        try:
-            rows = _data_lines(text)
-            if rows is None:
-                return None
-            mat = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-        except ValueError:  # a refused cell, a ragged row, or a UnicodeDecodeError
-            return None
+        mat = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a refused cell, a ragged row, or a UnicodeDecodeError
+        return None
+    finally:
+        text.detach()
     return mat if np.isfinite(mat).all() else None
 
 
 def _data_lines(text) -> Iterator[str] | None:
-    """The lines of ``text`` from its first data row on, past the blank lines
-    and the header that :func:`_per_cell` drops.
+    """The lines of ``text`` from its first data row on, past the header and
+    the blank and whitespace-only lines, all of which :func:`_per_cell` drops.
 
-    None when the file has no non-blank line, or no non-empty line after its
-    header, where ``np.loadtxt`` would warn of no data.
+    None when the file has no such line, or none after its header, where
+    ``np.loadtxt`` would warn of no data.
     """
-    for line in text:
-        if line.strip():
-            break
-    else:
-        return None
-    if not any(_parses(tok) for tok in line.split(",")):
-        # np.loadtxt skips empty lines itself; a whitespace-only one it refuses.
-        line = next((ln for ln in text if ln != "\n"), None)
-        if line is None:
-            return None
-    return itertools.chain((line,), text)
+    lines = filter(str.strip, text)
+    line = next(lines, None)
+    if line is not None and not any(_parses(tok) for tok in line.split(",")):
+        line = next(lines, None)  # past the header
+    return None if line is None else itertools.chain((line,), lines)
 
 
 def _has_other_breaks(fh) -> bool:
@@ -238,11 +231,10 @@ def _decode(raw: bytes, path) -> str:
         ) from None
 
 
-def _per_cell(path) -> np.ndarray:
-    """The data rows of ``path``, one ``float()`` per cell; raises the first
-    failure in row order."""
-    with open(path, "rb") as fh:
-        text = _decode(fh.read(), path)
+def _per_cell(raw: bytes, path) -> np.ndarray:
+    """The data rows of the bytes ``raw`` of ``path``, one ``float()`` per
+    cell; raises the first failure in row order."""
+    text = _decode(raw, path)
 
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:

@@ -21,18 +21,19 @@ Everything here is a plain array, for a stack of samples at once:
 :func:`basis_index_set` at every row. Entry (i, j) of the fitted curves g
 estimates P(Y >= y_j | X = x_i). This is a linear probability model: entries may
 fall outside [0, 1], and nothing clamps them. The two paths leave g in
-different forms. With n >= K, the rows are taken in descending response
-order (:func:`_descending`) and the design matrix P never exists whole:
-:func:`_threshold_rhs` builds it one block of rows at a time from the
-covariates, once for the Gram matrix P'P and once more for the suffix-sum
-right-hand sides P' 1(y >= y_j), and :func:`_threshold_betas` gives the
-(K, n) coefficients ``betas``, column j solving (P'P + n*lam*I) beta = P'
-1(y >= y_j), one block at a time with the block's rows. So g = P @ betas
-stays in factored form, and neither P nor the coefficients exist in full.
-With n < K, :func:`_dual_solve` gives the n x n indicators Y and dual
-solution Z from the whole (n, K) design matrix, and g = Y - n*lam*Z is n x
-n. The bias term in :mod:`nncorr.bias_correction` reads either form
-directly.
+different forms. With n >= K, :func:`_primal_solve` takes the rows in
+descending response order (:func:`_descending`) and builds the design
+matrix P one block of rows at a time from the covariates, never whole,
+together with the differences D between each row's neighbor and the row
+itself. A first pass sums the Gram matrix P'P and the K x K cross sum
+P'D; a second builds each block's rows again, with its suffix-sum
+right-hand sides P' 1(y >= y_j), and gives the (K, n) coefficients
+``betas``, column j solving (P'P + n*lam*I) beta = P' 1(y >= y_j), one
+block at a time. So g = P @ betas stays in factored form, and neither P
+nor the coefficients exist in full. With n < K, :func:`_dual_solve` gives
+the n x n indicators Y and dual solution Z from the whole (n, K) design
+matrix, and g = Y - n*lam*Z is n x n. The bias term in
+:mod:`nncorr.bias_correction` reads either form directly.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def _design_rows(x: np.ndarray, degree: int | None) -> np.ndarray:
 
     The primal path builds the design rows of each block from its
     covariate rows; ``degree=None`` marks a stack that holds its design
-    rows already, as one block of the pipeline does.
+    rows already.
     """
     return x if degree is None else design_matrix(x, degree)
 
@@ -244,24 +245,47 @@ def _running_sums(pb: np.ndarray, carry: np.ndarray | None):
     return sums, sums[..., -1].copy()
 
 
-def _threshold_rhs(xd: np.ndarray, degree: int | None, need: np.ndarray, block: int):
-    """Gram matrices P'P and right-hand sides P' 1(y >= y_j) of a (c, m, .) stack.
+def _primal_solve(
+    xs: np.ndarray, degree: int | None, order: np.ndarray, first: np.ndarray,
+    nn: np.ndarray, lam: float, block: int,
+):
+    """The primal ridge solve of every threshold of a (c, m, .) stack, in blocks of rows.
 
-    The rows of ``xd`` are in descending response order and ``need`` is
-    that of :func:`_descending`: P is ``_design_rows(xd, degree)``, built
-    one block of ``block`` rows at a time, never whole. Threshold t takes
-    running-sum row ``need[:, t]``. O(mK^2) for the Gram matrices and O(mK)
-    for the sums, with no m x m indicator.
+    ``order`` and ``first`` are those of :func:`nncorr.dataset._tie_groups`,
+    ``nn`` the (c, m) neighbor indices. The rows are taken in descending
+    response order (:func:`_descending`), ``block`` at a time, and each
+    block's design rows ``pb = _design_rows(xs[desc], degree)`` and
+    neighbor differences ``d = _design_rows(xs[nn[desc]], degree) - pb``
+    are built from the gathered covariate rows, so P is never whole.
+    O(m K^2) time and O(block K) memory beyond ``xs``; the pipeline takes
+    this path when m >= K with ``block`` = :func:`_block_rows` (K).
 
-    Returns ``(gram, blocks)``. A first pass over the blocks sums the
-    (c, K, K) ``gram``; when a tie group runs past the end of a block, it
-    also keeps the running-sum row at that group's last position, which
-    every threshold of the group takes. ``blocks`` is the second pass, a
-    generator of ``(lo, hi, pb, rhs)`` per block: ``pb`` the (c, hi - lo,
-    K) design rows at positions ``lo:hi``, built once more, and ``rhs``
-    their thresholds' C-ordered (c, K, hi - lo) right-hand sides.
+    A first pass sums the (c, K, K) Gram matrices P'P and ``cross`` =
+    P'D over the blocks, both with compensated (Kahan) summation, so their
+    rounding does not grow with the number of blocks. When a tie group
+    runs past the end of a block, the same pass keeps the running-sum row
+    at that group's last position, which every threshold of the group
+    takes. The shifted Gram matrix P'P + m*lam*I of each sample is
+    inverted once (:func:`_invert_shifted`).
+
+    Returns ``(cross, blocks)``. ``blocks`` is the second pass, a generator
+    of ``(lo, hi, pb, d, betas)`` per block: the rows at positions
+    ``lo:hi``, built once more (``pb`` is kept from the first pass when one
+    block holds every row), and the (c, K, hi - lo) ``betas``, column t solving
+    (P'P + m*lam*I) beta = P' 1(y >= y_j) for the threshold at position lo
+    + t. The right-hand sides are the running sums over the rows
+    (:func:`_running_sums`), O(m K) with no m x m indicator; a tie group's
+    thresholds take the sum at its last row.
     """
-    c, m, _ = xd.shape
+    c, m, w = xs.shape
+    desc, need = _descending(order, first)
+    flat = xs.reshape(c * m, w)
+    # The flat index of each row's neighbor, in descending order.
+    nnd = (nn + m * np.arange(c)[:, None]).ravel()[desc]
+
+    def rows(lo, hi, index):
+        return _design_rows(np.take(flat, index[:, lo:hi], axis=0), degree)
+
     bounds = [(lo, min(lo + block, m)) for lo in range(0, m, block)]
     ends = np.array([hi for _, hi in bounds])
     # The running-sum row of each block's last threshold, and whether its
@@ -269,66 +293,62 @@ def _threshold_rhs(xd: np.ndarray, degree: int | None, need: np.ndarray, block: 
     tails = need[:, ends - 1]
     straddle = tails >= ends
     keep = straddle.any()
-    gram, comp, ahead, carry = None, 0.0, None, None
-    for lo, hi in bounds:
-        pb = _design_rows(xd[:, lo:hi], degree)
-        with np.errstate(over="ignore", invalid="ignore"):
-            part = np.swapaxes(pb, -1, -2) @ pb
-            if gram is None:
-                gram = part
+    sums, comp, ahead, carry = None, None, None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in bounds:
+            pb = rows(lo, hi, desc)
+            d = rows(lo, hi, nnd)
+            d -= pb
+            pt = np.swapaxes(pb, -1, -2)
+            part = [pt @ pb, pt @ d]
+            if sums is None:
+                sums, comp = part, [0.0, 0.0]
             else:
-                # Compensated (Kahan) summation of the blocks' Gram matrices,
-                # so the sum's rounding does not grow with their number.
-                part -= comp
-                total = gram + part
-                comp = (total - gram) - part
-                gram = total
-        if keep:
-            if ahead is None:
-                ahead = np.zeros((c, len(bounds), pb.shape[-1]))
-            sums, carry = _running_sums(pb, carry)
-            b, i = np.nonzero(straddle & (tails >= lo) & (tails < hi))
-            ahead[b, i] = sums[b, :, tails[b, i] - lo]
-    return gram, _rhs_blocks(xd, degree, need, bounds, ahead)
+                # Compensated (Kahan) summation of the blocks' products, so
+                # the sums' rounding does not grow with their number.
+                for q in range(2):
+                    part[q] -= comp[q]
+                    total = sums[q] + part[q]
+                    comp[q] = (total - sums[q]) - part[q]
+                    sums[q] = total
+            if keep:
+                if ahead is None:
+                    ahead = np.zeros((c, len(bounds), pb.shape[-1]))
+                run, carry = _running_sums(pb, carry)
+                b, i = np.nonzero(straddle & (tails >= lo) & (tails < hi))
+                ahead[b, i] = run[b, :, tails[b, i] - lo]
+    gram, cross = sums
+    inv = _invert_shifted(gram, m, lam)
+    held = pb if len(bounds) == 1 else None
 
+    def blocks():
+        # With no ties in a block, each threshold takes its own running
+        # sum, so the sums are the right-hand sides; otherwise a tie group's
+        # thresholds take the sum at its last row, past the block's end the
+        # one kept for the block. The neighbor differences are built after
+        # the solve, and every block array is dropped before the next
+        # block's, so fewer of them are alive at once. Keeping the first
+        # pass's differences of a single block instead costs more page
+        # faults in the bootstrap's chunks than building them again.
+        samples = np.arange(c)[:, None]
+        carry = None
+        for i, (lo, hi) in enumerate(bounds):
+            pb = rows(lo, hi, desc) if held is None else held
+            rhs, carry = _running_sums(pb, carry)
+            at = need[:, lo:hi] - lo
+            if not (at == np.arange(hi - lo)).all():
+                if ahead is not None:
+                    rhs = np.concatenate([rhs, ahead[:, i, :, None]], axis=-1)
+                picked = np.swapaxes(rhs, -1, -2)[samples, np.minimum(at, hi - lo)]
+                rhs = np.ascontiguousarray(np.swapaxes(picked, -1, -2))
+            betas = _refined_apply(gram, inv, rhs)
+            del rhs
+            d = rows(lo, hi, nnd)
+            d -= pb
+            yield lo, hi, pb, d, betas
+            del pb, d, betas
 
-def _rhs_blocks(xd, degree, need, bounds, ahead):
-    # The second pass of _threshold_rhs. With no ties in a block, each
-    # threshold takes its own running sum, so the sums are the right-hand
-    # sides; otherwise a tie group's thresholds take the sum at its last
-    # row, past the block's end the one kept for the block.
-    samples = np.arange(xd.shape[0])[:, None]
-    carry = None
-    for i, (lo, hi) in enumerate(bounds):
-        pb = _design_rows(xd[:, lo:hi], degree)
-        rhs, carry = _running_sums(pb, carry)
-        rows = need[:, lo:hi] - lo
-        if not (rows == np.arange(hi - lo)).all():
-            if ahead is not None:
-                rhs = np.concatenate([rhs, ahead[:, i, :, None]], axis=-1)
-            picked = np.swapaxes(rhs, -1, -2)[samples, np.minimum(rows, hi - lo)]
-            rhs = np.ascontiguousarray(np.swapaxes(picked, -1, -2))
-        yield lo, hi, pb, rhs
-
-
-def _threshold_betas(
-    xd: np.ndarray, degree: int | None, need: np.ndarray, lam: float, block: int
-):
-    """Primal ridge coefficients of every threshold of a (c, m, .) stack, in blocks.
-
-    Takes the rows as :func:`_threshold_rhs` does, inverts the shifted Gram
-    matrix P'P + m*lam*I of each sample once, then yields ``(lo, hi, pb,
-    betas)`` for each block of rows: ``pb`` the block's design rows and
-    column t of the (c, K, hi - lo) ``betas`` the solution of (P'P +
-    m*lam*I) beta = P' 1(y >= y_j) for the threshold at position lo + t.
-    The pipeline takes this path when m >= K, so the m right-hand sides
-    share one K x K inverse: O(K^3) plus O(m K^2), and O(block K) memory;
-    the pipeline's ``block`` is :func:`_block_rows` (K).
-    """
-    gram, blocks = _threshold_rhs(xd, degree, need, block)
-    inv = _invert_shifted(gram, xd.shape[-2], lam)
-    for lo, hi, pb, rhs in blocks:
-        yield lo, hi, pb, _refined_apply(gram, inv, rhs)
+    return cross, blocks()
 
 
 def _dual_solve(
@@ -341,7 +361,7 @@ def _dual_solve(
     m*lam*I) Z = Y, both (c, m, m). Since (P'P + m*lam*I)^-1 P' = P' (PP' +
     m*lam*I)^-1, the primal coefficients are betas = P' Z, and the fitted
     curves are g = P betas = PP' Z = Y - m*lam*Z without them. The solve
-    makes the checks of :func:`_threshold_betas` with the same messages.
+    makes the checks of :func:`_primal_solve` with the same messages.
     """
     with np.errstate(over="ignore"):
         outer = p @ np.swapaxes(p, -1, -2)

@@ -1,7 +1,7 @@
 """Built-in oracle-equivalence suites, runnable from the command line.
 
 Each suite pits a function the pipeline itself runs (the neighbor searches,
-``_l_hat``, ``_bias_term``, the design matrix, both ridge solves, the
+``_threshold_terms``, ``_bias_term``, the design matrix, both ridge solves, the
 bootstrap's index block, the closed-form truth), on a stack of one sample
 where it checks one, against an independent reference implementation kept
 in this module (deliberately not shared with the production code, so a
@@ -16,13 +16,19 @@ import time
 
 import numpy as np
 
-from .bias_correction import _bias_term, _l_hat, _primal_l_hat, default_lambda
+from .bias_correction import (
+    _bias_term,
+    _pair_mean,
+    _primal_l_hat,
+    _threshold_terms,
+    default_lambda,
+)
 from .dataset import _tie_groups
 from .nn_graph import _stacked_nn, build_nn
 from .ridge_series import (
     _descending,
     _dual_solve,
-    _threshold_betas,
+    _primal_solve,
     basis_index_set,
     design_matrix,
 )
@@ -159,9 +165,11 @@ def nn_suite(quick: bool = False, seed: int = 17) -> tuple[bool, str]:
 
 
 def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
-    """``_l_hat`` and ``_bias_term`` against the double loop over g, to 1e-12.
+    """``_threshold_terms`` and ``_bias_term`` against the double loop over g, to 1e-12.
 
-    ``_l_hat`` takes random factors. Cases cycle through rank one (K = 1),
+    ``_threshold_terms`` takes random factors p and betas, every threshold
+    one block, with the cross sum C = p'(p[nn] - p), and its terms are
+    summed as the pipeline sums them. Cases cycle through rank one (K = 1),
     low rank (1 < K < n), K >= n, and p = I with betas an arbitrary
     explicit g. The factors are scaled so that g has standard normal
     entries whatever K is.
@@ -170,8 +178,8 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
     the m x m dual path). Its primal path (m >= K) takes random covariates
     with a basis of degree 1 to 3 and builds the design rows itself, all in
     one block; the same path streamed in blocks of 1 to 7 rows, which tie
-    groups straddle, building each block's rows again in every pass, must
-    agree with it to 1e-13. The oracle g = P (P'P + m*lam*I)^-1 P' Y of
+    groups straddle, building each block's rows again in its second pass,
+    must agree with it to 1e-13. The oracle g = P (P'P + m*lam*I)^-1 P' Y of
     both paths is solved here from the explicit indicator matrix Y. Their
     rows are drawn with replacement, so many rows have a copy of their own
     as nearest neighbor, and every other case rounds the responses into
@@ -196,8 +204,9 @@ def bias_suite(quick: bool = False, seed: int = 29) -> tuple[bool, str]:
             betas = rng.standard_normal((k, n)) / math.sqrt(k)
         nn_idx = rng.integers(0, n - 1, size=n)
         nn_idx[nn_idx >= np.arange(n)] += 1  # any j != i is a valid neighbor map
-        one_block = [(0, n, p[None], betas[None])]
-        got = float(_l_hat(p[None], None, nn_idx[None], one_block)[0])
+        d = p[nn_idx] - p
+        terms = _threshold_terms((p.T @ d)[None], p[None], d[None], betas[None])
+        got = float(_pair_mean(terms)[0])
         want = _ref_bias(p @ betas, nn_idx)
         err = abs(got - want)
         worst = max(worst, err)
@@ -293,10 +302,11 @@ def _ridge_fit(p: np.ndarray, y: np.ndarray, lam: float, block: int) -> np.ndarr
     c, n, k = p.shape
     if n < k:
         return _dual_solve(p, first, ranks, lam)[1]
-    desc, need = _descending(order, first)
-    pd = np.take(p.reshape(c * n, k), desc, axis=0)
+    desc, _ = _descending(order, first)
     betas = np.empty((c, k, n))
-    for lo, hi, _, cols in _threshold_betas(pd, None, need, lam, block):
+    # The neighbors enter only the cross sum, which is not read here.
+    _, blocks = _primal_solve(p, None, order, first, np.zeros_like(first), lam, block)
+    for lo, hi, *_, cols in blocks:
         np.put_along_axis(betas, desc[:, None, lo:hi] % n, cols, axis=-1)
     return betas
 

@@ -27,7 +27,7 @@ from nncorr.bias_correction import PipelineConfig, _rank_coefficient, estimate
 from nncorr.bootstrap import analyze
 from nncorr.dataset import Sample, _tie_groups
 from nncorr.nn_graph import build_nn
-from nncorr.ridge_series import _block_rows, _descending, _threshold_betas, design_matrix
+from nncorr.ridge_series import _block_rows, _descending, _primal_solve, design_matrix
 from nncorr.rng import derive_seed
 from nncorr.selftest import run_selftest
 from nncorr.simulation import CopulaConfig, gen_gaussian_copula, run_study, true_t
@@ -143,9 +143,14 @@ def _t_raw(y, nn):
 
 def _ridge_fit(p, y, lam):
     # The pipeline's right-hand sides and ridge solve for one sample.
-    desc, need = _descending(*_tie_groups(y[None])[:2])
+    order, first, _ = _tie_groups(y[None])
+    desc, _ = _descending(order, first)
     betas = np.empty(p.shape[::-1])
-    for lo, hi, _, cols in _threshold_betas(p[desc], None, need, lam, _block_rows(p.shape[1])):
+    # The neighbors enter only the cross sum, which is not read here.
+    _, blocks = _primal_solve(
+        p[None], None, order, first, np.zeros_like(first), lam, _block_rows(p.shape[1])
+    )
+    for lo, hi, *_, cols in blocks:
         betas[:, desc[0, lo:hi]] = cols[0]
     return betas
 

@@ -19,9 +19,9 @@ from nncorr.bias_correction import (
     PipelineConfig,
     _bias_term,
     _check_monomials,
-    _l_hat,
     _pair_mean,
     _rank_coefficient,
+    _threshold_terms,
     default_lambda,
     estimate,
 )
@@ -50,9 +50,10 @@ def _random_nn(rng, n):
 
 
 def _bias(p, betas, nn):
-    # The pipeline's bias term on a stack of one sample that holds its
-    # design rows p, all of betas one block.
-    return float(_l_hat(p[None], None, nn[None], [(0, len(p), p[None], betas[None])])[0])
+    # The pipeline's pair terms of the factors p and betas, every threshold
+    # one block, on a stack of one sample, summed as the pipeline sums them.
+    d = p[nn] - p
+    return float(_pair_mean(_threshold_terms((p.T @ d)[None], p[None], d[None], betas[None]))[0])
 
 
 def _explicit_fit(p, y, lam):
@@ -265,9 +266,10 @@ def test_pipeline_l_hat_matches_double_loop(n):
     (1, 12, 1, True, None),   # K = 4
     (1, 30, 2, True, 4),      # blocks of 4 rows, which tie groups straddle
     (3, 30, 2, True, 7),      # a stack in blocks of 7 rows
+    (2, 40, 3, True, 6),      # K = 20, a stack in blocks of 6 rows
     (1, 12, 0, True, None),   # K = 1, where l_hat is exactly 0
 ], ids=["dual", "dual-tied-dup", "dual-degree3", "primal", "primal-tied-dup",
-        "primal-blocks-tied", "primal-stack-blocks", "degree0"])
+        "primal-blocks-tied", "primal-stack-blocks", "primal-degree3-stack-blocks", "degree0"])
 def test_bias_term_matches_exact_rational_oracle(monkeypatch, c, m, degree, tied, rows):
     # d = 3. A tied case rounds the responses to two to four levels, repeats
     # one row, response included, and that row's neighbor is its copy.
@@ -292,6 +294,54 @@ def test_bias_term_matches_exact_rational_oracle(monkeypatch, c, m, degree, tied
         want = selftest._exact_l_hat(design_matrix(xs[b], degree), y[b], lam, nn[b].tolist())
         assert (want != 0) == (degree > 0)
         assert abs(Fraction(float(got[b])) - want) <= Fraction(1, 10**12) * abs(want)
+
+
+def _mp_l_hat(p, y, lam, nn):
+    # selftest._exact_l_hat's primal system (m >= K) in 200-bit mpmath
+    # arithmetic. The fitted curve of a threshold depends only on its
+    # response, so the system is solved once per distinct response.
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.MPContext()
+    ctx.prec = 200
+    m, k = p.shape
+    rows = [[ctx.mpf(v) for v in row] for row in p.tolist()]
+    cols = list(zip(*rows))
+    gram = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = ctx.fdot(cols[i], cols[j])
+        gram[i][i] += m * ctx.mpf(lam)
+    levels = sorted(set(y.tolist()))
+    rhs = [[ctx.fsum(v for v, yr in zip(col, y.tolist()) if yr >= t) for t in levels]
+           for col in cols]
+    betas = list(zip(*selftest._exact_solve(gram, rhs)))
+    g = [[ctx.fdot(row, b) for b in betas] for row in rows]  # g[i][level]
+    count = [int((y == t).sum()) for t in levels]
+    at = [levels.index(v) for v in y.tolist()]
+    total = ctx.fsum(
+        count[t] * g[i][t] * (g[nn[i]][t] - g[i][t]) for i in range(m) for t in range(len(levels))
+    ) - ctx.fsum(g[i][at[i]] * (g[nn[i]][at[i]] - g[i][at[i]]) for i in range(m))
+    return total / (m * (m - 1)), ctx
+
+
+def test_bias_term_at_k84_matches_a_high_precision_oracle(monkeypatch):
+    # d = 6 at degree 3 (K = 84), the basis size of ROADMAP item 7, on the
+    # primal path in blocks of 16 rows: responses on a few levels, whose
+    # tie groups straddle the blocks, and one repeated row.
+    m, k = 100, 84
+    monkeypatch.setattr(ridge_series, "_CHUNK_BYTES", 8 * k * 16)
+    rng = np.random.default_rng(84)
+    x = rng.uniform(size=(m, 6))
+    y = x[:, 0] + 0.5 * rng.standard_normal(m)
+    y = np.round(4 * y / np.ptp(y))
+    x[-1], y[-1] = x[0], y[0]
+    xs = minmax_scale(x)
+    nn = build_nn(xs)
+    lam = default_lambda(m)
+    got = _bias_term(xs[None], 3, *_tie_groups(y[None]), lam, nn[None])[0]
+    want, ctx = _mp_l_hat(design_matrix(xs, 3), y, lam, nn.tolist())
+    assert want != 0
+    assert abs(ctx.mpf(float(got)) - want) <= ctx.mpf(1e-12) * abs(want)
 
 
 def test_selftest_bias_suite_checks_against_the_exact_oracle(monkeypatch):
@@ -369,6 +419,26 @@ def test_estimate_memory_holds_no_design_matrix(degree):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * 28 * 8
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_bias_term_memory_stays_below_two_copies_of_x(degree):
+    # At n = 30 000, d = 6 the primal bias term gathers each block's rows
+    # straight from the scaled covariates, so beyond its inputs it holds
+    # less than two (n, d) float arrays: no copy of x in response order,
+    # and no (n, K) or (K, K, n) array at any degree.
+    n, d = 30_000, 6
+    s = _sample(seed=61, n=n, d=d)
+    xs = minmax_scale(s.x)[None]
+    nn = build_nn(xs[0])[None]
+    stages = _tie_groups(s.y[None])
+    tracemalloc.start()
+    try:
+        _bias_term(xs, degree, *stages, default_lambda(n), nn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * d * 8
 
 
 def test_estimate_memory_stays_linear_in_n():

@@ -201,13 +201,15 @@ def test_load_csv_reads_a_compressed_suffix_as_plain_bytes(tmp_path):
 
 
 def test_load_csv_reads_plain_numbers_with_the_c_reader(tmp_path, monkeypatch):
-    # Headers, blank lines before them, CRLF and CR endings and a BOM keep
-    # the C reader; the per-cell reader is not called.
+    # Headers, blank and whitespace-only lines before them, among the data
+    # rows and at the end, CRLF and CR endings and a BOM keep the C reader;
+    # the per-cell reader is not called.
     monkeypatch.setattr(dataset, "_per_cell", None)
     for i, text in enumerate((
         "x1,x2,y\n0.5,1e-3,2\n-3,4.25,5\n\n",
         "\n \n\tx1, x2 ,y\r\n0.5, 1e-3,2\r\n\r\n-3,4.25 ,5\r\n",
         "\ufeff0.5,1e-3,2\r-3,4.25,5\r",
+        "x1,x2,y\n \t\n0.5,1e-3,2\n\x1f \n-3,4.25,5\n  ",
     )):
         s = load_csv(_write(tmp_path, text, f"{i}.csv"))
         np.testing.assert_array_equal(s.x, [[0.5, 1e-3], [-3.0, 4.25]])
@@ -236,18 +238,31 @@ def test_load_csv_reads_a_pipe_once(tmp_path):
     _same_as_a_regular_file(tmp_path, got)
 
 
+def _big_csv(path):
+    # A 30 000-row file of 17-digit numbers under a header, and its bytes.
+    rng = np.random.default_rng(4)
+    np.savetxt(path, rng.standard_normal((30_000, 7)), fmt="%.17g", delimiter=",",
+               header="x1,x2,x3,x4,x5,x6,y", comments="")
+    return path.read_bytes()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
 def test_load_csv_reads_a_fifo_once(tmp_path):
     # A FIFO gives its bytes to one open; a second open would wait for a
     # writer. Should load_csv open it again, the writer keeps opening it,
     # each time giving an empty stream, so that the test fails, not hangs.
+    # The bytes are read once into memory and parsed by the C reader there,
+    # so the traced peak of a 30 000-row stream, result included, stays
+    # within three times its size, as a regular file's does; the per-cell
+    # reader would hold a Python string per cell.
+    data = _big_csv(tmp_path / "plain.csv")
     fifo = tmp_path / "in.csv"
     os.mkfifo(fifo)
     done = threading.Event()
 
     def feed():
-        with open(fifo, "w") as fh:
-            fh.write(_STREAM_TEXT)
+        with open(fifo, "wb") as fh:
+            fh.write(data)
         while not done.wait(2):
             try:
                 os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
@@ -256,12 +271,17 @@ def test_load_csv_reads_a_fifo_once(tmp_path):
 
     writer = threading.Thread(target=feed)
     writer.start()
+    tracemalloc.start()
     try:
         got = load_csv(fifo)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
+        tracemalloc.stop()
         done.set()
         writer.join()
-    _same_as_a_regular_file(tmp_path, got)
+    want = load_csv(tmp_path / "plain.csv")
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert peak <= 3 * len(data)
 
 
 def test_load_csv_lets_no_numpy_warning_escape(tmp_path):
@@ -279,10 +299,8 @@ def test_load_csv_lets_no_numpy_warning_escape(tmp_path):
 def test_load_csv_transient_memory(tmp_path):
     # No Python object per row or cell: the traced peak of a 30 000-row file,
     # result included, stays within three times the file's size.
-    rng = np.random.default_rng(4)
     path = tmp_path / "big.csv"
-    np.savetxt(path, rng.standard_normal((30_000, 7)), fmt="%.17g", delimiter=",",
-               header="x1,x2,x3,x4,x5,x6,y", comments="")
+    _big_csv(path)
     tracemalloc.start()
     try:
         s = load_csv(path)

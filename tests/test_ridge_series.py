@@ -1,12 +1,13 @@
 """Tests for the polynomial basis and the all-thresholds ridge solver."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from nncorr import bias_correction, ridge_series
-from nncorr.bias_correction import _bias_term, _neighbor_diff, _primal_l_hat, default_lambda
+from nncorr.bias_correction import _bias_term, _neighbor_diff, default_lambda
 from nncorr.dataset import _tie_groups, minmax_scale
 from nncorr.errors import InputError
 from nncorr.nn_graph import _search_stack
@@ -16,9 +17,8 @@ from nncorr.ridge_series import (
     _descending,
     _dual_solve,
     _invert_shifted,
+    _primal_solve,
     _product_plan,
-    _threshold_betas,
-    _threshold_rhs,
     basis_index_set,
     design_matrix,
 )
@@ -31,38 +31,52 @@ except ImportError:  # the property test below is skipped without it
 
 def _columns(blocks, desc):
     # The (c, K, m) array, columns in row order, whose columns at the
-    # descending positions lo:hi the blocks of _threshold_rhs or
-    # _threshold_betas hold.
+    # descending positions lo:hi the blocks of _primal_solve hold last.
     c, m = desc.shape
     out = None
-    for lo, hi, _, cols in blocks:
+    for lo, hi, *_, cols in blocks:
         if out is None:
             out = np.full((c, cols.shape[-2], m), np.nan)
         np.put_along_axis(out, desc[:, None, lo:hi] % m, cols, axis=-1)
     return out
 
 
-def _descending_rows(rows, order, first):
-    # The rows of a (c, m, .) stack in descending response order, and the
-    # order and suffix rows of ridge_series._descending.
-    c, m, w = rows.shape
-    desc, need = _descending(order, first)
-    return np.take(rows.reshape(c * m, w), desc, axis=0), desc, need
-
-
 def _primal(rows, degree, order, first, lam, block):
     # The primal solve of a (c, m, .) stack: the (c, K, m) betas of every
     # threshold, from design rows built per block of covariate rows, or
-    # held whole when degree is None.
-    xd, desc, need = _descending_rows(rows, order, first)
-    return _columns(_threshold_betas(xd, degree, need, lam, block), desc)
+    # held whole when degree is None. The neighbors enter only the cross
+    # sum, which is not read here.
+    _, blocks = _primal_solve(rows, degree, order, first, np.zeros_like(first), lam, block)
+    return _columns(blocks, _descending(order, first)[0])
+
+
+@contextlib.contextmanager
+def _solver_inputs():
+    # What _primal_solve hands its solves: each Gram matrix before its
+    # shift, and each block's right-hand sides.
+    grams, rhs = [], []
+    invert, apply = ridge_series._invert_shifted, ridge_series._refined_apply
+
+    def spy_invert(a, n, lam):
+        grams.append(a.copy())
+        return invert(a, n, lam)
+
+    def spy_apply(a, inv, b):
+        rhs.append(b.copy())
+        return apply(a, inv, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ridge_series, "_invert_shifted", spy_invert)
+        mp.setattr(ridge_series, "_refined_apply", spy_apply)
+        yield grams, rhs
 
 
 def _rhs(p, order, first, block):
     # The Gram matrices and the (c, K, m) right-hand sides of a design stack.
-    pd, desc, need = _descending_rows(p, order, first)
-    gram, blocks = _threshold_rhs(pd, None, need, block)
-    return gram, _columns(blocks, desc)
+    with _solver_inputs() as (grams, rhs):
+        _, blocks = _primal_solve(p, None, order, first, np.zeros_like(first), 1.0, block)
+        got = _columns(((lo, hi, rhs[-1]) for lo, hi, *_ in blocks), _descending(order, first)[0])
+    return grams[0], got
 
 
 def _ridge_fit(p, y, lam):
@@ -300,7 +314,7 @@ def test_tied_thresholds_share_solutions():
 
 
 def test_tie_group_positions_match_a_binary_search():
-    # _threshold_rhs takes the first sorted index of each tie group from the
+    # _primal_solve takes the first sorted index of each tie group from the
     # sort; a binary search of the sorted y gives the same right-hand sides
     # bit for bit, on continuous, 7-level and constant responses, whose tie
     # groups straddle the edges of blocks of 64 thresholds.
@@ -430,27 +444,34 @@ def test_stacked_dual_solve_matches_each_system_alone():
 
 def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
     # m = K - 1 inverts (m, m) dual matrices and never builds the primal
-    # system; m = K solves the K x K primal system, its design rows built
-    # once as one block, and reads l_hat from its betas, bit for bit.
-    inverted, primal_calls = [], []
-    inv, solve = np.linalg.inv, bias_correction._threshold_betas
+    # system; m = K solves the K x K primal system as one block, its design
+    # rows built once and its neighbor rows once per pass, and reads l_hat
+    # from its betas, bit for bit.
+    inverted, primal_calls, built = [], [], []
+    inv, primal, design = np.linalg.inv, bias_correction._primal_l_hat, ridge_series.design_matrix
 
     def spy_inv(a):
         inverted.append(a.shape)
         return inv(a)
 
-    def spy_solve(*args):
+    def spy_primal(*args):
         primal_calls.append(args[0].shape)
-        return solve(*args)
+        return primal(*args)
+
+    def spy_design(x, degree):
+        built.append(x.shape)
+        return design(x, degree)
 
     monkeypatch.setattr(np.linalg, "inv", spy_inv)
-    monkeypatch.setattr(bias_correction, "_threshold_betas", spy_solve)
+    monkeypatch.setattr(bias_correction, "_primal_l_hat", spy_primal)
+    monkeypatch.setattr(ridge_series, "design_matrix", spy_design)
     rng = np.random.default_rng(49)
     for d, degree in ((2, 2), (6, 2), (3, 3)):
         k = math.comb(d + degree, degree)
         for m in (k - 1, k):
             inverted.clear()
             primal_calls.clear()
+            built.clear()
             x = rng.uniform(size=(3, m, d))
             y = rng.standard_normal((3, m))
             order, first, ranks = _tie_groups(y)
@@ -461,9 +482,11 @@ def test_solver_switches_to_the_primal_at_m_equal_to_k(monkeypatch):
             assert l_hat.shape == (3,)
             if m < k:
                 assert inverted == [(3, m, m)] and primal_calls == []
+                assert built == [(3, m, d)]
             else:
-                assert inverted == [(3, k, k)] and primal_calls == [(3, m, k)]
-                want = _primal_l_hat(x, degree, order, first, lam, nn, _block_rows(k))
+                assert inverted == [(3, k, k)] and primal_calls == [(3, m, d)]
+                assert built == [(3, m, d)] * 3
+                want = primal(x, degree, order, first, lam, nn, _block_rows(k))
                 np.testing.assert_array_equal(l_hat, want)
 
 

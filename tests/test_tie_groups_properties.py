@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from nncorr import ridge_series  # noqa: E402
 from nncorr.bias_correction import (  # noqa: E402
     _bias_term,
     _primal_l_hat,
@@ -23,7 +24,7 @@ from nncorr.dataset import _tie_groups, minmax_scale  # noqa: E402
 from nncorr.errors import InputError  # noqa: E402
 from nncorr.ridge_series import (  # noqa: E402
     _descending,
-    _threshold_rhs,
+    _primal_solve,
     design_matrix,
 )
 
@@ -76,21 +77,46 @@ def test_tie_groups_match_the_comparison_matrix(y):
 @given(stacks(), st.integers(0, 2**32 - 1), st.integers(1, 12))
 def test_threshold_rhs_matches_the_comparison_gemm(y, seed, block):
     # Blocks of 1 to 12 thresholds; tie groups straddle their edges. The
-    # design rows are built per block from the covariates.
+    # design rows and neighbor rows are built per block from the
+    # covariates; the right-hand sides and the Gram matrices are what
+    # _primal_solve hands its solves.
     c, m = y.shape
     xs = _covariates(y, seed)
     p = design_matrix(xs, 2)
+    nn = np.random.default_rng([seed, 2]).integers(0, m, size=(c, m))
+    diff = p[np.arange(c)[:, None], nn] - p
     order, first, _ = _tie_groups(y)
-    desc, need = _descending(order, first)
+    desc, _ = _descending(order, first)
     want = np.swapaxes(p, -1, -2) @ _le(y)
     got = np.full(want.shape, np.nan)
-    gram, blocks = _threshold_rhs(np.take(xs.reshape(c * m, 3), desc, axis=0), 2, need, block)
-    for lo, hi, pb, rhs in blocks:
-        assert hi - lo <= block and rhs.flags.c_contiguous
-        np.testing.assert_array_equal(pb, p[np.arange(c)[:, None], desc[:, lo:hi] % m])
-        np.put_along_axis(got, desc[:, None, lo:hi] % m, rhs, axis=-1)
+    grams, sides = [], []
+    invert, apply = ridge_series._invert_shifted, ridge_series._refined_apply
+
+    def spy_invert(a, n, lam):
+        grams.append(a.copy())
+        return invert(a, n, lam)
+
+    def spy_apply(a, inv, rhs):
+        sides.append(rhs.copy())
+        return apply(a, inv, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ridge_series, "_invert_shifted", spy_invert)
+        mp.setattr(ridge_series, "_refined_apply", spy_apply)
+        cross, blocks = _primal_solve(xs, 2, order, first, nn, default_lambda(m), block)
+        for lo, hi, pb, d, _ in blocks:
+            rhs = sides[-1]
+            assert hi - lo <= block and rhs.flags.c_contiguous
+            rows = (np.arange(c)[:, None], desc[:, lo:hi] % m)
+            np.testing.assert_array_equal(pb, p[rows])
+            np.testing.assert_array_equal(d, diff[rows])
+            np.put_along_axis(got, desc[:, None, lo:hi] % m, rhs, axis=-1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(gram, np.swapaxes(p, -1, -2) @ p, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(grams[0], np.swapaxes(p, -1, -2) @ p, rtol=1e-13, atol=0.0)
+    # The cross sum carries cancellation, so its bound is scaled by the Gram.
+    np.testing.assert_allclose(
+        cross, np.swapaxes(p, -1, -2) @ diff, rtol=0.0, atol=1e-13 * np.abs(grams[0]).max()
+    )
 
 
 @_PROFILE
