@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .rng import _whole
 
 
 def _as_floats(v, name: str) -> np.ndarray:
@@ -116,8 +117,9 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
     :class:`InputError`: a cell that is not a finite number is named (in the
     first row as in any other), and so is a row whose cell count differs
     from the first data row's. ``y_column`` selects the response column by
-    0-based index or the literal ``"last"``; the remaining columns become
-    the covariates in file order. A file that is not UTF-8 text raises an
+    0-based index, a float one only when whole (2.0 is column 2), or the
+    literal ``"last"``; the remaining columns become the covariates in file
+    order. A file that is not UTF-8 text raises an
     :class:`InputError` naming the path and the offset of the first byte
     that does not decode. A path that cannot be read (missing, a directory,
     no permission) raises the :class:`OSError` that ``open`` gives, which
@@ -149,13 +151,15 @@ def load_csv(path: str | os.PathLike, y_column: int | str = "last") -> Sample:
 
     if y_column == "last":
         y_idx = ncols - 1
+    elif isinstance(y_column, (float, np.floating)):
+        y_idx = _whole("y_column", y_column)
     else:
         try:
             y_idx = int(y_column)
         except (TypeError, ValueError):
             raise InputError(f"y_column must be a 0-based index or 'last', got {y_column!r}") from None
-        if not 0 <= y_idx < ncols:
-            raise InputError(f"y_column {y_idx} out of range for {ncols} columns")
+    if not 0 <= y_idx < ncols:
+        raise InputError(f"y_column {y_idx} out of range for {ncols} columns")
 
     if ncols < 2:
         raise InputError("file has no covariate columns besides the response")

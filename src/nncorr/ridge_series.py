@@ -18,7 +18,9 @@ at 1 and 4 BLAS threads and at the default pool).
 
 Everything here is a plain array, for a stack of samples at once:
 :func:`design_matrix` evaluates the (K, d) exponents of
-:func:`basis_index_set` at every row. Entry (i, j) of the fitted curves g
+:func:`basis_index_set` at every row it is given, in one pass over the
+plan of products that builds the exponents (:func:`_product_plan`); the
+callers bound the rows. Entry (i, j) of the fitted curves g
 estimates P(Y >= y_j | X = x_i). This is a linear probability model: entries may
 fall outside [0, 1], and nothing clamps them. The two paths leave g in
 different forms. With n >= K, :func:`_primal_solve` takes the rows in
@@ -39,7 +41,6 @@ matrix, and g = Y - n*lam*Z is n x n. The bias term in
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -50,12 +51,12 @@ from .errors import InputError
 BASIS_CAP = 10_000
 
 # Byte budget of one block of work. Here it sizes the row blocks of the
-# design matrix and of the primal fit, (block, K) floats a sample
-# (:func:`_block_rows`); the bias term sizes the chunks of its final sum
-# with it, and the bootstrap its chunks of replicates. The design matrix
-# keeps its bits at any budget, and a replicate at any chunk size; the
-# primal fit sums its Gram matrix and bias term over its row blocks, so
-# there the budget moves ``l_hat`` by rounding.
+# primal fit, (block, K) floats a sample (:func:`_block_rows`), whose design
+# rows are built one block at a time; the bias term sizes the chunks of its
+# final sum with it, and the bootstrap its chunks of replicates. A replicate
+# keeps its bits at any chunk size; the primal fit sums its Gram matrix and
+# bias term over its row blocks, so there the budget moves ``l_hat`` by
+# rounding.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -64,16 +65,31 @@ def _block_rows(k: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * k))
 
 
-@functools.lru_cache(maxsize=None)
 def basis_index_set(d: int, degree: int) -> np.ndarray:
     """Multi-indices of all monomials with total degree up to ``degree``.
 
     A (K, d) integer array in graded-lexicographic order: sorted by total
     degree, then lexicographically, with the constant term first. K =
-    C(d + degree, degree), at most ``BASIS_CAP``. Cached per ``(d,
-    degree)``, since every bootstrap refit asks for the same basis, so the
-    array is read-only. Invalid arguments raise on every call, since
-    exceptions are not cached.
+    C(d + degree, degree), at most ``BASIS_CAP``. The exponents of
+    :func:`_product_plan`, cached per ``(d, degree)`` since every bootstrap
+    refit asks for the same basis, so the array is read-only. Invalid
+    arguments raise on every call, since exceptions are not cached.
+    """
+    return _product_plan(d, degree)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _product_plan(d: int, degree: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """``basis_index_set(d, degree)`` and how :func:`design_matrix` builds its monomials.
+
+    Each monomial after the constant is its parent times one covariate, its
+    first nonzero variable v. Within a degree, in lexicographic order, those
+    with first nonzero variable v follow those with v + 1, and their parents
+    are the monomials of the degree below whose first nonzero variable is v
+    or later: a prefix of that degree, in the same order. So the plan is a
+    tuple of runs ``(lo, hi, parent_lo, var)``, d per degree with ``var``
+    from d - 1 down to 0: rows ``lo:hi`` are rows ``parent_lo:parent_lo + hi
+    - lo`` times covariate ``var``, and a run never reads its own rows.
     """
     if d < 1:
         raise InputError(f"need d >= 1, got {d}")
@@ -84,47 +100,25 @@ def basis_index_set(d: int, degree: int) -> np.ndarray:
         raise InputError(
             f"basis would have {k} functions, above the cap of {BASIS_CAP}; lower the degree"
         )
-    exps = []
-    for total in range(degree + 1):
-        # Multisets of `total` variables, in lexicographic order, count into
-        # exponent vectors in descending lexicographic order.
-        combos = itertools.combinations_with_replacement(range(d), total)
-        exps.extend(reversed([np.bincount(c, minlength=d) for c in combos]))
-    exponents = np.asarray(exps, dtype=np.int64)
-    assert exponents.shape == (k, d)
+    exponents = np.zeros((k, d), dtype=np.int64)
+    runs = []
+    # prefix[v]: how many monomials of the degree below have their first
+    # nonzero variable at v or later (the constant counts for every v).
+    prefix = [1] * d
+    parent_lo = 0
+    lo = 1
+    for _ in range(degree):
+        start = lo
+        for var in range(d - 1, -1, -1):
+            hi = lo + prefix[var]
+            exponents[lo:hi] = exponents[parent_lo : parent_lo + hi - lo]
+            exponents[lo:hi, var] += 1
+            runs.append((lo, hi, parent_lo, var))
+            prefix[var] = hi - start
+            lo = hi
+        parent_lo = start
     exponents.setflags(write=False)
-    return exponents
-
-
-@functools.lru_cache(maxsize=None)
-def _product_plan(d: int, degree: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """``basis_index_set(d, degree)`` and how :func:`design_matrix` builds its monomials.
-
-    Monomial i > 0 is its parent times one covariate: the parent is
-    exponent row i with one power of its first nonzero variable removed,
-    so it has a lower degree and comes earlier in graded order. Within a
-    degree, the monomials whose first nonzero variable is v are contiguous
-    in lexicographic order, and so are their parents, in the same order,
-    in the degree below. So the plan is a tuple of runs ``(lo, hi,
-    parent_lo, var)``: rows ``lo:hi`` are rows ``parent_lo:parent_lo + hi -
-    lo`` times covariate ``var``, d runs per degree. Cached per ``(d,
-    degree)`` like the basis itself.
-    """
-    basis = basis_index_set(d, degree)
-    exps = basis.tolist()
-    index = {tuple(e): i for i, e in enumerate(exps)}
-    runs: list[list[int]] = []
-    for i, e in enumerate(exps[1:], start=1):
-        var = next(j for j, power in enumerate(e) if power)
-        e[var] -= 1
-        parent = index[tuple(e)]
-        last = runs[-1] if runs else None
-        # A run never reads its own rows: its parents end before it starts.
-        if last and last[3] == var and last[2] + i - last[0] == parent < last[0]:
-            last[1] = i + 1
-        else:
-            runs.append([i, i + 1, parent, var])
-    return basis, tuple(tuple(run) for run in runs)
+    return exponents, tuple(runs)
 
 
 def design_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
@@ -141,25 +135,18 @@ def design_matrix(xs: np.ndarray, degree: int) -> np.ndarray:
     d = xs.shape[-1]
     basis, plan = _product_plan(d, degree)
     k = len(basis)
-    # Blocks of rows, each built monomial-major in a C-ordered (K, block)
-    # buffer, so every multiply runs over contiguous rows, then written into
-    # P; beyond P, memory stays at one block. Products of unscaled x can
+    # Built monomial-major in a C-ordered (K, rows) buffer, so every multiply
+    # runs over contiguous rows, then returned as its C-ordered transpose. The
+    # callers bound the rows: the primal path passes one block of rows at a
+    # time, the dual path fewer rows than K. Products of unscaled x can
     # overflow to inf, which the pipeline refuses with an InputError.
-    rows = xs.reshape(-1, d)
-    n = rows.shape[0]
-    p = np.empty((n, k))
-    step = _block_rows(k)
-    buf = np.empty((k, min(step, n)))
+    cols = np.ascontiguousarray(xs.reshape(-1, d).T)
+    buf = np.empty((k, cols.shape[1]))
     buf[0] = 1.0
     with np.errstate(over="ignore"):
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            cols = np.ascontiguousarray(rows[lo:hi].T)
-            block = buf[:, : hi - lo]
-            for a, b, parent, var in plan:
-                np.multiply(block[parent : parent + b - a], cols[var], out=block[a:b])
-            p[lo:hi] = block.T
-    return p.reshape(xs.shape[:-1] + (k,))
+        for lo, hi, parent, var in plan:
+            np.multiply(buf[parent : parent + hi - lo], cols[var], out=buf[lo:hi])
+    return np.ascontiguousarray(buf.T).reshape(xs.shape[:-1] + (k,))
 
 
 def _invert_shifted(a: np.ndarray, n: int, lam: float) -> np.ndarray:

@@ -142,6 +142,19 @@ def _summarize(rho, d, n, rows) -> CellSummary:
     )
 
 
+def _cell(ci: int, cell) -> tuple[float, int, int]:
+    """Grid cell ``ci`` as (float rho, int d, int n), by the rules of :class:`CopulaConfig`.
+
+    A cell that does not unpack into three values raises an InputError
+    naming its index.
+    """
+    try:
+        rho, d, n = cell
+    except (TypeError, ValueError):
+        raise InputError(f"grid cell {ci} must be a (rho, d, n) triple, got {cell!r}") from None
+    return float(_number("rho", rho)), _whole("d", d), _whole("n", n)
+
+
 def run_study(
     grid,
     reps: int,
@@ -158,8 +171,10 @@ def run_study(
     :class:`RawRecord`. Each cell's summary is computed from its records.
     Replication streams derive from (seed, cell_index, rep_index), so any
     execution order reproduces the same numbers. Pass a list as ``records``
-    to capture every record for the raw CSV sidecar. Each cell is read once
-    as (float, int, int). ``reps``, ``b_reps``, ``seed`` and each cell's d
+    to capture every record for the raw CSV sidecar. Each cell must unpack
+    into (rho, d, n), or an InputError names its index, and is read once as
+    (float, int, int): rho must be a number, as :class:`CopulaConfig` reads
+    it, not a string. ``reps``, ``b_reps``, ``seed`` and each cell's d
     and n are read by one rule: a whole float such as 30.0 runs as 30, and
     30.7 raises. Every option is checked before any replication runs; a failing
     replication raises with the cell coordinates attached, an
@@ -173,7 +188,7 @@ def run_study(
     if reps < 1:
         raise InputError(f"need reps >= 1, got {reps}")
     config = PipelineConfig()
-    grid = [(float(rho), _whole("d", d), _whole("n", n)) for rho, d, n in grid]
+    grid = [_cell(ci, cell) for ci, cell in enumerate(grid)]
     for rho, d, n in grid:
         # Every cell's options are checked as each replication checks them,
         # so a bad one fails before any replication runs.

@@ -258,30 +258,32 @@ def test_pipeline_l_hat_matches_double_loop(n):
     assert abs(res.l_hat - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("c,m,degree,tied,rows", [
-    (1, 8, 2, False, None),   # K = 10 > m: the dual system
-    (1, 8, 2, True, None),
-    (1, 12, 3, False, None),  # K = 20
-    (1, 30, 2, False, None),  # K = 10 <= m: the primal system, one block
-    (1, 12, 1, True, None),   # K = 4
-    (1, 30, 2, True, 4),      # blocks of 4 rows, which tie groups straddle
-    (3, 30, 2, True, 7),      # a stack in blocks of 7 rows
-    (2, 40, 3, True, 6),      # K = 20, a stack in blocks of 6 rows
-    (1, 12, 0, True, None),   # K = 1, where l_hat is exactly 0
+@pytest.mark.parametrize("c,m,d,degree,tied,rows", [
+    (1, 8, 3, 2, False, None),   # K = 10 > m: the dual system
+    (1, 8, 3, 2, True, None),
+    (1, 12, 3, 3, False, None),  # K = 20
+    (1, 30, 3, 2, False, None),  # K = 10 <= m: the primal system, one block
+    (1, 12, 3, 1, True, None),   # K = 4
+    (1, 30, 3, 2, True, 4),      # blocks of 4 rows, which tie groups straddle
+    (3, 30, 3, 2, True, 7),      # a stack in blocks of 7 rows
+    (2, 40, 3, 3, True, 6),      # K = 20, a stack in blocks of 6 rows
+    (1, 12, 3, 0, True, None),   # K = 1, where l_hat is exactly 0
+    (1, 16, 6, 4, False, None),  # K = 210, the degree-4 basis of d = 6
 ], ids=["dual", "dual-tied-dup", "dual-degree3", "primal", "primal-tied-dup",
-        "primal-blocks-tied", "primal-stack-blocks", "primal-degree3-stack-blocks", "degree0"])
-def test_bias_term_matches_exact_rational_oracle(monkeypatch, c, m, degree, tied, rows):
-    # d = 3. A tied case rounds the responses to two to four levels, repeats
+        "primal-blocks-tied", "primal-stack-blocks", "primal-degree3-stack-blocks", "degree0",
+        "dual-degree4"])
+def test_bias_term_matches_exact_rational_oracle(monkeypatch, c, m, d, degree, tied, rows):
+    # A tied case rounds the responses to two to four levels, repeats
     # one row, response included, and that row's neighbor is its copy.
     # ``rows`` sets the primal path's blocks through the byte budget.
-    k = math.comb(3 + degree, degree)
+    k = math.comb(d + degree, degree)
     if rows is not None:
         monkeypatch.setattr(ridge_series, "_CHUNK_BYTES", 8 * k * rows)
     rng = np.random.default_rng(64 + m)
-    x = np.empty((c, m, 3))
+    x = np.empty((c, m, d))
     y = np.empty((c, m))
     for b in range(c):
-        x[b] = rng.uniform(size=(m, 3))
+        x[b] = rng.uniform(size=(m, d))
         y[b] = x[b, :, 0] + 0.5 * rng.standard_normal(m)
         if tied:
             y[b] = np.round(2 * y[b] / np.ptp(y[b]))

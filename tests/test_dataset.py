@@ -144,6 +144,30 @@ def test_load_csv_bad_y_column(tmp_path):
         load_csv(path, y_column=7)
 
 
+def test_load_csv_whole_float_y_column_selects_its_column(tmp_path):
+    path = _write(tmp_path, "1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    for index in (2.0, np.float64(2.0)):
+        s = load_csv(path, y_column=index)
+        np.testing.assert_array_equal(s.y, [3.0, 6.0])
+        np.testing.assert_array_equal(s.x, [[1.0, 2.0], [4.0, 5.0]])
+    np.testing.assert_array_equal(load_csv(path, y_column=0.0).y, [1.0, 4.0])
+    with pytest.raises(InputError, match="^y_column 3 out of range for 3 columns$"):
+        load_csv(path, y_column=3.0)
+
+
+@pytest.mark.parametrize("index", [1.7, -0.5, float("inf"), float("-inf"), float("nan")])
+def test_load_csv_refuses_a_float_y_column_that_is_not_whole(tmp_path, index):
+    path = _write(tmp_path, "1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    with pytest.raises(InputError, match="^need a whole number y_column, got "):
+        load_csv(path, y_column=index)
+
+
+@pytest.mark.parametrize("index, column", [("2", 2), (" 1", 1), ("last", 2), (1, 1), (np.int64(0), 0)])
+def test_load_csv_string_and_int_y_columns_read_as_before(tmp_path, index, column):
+    path = _write(tmp_path, "1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    np.testing.assert_array_equal(load_csv(path, y_column=index).y, [1.0 + column, 4.0 + column])
+
+
 def test_load_csv_bad_cell_before_a_ragged_row_wins(tmp_path):
     path = _write(tmp_path, "1,2,3\n4,oops,6\n7,8,9\n10,11\n")
     with pytest.raises(InputError, match=r"non-numeric cell at \(1,1\): 'oops'"):

@@ -1,6 +1,7 @@
 """Tests for the polynomial basis and the all-thresholds ridge solver."""
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -202,15 +203,40 @@ def test_product_plan_parents_precede_children():
                 assert (exps[lo:hi, :var] == 0).all()
 
 
+def _reference_basis(d, degree):
+    # The basis as an enumeration: the multisets of `total` variables, in
+    # lexicographic order, count into exponent vectors in descending
+    # lexicographic order.
+    exps = []
+    for total in range(degree + 1):
+        combos = itertools.combinations_with_replacement(range(d), total)
+        exps.extend(reversed([np.bincount(c, minlength=d) for c in combos]))
+    return np.asarray(exps, dtype=np.int64).reshape(-1, d)
+
+
+def test_basis_matches_the_enumerated_reference():
+    for d in range(1, 9):
+        for degree in range(6):
+            np.testing.assert_array_equal(basis_index_set(d, degree), _reference_basis(d, degree))
+
+
 @pytest.mark.parametrize("rows", [1, 7, None])
-def test_design_matrix_bits_do_not_depend_on_row_blocks(monkeypatch, rows):
+def test_design_matrix_bits_do_not_depend_on_row_blocks(rows):
+    # A row's monomials carry the same bits however many rows, or samples,
+    # are built with it: built ``rows`` at a time, or as a stack against
+    # each sample alone (None). The primal fit builds its design rows one
+    # block at a time.
     rng = np.random.default_rng(43)
-    xs = rng.uniform(size=(3, 50, 4))
-    want = design_matrix(xs, 3)
-    monkeypatch.setattr(ridge_series, "_block_rows", lambda k: rows or 150)
-    got = design_matrix(xs, 3)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got[1], design_matrix(xs[1], 3))
+    cases = [(rng.uniform(size=(3, 50, 4)), 3), (rng.uniform(size=(2, 2500, 6)), 3)]
+    for xs, degree in cases:
+        want = design_matrix(xs, degree)
+        if rows is None:
+            for b in range(len(xs)):
+                np.testing.assert_array_equal(want[b], design_matrix(xs[b], degree))
+        else:
+            flat = xs.reshape(-1, xs.shape[-1])
+            got = [design_matrix(flat[lo : lo + rows], degree) for lo in range(0, len(flat), rows)]
+            np.testing.assert_array_equal(np.concatenate(got), want.reshape(len(flat), -1))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,25 @@ def test_study_options_are_checked_before_any_replication(monkeypatch, options, 
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([(0.5, 2, 40), (0.5, 2)], "grid cell 1 must be a (rho, d, n) triple, got (0.5, 2)"),
+    ([0.5], "grid cell 0 must be a (rho, d, n) triple, got 0.5"),
+    ([(0.5, 2, 30, 1)], "grid cell 0 must be a (rho, d, n) triple, got (0.5, 2, 30, 1)"),
+    ([(0.5, 2, 40), (None, 2, 30)], "need a number rho, got None"),
+    ([("0.5", 2, 30)], "need a number rho, got '0.5'"),
+], ids=["short", "scalar", "long", "rho-none", "rho-string"])
+def test_study_refuses_malformed_cells_before_any_replication(monkeypatch, grid, message):
+    import nncorr.bootstrap as bootstrap
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a replication ran before the cells were checked")
+
+    monkeypatch.setattr(bootstrap, "estimate", forbidden)
+    with pytest.raises(InputError) as exc:
+        run_study(grid, reps=2)
+    assert str(exc.value) == message
+
+
 def test_study_runs_the_cell_it_checked():
     # A whole-number float d or n runs as the int it equals; any other
     # float is refused before a replication runs.
